@@ -12,14 +12,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import theory
 from .errors import StateFileError, TomographyError
-from .montecarlo import exact_mse_oracle, run_experiment
+from .montecarlo import _config_distributions, exact_mse_oracle, run_experiment, simulate_once
 from .protocol import CouplingStrengths, fourier_mub
 from .qmath import DensityMatrix, hs_distance_sq, purity_stats, random_mixed, random_pure, validate_density
 from .rng import RandomStream
@@ -50,6 +53,8 @@ DEFAULTS = {
     "out": "-",
     "manifest": None,
 }
+# Types of the keys whose default is None, which a config file may also set to null.
+NULLABLE_TYPES = {"g_r": float, "g_i": float, "mixed_rank": int, "state_file": str, "manifest": str}
 
 
 class ConfigError(Exception):
@@ -63,12 +68,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(out: str, header: list, rows: list) -> None:
-    if out == "-":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([[_fmt(x) for x in row] for row in rows])
-        return
-    with open(out, "w", newline="") as fh:
+    with nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows([[_fmt(x) for x in row] for row in rows])
@@ -78,6 +78,22 @@ def _write_manifest(path, entries: list) -> None:
     if path is None:
         return
     Path(path).write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in entries))
+
+
+def _check_writable(*paths) -> None:
+    """Fail before any computation if an output file cannot be written."""
+    for path in (p for p in paths if p not in (None, "-")):
+        if Path(path).is_dir() or not os.access(Path(path).parent, os.W_OK):
+            raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
+
+
+def _type_ok(key: str, val) -> bool:
+    if val is None:
+        return DEFAULTS[key] is None
+    want = NULLABLE_TYPES.get(key, type(DEFAULTS[key]))
+    # bool is an int subclass, so it passes only where a bool is wanted.
+    accepted = (int, float) if want is float else want
+    return isinstance(val, bool) == (want is bool) and isinstance(val, accepted)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -97,6 +113,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"config file {config_path}: unknown key {key!r}")
+            if not _type_ok(key, val):
+                raise ConfigError(f"config file {config_path}: {key!r} has the wrong type: {val!r}")
             cfg[key] = val
     for key in cfg:
         flag_val = getattr(args, key, None)
@@ -107,10 +125,6 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _positive(cfg: dict, key: str, minimum: int) -> int:
     val = cfg[key]
-    try:
-        val = int(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{key.replace('_', '-')} must be an integer, got {val!r}")
     if val < minimum:
         raise ConfigError(f"--{key.replace('_', '-')} must be >= {minimum}, got {val}")
     return val
@@ -164,7 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dim = _positive(cfg, "dim", 2)
     shots = _positive(cfg, "shots", 1)
     reps = _positive(cfg, "reps", 1)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     axis = cfg["sweep_axis"]
     if axis not in ("g_r", "g_i"):
         raise ConfigError(f"--sweep-axis must be g_r or g_i, got {axis!r}")
@@ -172,17 +186,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = float(cfg["sweep_min"]), float(cfg["sweep_max"])
     if not (0.0 < lo < hi < np.pi):
         raise ConfigError(f"sweep range [{lo}, {hi}] must satisfy 0 < min < max < pi")
+    _check_writable(cfg["out"], cfg["manifest"])
 
     rho, source = _load_state(cfg, dim, RandomStream(seed, STATE_STREAM))
     fixed = _fixed_strengths(cfg, dim)
 
     rows = []
     for value in np.linspace(lo, hi, steps):
-        strengths = (
-            CouplingStrengths(float(value), fixed.g_i)
-            if axis == "g_r"
-            else CouplingStrengths(fixed.g_r, float(value))
-        )
+        strengths = replace(fixed, **{axis: float(value)})
         report = run_experiment(rho, strengths, shots, reps, seed)
         rows.append(
             [
@@ -234,27 +245,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError(f"--dim-min {d_lo} exceeds --dim-max {d_hi}")
     if cfg["state_file"] is not None and d_lo != d_hi:
         raise ConfigError("--state-file fixes one dimension; use --dim-min == --dim-max with it")
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
+    _check_writable(cfg["out"], cfg["manifest"])
 
-    schemes = [
-        "raw-per-shot",
-        "hermitized-per-shot-approx",
-        "hermitized-per-shot-exact",
-        "per-copy-approx",
-        "mub",
-        "sic",
-    ]
     rows = []
     manifest_states = []
     for d in range(d_lo, d_hi + 1):
         rho, source = _load_state(cfg, d, RandomStream(seed, STATE_STREAM + d))
         pur = purity_stats(rho)
-        menu = {row.scheme: row.scaled_mse for row in theory.scaled_mse_menu(
-            d, pur.purity, pur.purity_re, pur.purity_im
-        )}
-        rows.append([d] + [menu[s] for s in schemes])
+        menu = theory.scaled_mse_menu(d, pur.purity, pur.purity_re, pur.purity_im)
+        rows.append([d] + [row.scaled_mse for row in menu])
         manifest_states.append((f"purity_d{d}", pur.purity))
-    _write_csv(cfg["out"], ["dim"] + [s.replace("-", "_") for s in schemes], rows)
+    _write_csv(cfg["out"], ["dim"] + [row.scheme.replace("-", "_") for row in menu], rows)
     _write_manifest(
         cfg["manifest"],
         [("command", "compare"), ("dim_min", d_lo), ("dim_max", d_hi), ("seed", seed)]
@@ -268,23 +270,20 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if cfg["state_file"] is None:
         raise ConfigError("reconstruct requires --state-file")
     shots = _positive(cfg, "shots", 1)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
+    out = cfg["out"] if cfg["out"] != "-" else "reconstruction"
+    raw_path, herm_path = f"{out}_raw.state", f"{out}_herm.state"
+    _check_writable(raw_path, herm_path, cfg["manifest"])
     rho = validate_density(read_state_file(cfg["state_file"]))
     dim = rho.dim
     strengths = _fixed_strengths(cfg, dim)
 
     # One full experiment repetition on its own stream.
-    from .montecarlo import SufficientStats, assemble_estimate, estimate_pw, _config_distributions, sample_shots
-
     bases = fourier_mub(dim)
-    stream = RandomStream(seed, RECONSTRUCT_STREAM)
-    stats = SufficientStats(dim=dim, shots=shots)
-    for dist in _config_distributions(rho, strengths, bases):
-        stats.record(dist.n, dist.quadrature, sample_shots(dist, shots, stream))
-    est = assemble_estimate(estimate_pw(stats, strengths), bases, strengths, shots, seed)
-
-    out = cfg["out"] if cfg["out"] != "-" else "reconstruction"
-    raw_path, herm_path = f"{out}_raw.state", f"{out}_herm.state"
+    est = simulate_once(
+        _config_distributions(rho, strengths, bases), bases, strengths, shots,
+        RandomStream(seed, RECONSTRUCT_STREAM), seed,
+    )
     write_state_file(raw_path, est.raw)
     write_state_file(herm_path, est.hermitized)
 
@@ -305,7 +304,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _selfcheck_probes(seed: int):
-    from .montecarlo import exact_mse_oracle
     from .protocol import couple_and_postselect, pointer_observables, weak_value_from_device, weak_values_exact, reconstruct
 
     checks = []
@@ -379,7 +377,7 @@ def _selfcheck_probes(seed: int):
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    checks, probe_gap = _selfcheck_probes(int(cfg["seed"]))
+    checks, probe_gap = _selfcheck_probes(cfg["seed"])
     failed = False
     for name, dev, tol in checks:
         ok = dev <= tol
@@ -448,9 +446,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except StateFileError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
     except TomographyError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

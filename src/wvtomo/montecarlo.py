@@ -19,13 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theory
-from .errors import IncompleteStats, NotPositive
+from .errors import IncompleteStats
 from .protocol import (
     CouplingStrengths,
     MeasurementBases,
-    couple_and_postselect,
+    _check_index,
     fourier_mub,
+    pointer_blocks,
     pointer_observables,
+    reconstruction_map,
 )
 from .qmath import DensityMatrix, eig_hermitian_2x2, hs_distance_sq, purity_stats
 from .rng import RandomStream
@@ -106,30 +108,29 @@ class MseReport:
     theory_herm: float
 
 
+def _outcome_laws(
+    rho: DensityMatrix, quadrature: str, g: float, bases: MeasurementBases
+) -> list[OutcomeDistribution]:
+    """The outcome distribution of every coupling index n at strength g, read
+    off the pointer blocks: prob(j, k) = <v_k|M[n, j]|v_k>, normalised per n."""
+    if quadrature not in QUADRATURES:
+        raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
+    obs = pointer_observables(g)
+    evals, evecs = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
+    blocks, _ = pointer_blocks(rho, g, bases)
+    probs = np.einsum("ik,njil,lk->njk", evecs.conj(), blocks, evecs).real.reshape(rho.dim, -1)
+    probs = np.maximum(probs, 0.0)  # rounding below zero on a vanishing branch
+    probs /= probs.sum(axis=1, keepdims=True)
+    values = np.tile(evals, rho.dim)
+    return [OutcomeDistribution(n, quadrature, g, probs[n], values) for n in range(rho.dim)]
+
+
 def outcome_distribution(
     rho: DensityMatrix, n: int, quadrature: str, g: float, bases: MeasurementBases
 ) -> OutcomeDistribution:
     """Enumerate prob(j,k) = P_j <v_k|rho_d^{nj}|v_k> and the drawn eigenvalues."""
-    if quadrature not in QUADRATURES:
-        raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
-    obs = pointer_observables(g)
-    sigma = obs.sigma_r if quadrature == "R" else obs.sigma_i
-    evals, evecs = eig_hermitian_2x2(sigma)
-    ens = couple_and_postselect(rho, n, g, bases)
-
-    d = rho.dim
-    probs = np.zeros(2 * d)
-    values = np.tile(evals, d)
-    for j, state in enumerate(ens.device_states):
-        if state is None:
-            continue
-        branch = np.einsum("ik,ik->k", evecs.conj(), state @ evecs).real
-        probs[2 * j : 2 * j + 2] = ens.probs[j] * branch
-    if probs.min() < -1e-12:
-        raise NotPositive(f"outcome probability {probs.min():.3e} below -1e-12")
-    probs = np.where(probs < 0.0, 0.0, probs)
-    probs = probs / probs.sum()
-    return OutcomeDistribution(n=n, quadrature=quadrature, g=g, probs=probs, values=values)
+    _check_index(n, rho.dim)
+    return _outcome_laws(rho, quadrature, g, bases)[n]
 
 
 def sample_shots(dist: OutcomeDistribution, n_shots: int, rng: RandomStream) -> np.ndarray:
@@ -162,11 +163,7 @@ def assemble_estimate(
 ) -> TomographyEstimate:
     """Linear reconstruction raw[n][m] = sum_j (<psi_j|a_m>/<psi_j|a_n>) pw[n][j],
     plus the hermitized combination (raw + raw^dag)/2."""
-    d = bases.dim
-    overlaps = bases.overlaps()
-    raw = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        raw[n] = (pw_table[n] / overlaps[:, n]) @ overlaps
+    raw = reconstruction_map(pw_table, bases.overlaps())
     hermitized = (raw + raw.conj().T) / 2.0
     return TomographyEstimate(
         raw=raw, hermitized=hermitized, strengths=strengths, shots=shots, seed=seed
@@ -177,11 +174,23 @@ def _config_distributions(
     rho: DensityMatrix, strengths: CouplingStrengths, bases: MeasurementBases
 ) -> list:
     """The 2d outcome distributions in fixed order: n ascending, R before I."""
-    out = []
-    for n in range(rho.dim):
-        out.append(outcome_distribution(rho, n, "R", strengths.g_r, bases))
-        out.append(outcome_distribution(rho, n, "I", strengths.g_i, bases))
-    return out
+    laws = [_outcome_laws(rho, q, g, bases) for q, g in (("R", strengths.g_r), ("I", strengths.g_i))]
+    return [dist for pair in zip(*laws) for dist in pair]
+
+
+def simulate_once(
+    dists: list,
+    bases: MeasurementBases,
+    strengths: CouplingStrengths,
+    n_shots: int,
+    stream: RandomStream,
+    seed: int,
+) -> TomographyEstimate:
+    """One experiment: n_shots of each configuration in `dists`, drawn in order from `stream`."""
+    stats = SufficientStats(dim=bases.dim, shots=n_shots)
+    for dist in dists:
+        stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, stream))
+    return assemble_estimate(estimate_pw(stats, strengths), bases, strengths, n_shots, seed)
 
 
 def run_experiment(
@@ -201,12 +210,7 @@ def run_experiment(
     err_raw = np.zeros(reps)
     err_herm = np.zeros(reps)
     for rep in range(reps):
-        stream = RandomStream(seed, rep)
-        stats = SufficientStats(dim=d, shots=n_shots)
-        for dist in dists:
-            stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, stream))
-        pw = estimate_pw(stats, strengths)
-        est = assemble_estimate(pw, bases, strengths, n_shots, seed)
+        est = simulate_once(dists, bases, strengths, n_shots, RandomStream(seed, rep), seed)
         err_raw[rep] = hs_distance_sq(est.raw, rho.matrix)
         err_herm[rep] = hs_distance_sq(est.hermitized, rho.matrix)
 
@@ -224,26 +228,6 @@ def run_experiment(
     )
 
 
-def _row_covariances(
-    rho: DensityMatrix, n: int, strengths: CouplingStrengths, bases: MeasurementBases
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shot covariance matrices over j of the real-part and imaginary-part
-    estimator variables for coupling index n."""
-    covs = []
-    for quadrature, g, sign in (("R", strengths.g_r, -1.0), ("I", strengths.g_i, +1.0)):
-        dist = outcome_distribution(rho, n, quadrature, g, bases)
-        p = dist.probs.reshape(-1, 2)
-        v = dist.values.reshape(-1, 2)
-        # Per-shot variable for slot j is sign * lambda * 1{j} / (2g); different
-        # slots share the one multinomial draw, hence the -mu mu^T coupling.
-        m1 = (p * v).sum(axis=1)
-        m2 = (p * v * v).sum(axis=1)
-        mu = sign * m1 / (2.0 * g)
-        second = m2 / (4.0 * g * g)
-        covs.append(np.diag(second) - np.outer(mu, mu))
-    return covs[0], covs[1]
-
-
 def exact_mse_oracle(
     rho: DensityMatrix, strengths: CouplingStrengths, n_shots: int, hermitized: bool = False
 ) -> float:
@@ -252,21 +236,27 @@ def exact_mse_oracle(
     Propagates the per-shot covariances through the reconstruction row
     rho[n][m] = sum_j c_jm (X_j + i Y_j), c_jm = <psi_j|a_m>/<psi_j|a_n>,
     carrying the cross-j covariance within each row exactly.  Rows with
-    different n come from disjoint shots and are independent.
+    different n come from disjoint shots and are independent.  A row's
+    per-shot covariance over j is diag(s) - mu mu^T (one multinomial draw), so
+    element (n, m) gets sum_j |c_jm|^2 s_j - |map(mu)[n, m]|^2 from each quadrature.
     """
     d = rho.dim
     bases = fourier_mub(d)
     overlaps = bases.overlaps()
-    var_elem = np.zeros((d, d))   # per-shot E|rho_hat[n,m] - rho[n,m]|^2
-    var_rediag = np.zeros(d)      # per-shot Var(Re rho_hat[n,n])
-    for n in range(d):
-        cov_x, cov_y = _row_covariances(rho, n, strengths, bases)
-        coeff = overlaps / overlaps[:, n][:, None]  # coeff[j, m]
-        var_elem[n] = np.einsum("jm,jk,km->m", coeff.conj(), cov_x + cov_y, coeff).real
-        # At m=n every coefficient is 1, so Re rho_hat[n,n] = sum_j X_j.
-        var_rediag[n] = cov_x.sum()
-
+    weights = np.abs(overlaps) ** 2
+    variances = []  # per-shot E|rho_hat[n,m] - rho[n,m]|^2, one term per quadrature
+    for quadrature, g, sign in (("R", strengths.g_r, -1.0), ("I", strengths.g_i, +1.0)):
+        dists = _outcome_laws(rho, quadrature, g, bases)
+        p = np.array([dist.probs for dist in dists]).reshape(d, d, 2)
+        v = dists[0].values[:2]
+        mu = sign * (p @ v) / (2.0 * g)
+        second = (p @ (v * v)) / (4.0 * g * g)
+        spread = reconstruction_map(second, weights)
+        variances.append(spread - np.abs(reconstruction_map(mu, overlaps)) ** 2)
+    var_re, var_im = variances
+    var_elem = var_re + var_im
     if not hermitized:
         return float(var_elem.sum() / n_shots)
+    # At m=n every coefficient is 1: Re rho_hat[n,n] = sum_j X_j, whose variance is var_re[n,n].
     off = (var_elem.sum() - np.trace(var_elem)) / 2.0  # averaging independent rows halves it
-    return float((off + var_rediag.sum()) / n_shots)
+    return float((off + np.trace(var_re)) / n_shots)

@@ -133,16 +133,21 @@ def coupling_unitary(n: int, g: float, d: int) -> np.ndarray:
     return _coupling_from_projector(proj, g)
 
 
-def pointer_observables(g: float) -> PointerObservables:
-    """Quadrature observables sigma_R = (g/sin g)[sigma_y - tan(g/2)(I - sigma_z)]
-    and sigma_I = (g/sin g) sigma_x."""
+def check_strength(g: float, name: str = "g") -> None:
+    """Reject a strength at which 1/sin(g) or 1/cos(g/2) is singular."""
     s = np.sin(g)
     half_c = np.cos(g / 2.0)
     if abs(s) < SINGULAR_TOL or abs(half_c) < SINGULAR_TOL:
         raise StrengthOutOfRange(
-            f"g = {g!r}: sin(g) = {s:.3e} or cos(g/2) = {half_c:.3e} too close to singular"
+            f"{name} = {g!r}: sin(g) = {s:.3e} or cos(g/2) = {half_c:.3e} too close to singular"
         )
-    scale = g / s
+
+
+def pointer_observables(g: float) -> PointerObservables:
+    """Quadrature observables sigma_R = (g/sin g)[sigma_y - tan(g/2)(I - sigma_z)]
+    and sigma_I = (g/sin g) sigma_x."""
+    check_strength(g)
+    scale = g / np.sin(g)
     sigma_r = scale * (SIGMA_Y - np.tan(g / 2.0) * (np.eye(2, dtype=complex) - SIGMA_Z))
     sigma_i = scale * SIGMA_X
     return PointerObservables(sigma_r=sigma_r, sigma_i=sigma_i, g=g)
@@ -175,24 +180,46 @@ def couple_and_postselect(
     return ConditionalDeviceEnsemble(n=n, g=g, probs=probs, device_states=states)
 
 
+def pointer_blocks(
+    rho: DensityMatrix, g: float, bases: MeasurementBases
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every unnormalised post-selected pointer state M[n, j] (2x2) at strength g,
+    and its post-selection probability P[n, j] = tr M[n, j].  Closed form of
+    couple_and_postselect:
+        M00 = A_j + 2(cos g - 1) Re B_nj + (cos g - 1)^2 C_nj
+        M01 = conj M10 = i sin g (conj B_nj + (cos g - 1) C_nj)
+        M11 = sin^2 g C_nj
+    with A_j = <psi_j|rho|psi_j>, B_nj = <psi_j|a_n><a_n|rho|psi_j> and
+    C_nj = |<psi_j|a_n>|^2 <a_n|rho|a_n>.
+    """
+    if bases.dim != rho.dim:
+        raise ShapeMismatch(f"bases built for d={bases.dim}, state has d={rho.dim}")
+    overlaps = bases.overlaps().T  # [n, j] = <psi_j|a_n>
+    rho_psi = rho.matrix @ bases.psi_basis
+    a = np.einsum("aj,aj->j", bases.psi_basis.conj(), rho_psi).real
+    b = overlaps * (bases.a_basis.conj().T @ rho_psi)
+    rho_nn = np.einsum("an,an->n", bases.a_basis.conj(), rho.matrix @ bases.a_basis).real
+    c = np.abs(overlaps) ** 2 * rho_nn[:, None]
+
+    cm1, s = np.cos(g) - 1.0, np.sin(g)
+    m00 = a + 2.0 * cm1 * b.real + cm1 * cm1 * c
+    m01 = 1j * s * (b.conj() + cm1 * c)
+    m11 = s * s * c
+    blocks = np.stack([m00, m01, m01.conj(), m11], axis=-1).reshape(rho.dim, rho.dim, 2, 2)
+    probs = m00 + m11
+    if probs.min() < -PROB_DEFINED_TOL:
+        raise NotPositive(f"post-selection probability {probs.min():.3e} below -1e-12")
+    return blocks, np.where(probs < 0.0, 0.0, probs)
+
+
 def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g: float) -> WeakValueTable:
     """Definitional weak values W_nj = <psi_j|a_n><a_n|rho|psi_j> / P_j(n),
     with P_j(n) the physical post-selection probability under coupling g."""
-    d = rho.dim
-    overlaps = bases.overlaps()  # O[j, n] = <psi_j|a_n>
-    entries = np.zeros((d, d), dtype=complex)
-    probs = np.zeros((d, d))
-    undefined = np.zeros((d, d), dtype=bool)
-    for n in range(d):
-        ens = couple_and_postselect(rho, n, g, bases)
-        probs[n] = ens.probs
-        a_n = bases.a_basis[:, n]
-        # numer[j] = <psi_j|a_n><a_n|rho|psi_j>
-        numer = overlaps[:, n] * ((a_n.conj() @ rho.matrix) @ bases.psi_basis)
-        defined = ens.probs > PROB_DEFINED_TOL
-        entries[n, defined] = numer[defined] / ens.probs[defined]
-        undefined[n] = ~defined
-    return WeakValueTable(dim=d, entries=entries, probs=probs, undefined=undefined)
+    _, probs = pointer_blocks(rho, g, bases)
+    numer = bases.overlaps().T * ((bases.a_basis.conj().T @ rho.matrix) @ bases.psi_basis)
+    defined = probs > PROB_DEFINED_TOL
+    entries = np.divide(numer, probs, out=np.zeros_like(numer), where=defined)
+    return WeakValueTable(dim=rho.dim, entries=entries, probs=probs, undefined=~defined)
 
 
 def weak_value_from_device(
@@ -214,22 +241,22 @@ def weak_value_from_device(
     return out
 
 
+def reconstruction_map(pw: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """out[n][m] = sum_j pw[n][j] overlaps[j][m] / overlaps[j][n] for every row n at once;
+    with overlaps = bases.overlaps() this is the linear map from P_j W_nj to rho."""
+    return (pw / overlaps.T) @ overlaps
+
+
 def reconstruct(table: WeakValueTable, bases: MeasurementBases) -> np.ndarray:
     """Assemble rho[n][m] = sum_j P_j(n) (<psi_j|a_m>/<psi_j|a_n>) W_nj."""
-    d = table.dim
-    if bases.dim != d:
-        raise ShapeMismatch(f"bases built for d={bases.dim}, table has d={d}")
+    if bases.dim != table.dim:
+        raise ShapeMismatch(f"bases built for d={bases.dim}, table has d={table.dim}")
     if table.undefined.any():
         n, j = np.argwhere(table.undefined)[0]
         raise UndefinedWeakValue(
             f"weak value undefined at (n={n}, j={j}): post-selection probability vanished"
         )
-    overlaps = bases.overlaps()
-    out = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        pw = table.probs[n] * table.entries[n]
-        out[n] = (pw / overlaps[:, n]) @ overlaps
-    return out
+    return reconstruction_map(table.probs * table.entries, bases.overlaps())
 
 
 def marginal_device_state(rho: DensityMatrix, n: int, g: float) -> np.ndarray:

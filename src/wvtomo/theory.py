@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, StrengthOutOfRange
-from .protocol import SINGULAR_TOL, CouplingStrengths
+from .errors import InvalidDimension
+from .protocol import CouplingStrengths, check_strength
 from .qmath import DensityMatrix, PurityStats, purity_stats
 
 
@@ -39,10 +39,12 @@ class ComparisonRow:
     scaled_mse: float
 
 
-def _guard(strengths: CouplingStrengths) -> None:
-    for name, g in (("g_r", strengths.g_r), ("g_i", strengths.g_i)):
-        if abs(np.sin(g)) < SINGULAR_TOL or abs(np.cos(g / 2.0)) < SINGULAR_TOL:
-            raise StrengthOutOfRange(f"{name} = {g!r} too close to a singular point")
+def _strength_terms(strengths: CouplingStrengths) -> tuple[float, float, float]:
+    """1/sin^2 g_R, 1/sin^2 g_I and 1/cos^2(g_R/2), after the singularity check."""
+    check_strength(strengths.g_r, "g_r")
+    check_strength(strengths.g_i, "g_i")
+    sr, si, cr = np.sin(strengths.g_r), np.sin(strengths.g_i), np.cos(strengths.g_r / 2.0)
+    return 1.0 / sr**2, 1.0 / si**2, 1.0 / cr**2
 
 
 def _sqrt_term(d: int) -> float:
@@ -52,12 +54,9 @@ def _sqrt_term(d: int) -> float:
 def mse_raw(inp: TheoryInput) -> float:
     """MSE of the raw (non-Hermitian) estimator:
     (1/N)[(d^2/4)(1/sin^2 g_R + 1/sin^2 g_I) + d/(2 cos^2(g_R/2)) - tr(rho^2)]."""
-    _guard(inp.strengths)
     d = inp.dim
-    sr = np.sin(inp.strengths.g_r)
-    si = np.sin(inp.strengths.g_i)
-    cr = np.cos(inp.strengths.g_r / 2.0)
-    bracket = d * d / 4.0 * (1.0 / sr**2 + 1.0 / si**2) + d / (2.0 * cr**2) - inp.purity.purity
+    inv_sr2, inv_si2, inv_cr2 = _strength_terms(inp.strengths)
+    bracket = d * d / 4.0 * (inv_sr2 + inv_si2) + d / 2.0 * inv_cr2 - inp.purity.purity
     return float(bracket / inp.shots)
 
 
@@ -82,16 +81,10 @@ def mse_hermitized(inp: TheoryInput) -> HermitizedMse:
     parts under the uniform-variance approximation (exact in the strength
     terms; the state-dependent term spreads tr(rho^2) uniformly over
     elements).  See mse_hermitized_exact for the exact bookkeeping."""
-    _guard(inp.strengths)
     d, n = inp.dim, inp.shots
-    sr = np.sin(inp.strengths.g_r)
-    si = np.sin(inp.strengths.g_i)
-    cr = np.cos(inp.strengths.g_r / 2.0)
-    bracket = (
-        d * d / 4.0 * (1.0 / sr**2 + 1.0 / si**2) + d / (2.0 * cr**2) - inp.purity.purity
-    )
-    off = (d - 1.0) / (2.0 * d * n) * bracket
-    dia = (d * d / (4.0 * sr**2) + d / (2.0 * cr**2) - inp.purity.purity_re) / (d * n)
+    inv_sr2, _, inv_cr2 = _strength_terms(inp.strengths)
+    off = (d - 1.0) / (2.0 * d) * mse_raw(inp)  # the raw bracket, over the off-diagonal pairs
+    dia = (d * d / 4.0 * inv_sr2 + d / 2.0 * inv_cr2 - inp.purity.purity_re) / (d * n)
     return HermitizedMse(total=float(off + dia), off_diagonal=float(off), diagonal=float(dia))
 
 
@@ -113,20 +106,17 @@ def mse_hermitized_exact(rho: DensityMatrix, strengths: CouplingStrengths, shots
     which vanishes only for special states; the enumeration oracle matches
     this form to machine precision.
     """
-    _guard(strengths)
-    d, n = rho.dim, shots
-    sr = np.sin(strengths.g_r)
-    si = np.sin(strengths.g_i)
-    cr = np.cos(strengths.g_r / 2.0)
+    d = rho.dim
+    inv_sr2, inv_si2, inv_cr2 = _strength_terms(strengths)
     pur = purity_stats(rho)
     diag_sq = float(np.sum(rho.matrix.diagonal().real ** 2))
     bracket = (
-        (d * d + d) / (8.0 * sr**2)
-        + (d * d - d) / (8.0 * si**2)
-        + (d + 1.0) / (4.0 * cr**2)
+        (d * d + d) / 8.0 * inv_sr2
+        + (d * d - d) / 8.0 * inv_si2
+        + (d + 1.0) / 4.0 * inv_cr2
         - (pur.purity + diag_sq) / 2.0
     )
-    return float(bracket / n)
+    return float(bracket / shots)
 
 
 def scaled_mse_menu(
@@ -141,7 +131,7 @@ def scaled_mse_menu(
     """
     if d < 2:
         raise InvalidDimension(f"system dimension must be >= 2, got {d}")
-    bracket = 3.0 * d * d / 8.0 + d / 2.0 * (_sqrt_term(d) + 1.0) - purity
+    bracket = mse_raw_optimal(d, 1, purity)
     return [
         ComparisonRow(d, "raw-per-shot", float(bracket)),
         ComparisonRow(d, "hermitized-per-shot-approx", float(bracket / 2.0)),
@@ -173,20 +163,17 @@ def _golden_section(f, a: float, b: float, tol: float = 1e-10) -> float:
 
 def numeric_optimal_strengths(d: int) -> CouplingStrengths:
     """Independent check of optimal_strengths: coarse grid over (0.01, pi-0.01)
-    then golden-section refinement of each strength's part of mse_raw."""
+    then golden-section refinement of mse_raw in each strength, the other at pi/2."""
     if d < 2:
         raise InvalidDimension(f"system dimension must be >= 2, got {d}")
 
-    def part_r(g):
-        return d * d / (4.0 * np.sin(g) ** 2) + d / (2.0 * np.cos(g / 2.0) ** 2)
-
-    def part_i(g):
-        return d * d / (4.0 * np.sin(g) ** 2)
+    def mse(g_r, g_i):
+        return mse_raw(TheoryInput(d, CouplingStrengths(g_r, g_i), 1, PurityStats(0.0, 0.0, 0.0)))
 
     lo, hi = 0.01, np.pi - 0.01
     grid = np.linspace(lo, hi, 201)
     found = []
-    for f in (part_r, part_i):
+    for f in (lambda g: mse(g, np.pi / 2.0), lambda g: mse(np.pi / 2.0, g)):
         k = int(np.argmin([f(g) for g in grid]))
         a = grid[max(k - 1, 0)]
         b = grid[min(k + 1, len(grid) - 1)]

@@ -118,6 +118,19 @@ def test_sweep_rejects_bad_range(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "values",
+    [{"seed": "x"}, {"sweep_min": "abc"}, {"g_r": [1]}, {"shots": 1.5}, {"optimal": "no"}],
+)
+def test_config_values_of_the_wrong_type(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    rc, out, err = _run(capsys, ["sweep", "--config", str(cfg), "--reps", "2", "--sweep-steps", "2"])
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"shotz": 5}))
@@ -227,6 +240,25 @@ def test_reconstruct_deterministic(tmp_path, capsys):
         assert rc == 0
         outs.append((tmp_path / f"{name}_raw.state").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--reps", "2", "--out", "{missing}/x.csv"],
+    ["sweep", "--reps", "2", "--manifest", "{missing}/run.manifest"],
+    ["compare", "--out", "{missing}/x.csv"],
+    ["reconstruct", "--state-file", "{state}", "--out", "{missing}/rec"],
+    ["reconstruct", "--state-file", "{state}", "--manifest", "{missing}/run.manifest"],
+])
+def test_unwritable_output_rejected_before_computing(tmp_path, capsys, argv):
+    # the directory "missing" does not exist; nothing may be computed or written
+    state = tmp_path / "in.state"
+    write_state_file(state, random_mixed(2, 2, RandomStream(SEED, 44)).matrix)
+    argv = [a.format(missing=tmp_path / "missing", state=state) for a in argv]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert "config error" in err and "missing" in err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
 
 
 def test_reconstruct_requires_state_file(capsys):

@@ -14,6 +14,7 @@ from wvtomo import (
     TheoryInput,
     assemble_estimate,
     couple_and_postselect,
+    eig_hermitian_2x2,
     estimate_pw,
     exact_mse_oracle,
     fourier_mub,
@@ -279,3 +280,49 @@ def test_oracle_hermitized_below_raw():
         raw = exact_mse_oracle(rho, strengths, 10)
         herm = exact_mse_oracle(rho, strengths, 10, hermitized=True)
         assert herm < raw
+
+
+def _per_row_oracle(rho, strengths, n_shots, hermitized):
+    """The enumeration oracle as first written: per-row covariance matrices
+    propagated through coefficient vectors, with each row's outcome law built
+    from couple_and_postselect and eig_hermitian_2x2."""
+    d = rho.dim
+    bases = fourier_mub(d)
+    overlaps = bases.overlaps()
+    var_elem = np.zeros((d, d))
+    var_rediag = np.zeros(d)
+    for n in range(d):
+        covs = []
+        for g, sign, name in ((strengths.g_r, -1.0, "sigma_r"), (strengths.g_i, 1.0, "sigma_i")):
+            evals, evecs = eig_hermitian_2x2(getattr(pointer_observables(g), name))
+            ens = couple_and_postselect(rho, n, g, bases)
+            p = np.zeros((d, 2))
+            for j, state in enumerate(ens.device_states):
+                if state is not None:
+                    p[j] = ens.probs[j] * np.einsum("ik,ik->k", evecs.conj(), state @ evecs).real
+            p = np.maximum(p, 0.0) / np.maximum(p, 0.0).sum()
+            mu = sign * (p @ evals) / (2.0 * g)
+            second = (p @ evals**2) / (4.0 * g * g)
+            covs.append(np.diag(second) - np.outer(mu, mu))
+        coeff = overlaps / overlaps[:, n][:, None]  # coeff[j, m]
+        var_elem[n] = np.einsum("jm,jk,km->m", coeff.conj(), covs[0] + covs[1], coeff).real
+        var_rediag[n] = covs[0].sum()
+    if not hermitized:
+        return var_elem.sum() / n_shots
+    off = (var_elem.sum() - np.trace(var_elem)) / 2.0
+    return (off + var_rediag.sum()) / n_shots
+
+
+@pytest.mark.parametrize("d", [2, 5, 16, 32])
+def test_oracle_matches_per_row_covariance_reference(d):
+    states = [
+        random_pure(d, RandomStream(SEED, 700 + d)),
+        random_mixed(d, d, RandomStream(SEED, 800 + d)),
+        random_mixed(d, max(1, d // 2), RandomStream(SEED, 900 + d)),
+    ]
+    for rho in states:
+        for strengths in (optimal_strengths(d), CouplingStrengths(0.3, 2.5)):
+            for hermitized in (False, True):
+                got = exact_mse_oracle(rho, strengths, 40, hermitized=hermitized)
+                want = _per_row_oracle(rho, strengths, 40, hermitized)
+                assert abs(got - want) <= 1e-13 * want, f"d={d}, hermitized={hermitized}"

@@ -8,6 +8,7 @@ from wvtomo import (
     CouplingStrengths,
     IndexOutOfRange,
     InvalidDimension,
+    MeasurementBases,
     NotPositive,
     RandomStream,
     ShapeMismatch,
@@ -19,6 +20,7 @@ from wvtomo import (
     fourier_mub,
     hs_distance_sq,
     marginal_device_state,
+    optimal_strengths,
     pointer_observables,
     random_mixed,
     random_pure,
@@ -27,6 +29,7 @@ from wvtomo import (
     weak_value_from_device,
     weak_values_exact,
 )
+from wvtomo.protocol import pointer_blocks
 
 SEED = 40823
 
@@ -359,3 +362,75 @@ def test_strengths_validate_range():
         CouplingStrengths(1.0, np.pi)
     s = CouplingStrengths(0.5, 2.0)
     assert (s.g_r, s.g_i) == (0.5, 2.0)
+
+
+# ---------------------------------------------------------------- closed-form pointer table
+
+
+def _reference_blocks(rho, g, bases):
+    """P[n, j] and the unnormalised pointer states P[n, j] * rho_d[n, j], one n
+    at a time through the Kronecker-product reference."""
+    d = rho.dim
+    probs = np.zeros((d, d))
+    blocks = np.zeros((d, d, 2, 2), dtype=complex)
+    for n in range(d):
+        ens = couple_and_postselect(rho, n, g, bases)
+        probs[n] = ens.probs
+        for j, state in enumerate(ens.device_states):
+            if state is not None:
+                blocks[n, j] = ens.probs[j] * state
+    return blocks, probs
+
+
+def _blocks_deviation(rho, g, bases):
+    blocks, probs = pointer_blocks(rho, g, bases)
+    ref_blocks, ref_probs = _reference_blocks(rho, g, bases)
+    return max(np.max(np.abs(blocks - ref_blocks)), np.max(np.abs(probs - ref_probs)))
+
+
+def _random_unitary(d, rng):
+    z = rng.normals(2 * d * d)
+    q, r = np.linalg.qr((z[: d * d] + 1j * z[d * d :]).reshape(d, d))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
+def test_pointer_blocks_match_kronecker_reference(d):
+    # pure, full-rank and rank-deficient states over weak to strong coupling
+    bases = fourier_mub(d)
+    states = [
+        random_pure(d, RandomStream(SEED, 700 + d)),
+        random_mixed(d, d, RandomStream(SEED, 800 + d)),
+        random_mixed(d, max(1, d // 2), RandomStream(SEED, 900 + d)),
+    ]
+    for g in (0.05, 1.0, optimal_strengths(d).g_r, np.pi / 2, 3.0):
+        for rho in states:
+            assert _blocks_deviation(rho, g, bases) <= 1e-14, f"d={d}, g={g}"
+
+
+def test_pointer_blocks_vanishing_outcome_matches_reference():
+    rho = _singular_pure_state()
+    bases = fourier_mub(3)
+    _, probs = pointer_blocks(rho, 0.7, bases)
+    assert probs[0, 1] < 1e-15 and probs.min() >= 0.0
+    for g in (0.05, 0.7, np.pi / 2, 3.0):
+        assert _blocks_deviation(rho, g, bases) <= 1e-14
+
+
+def test_pointer_blocks_match_reference_for_random_bases():
+    # any MeasurementBases, not only the Fourier pair
+    for d in (3, 16):
+        bases = MeasurementBases(
+            dim=d,
+            a_basis=_random_unitary(d, RandomStream(SEED, 1000 + d)),
+            psi_basis=_random_unitary(d, RandomStream(SEED, 1100 + d)),
+        )
+        for rho in (random_pure(d, RandomStream(SEED, 1200 + d)),
+                    random_mixed(d, 2, RandomStream(SEED, 1300 + d))):
+            for g in (0.05, 1.0, 3.0):
+                assert _blocks_deviation(rho, g, bases) <= 1e-14, f"d={d}, g={g}"
+
+
+def test_pointer_blocks_rejects_dimension_mismatch():
+    with pytest.raises(ShapeMismatch):
+        pointer_blocks(random_pure(3, RandomStream(SEED, 12)), 1.0, fourier_mub(2))
