@@ -33,28 +33,29 @@ from .statefile import read_state_file, write_state_file
 STATE_STREAM = 2**32
 RECONSTRUCT_STREAM = 2**33
 
-DEFAULTS = {
-    "dim": 5,
-    "shots": 100,
-    "reps": 1000,
-    "seed": 1,
-    "g_r": None,
-    "g_i": None,
-    "optimal": False,
-    "sweep_axis": "g_r",
-    "sweep_min": 0.6,
-    "sweep_max": 2.4,
-    "sweep_steps": 19,
-    "state_file": None,
-    "pure": False,
-    "mixed_rank": None,
-    "dim_min": 2,
-    "dim_max": 10,
-    "out": "-",
-    "manifest": None,
+# Every option: (type, default, help).  A config file may set any of them;
+# each subcommand takes as flags only the ones it reads (see build_parser).
+OPTIONS = {
+    "dim": (int, 5, "system dimension d"),
+    "shots": (int, 100, "shots N per configuration"),
+    "reps": (int, 1000, "experiment repetitions"),
+    "seed": (int, 1, "master seed"),
+    "g_r": (float, None, "real-part strength"),
+    "g_i": (float, None, "imaginary-part strength"),
+    "optimal": (bool, False, "use the closed-form optimal strengths"),
+    "sweep_axis": (str, "g_r", "strength to sweep: g_r or g_i"),
+    "sweep_min": (float, 0.6, "lowest swept strength"),
+    "sweep_max": (float, 2.4, "highest swept strength"),
+    "sweep_steps": (int, 19, "number of swept strengths"),
+    "state_file": (str, None, "read the true state from a file"),
+    "pure": (bool, False, "draw a Haar-random pure state (default)"),
+    "mixed_rank": (int, None, "draw a random mixed state of this rank"),
+    "dim_min": (int, 2, "smallest dimension"),
+    "dim_max": (int, 10, "largest dimension"),
+    "out": (str, "-", "output path ('-' = stdout)"),
+    "manifest": (str, None, "also write a run manifest here"),
 }
-# Types of the keys whose default is None, which a config file may also set to null.
-NULLABLE_TYPES = {"g_r": float, "g_i": float, "mixed_rank": int, "state_file": str, "manifest": str}
+DEFAULTS = {key: default for key, (_, default, _) in OPTIONS.items()}
 
 
 class ConfigError(Exception):
@@ -88,9 +89,9 @@ def _check_writable(*paths) -> None:
 
 
 def _type_ok(key: str, val) -> bool:
+    want, default, _ = OPTIONS[key]
     if val is None:
-        return DEFAULTS[key] is None
-    want = NULLABLE_TYPES.get(key, type(DEFAULTS[key]))
+        return default is None
     # bool is an int subclass, so it passes only where a bool is wanted.
     accepted = (int, float) if want is float else want
     return isinstance(val, bool) == (want is bool) and isinstance(val, accepted)
@@ -391,50 +392,33 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 4 if failed else 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with defaults; flags override", default=None)
-    p.add_argument("--dim", type=int, default=None, help="system dimension d")
-    p.add_argument("--shots", type=int, default=None, help="shots N per configuration")
-    p.add_argument("--reps", type=int, default=None, help="experiment repetitions")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--g-r", dest="g_r", type=float, default=None, help="real-part strength")
-    p.add_argument("--g-i", dest="g_i", type=float, default=None, help="imaginary-part strength")
-    p.add_argument("--optimal", action="store_const", const=True, default=None,
-                   help="use the closed-form optimal strengths")
-    p.add_argument("--state-file", default=None, help="read the true state from a file")
-    p.add_argument("--pure", action="store_const", const=True, default=None,
-                   help="draw a Haar-random pure state (default)")
-    p.add_argument("--mixed-rank", dest="mixed_rank", type=int, default=None,
-                   help="draw a random mixed state of this rank")
-    p.add_argument("--out", default=None, help="output path ('-' = stdout)")
-    p.add_argument("--manifest", default=None, help="also write a run manifest here")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wvtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="MSE vs coupling strength (CSV)")
-    _add_common(p)
-    p.add_argument("--sweep-axis", dest="sweep_axis", choices=("g_r", "g_i"), default=None)
-    p.add_argument("--sweep-min", dest="sweep_min", type=float, default=None)
-    p.add_argument("--sweep-max", dest="sweep_max", type=float, default=None)
-    p.add_argument("--sweep-steps", dest="sweep_steps", type=int, default=None)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare", help="scaled-MSE table vs MUB/SIC (CSV)")
-    _add_common(p)
-    p.add_argument("--dim-min", dest="dim_min", type=int, default=None)
-    p.add_argument("--dim-max", dest="dim_max", type=int, default=None)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("reconstruct", help="single-run estimate of a state file")
-    _add_common(p)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("selfcheck", help="oracle-vs-theory consistency suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_selfcheck)
+    state = ("state_file", "pure", "mixed_rank")
+    strengths = ("g_r", "g_i", "optimal")
+    commands = (
+        ("sweep", cmd_sweep, "MSE vs coupling strength (CSV)",
+         ("dim", "shots", "reps", "seed", *strengths,
+          "sweep_axis", "sweep_min", "sweep_max", "sweep_steps", *state, "out", "manifest")),
+        ("compare", cmd_compare, "scaled-MSE table vs MUB/SIC (CSV)",
+         ("dim_min", "dim_max", "seed", *state, "out", "manifest")),
+        ("reconstruct", cmd_reconstruct, "single-run estimate of a state file",
+         ("state_file", "shots", "seed", *strengths, "out", "manifest")),
+        ("selfcheck", cmd_selfcheck, "oracle-vs-theory consistency suite", ("seed",)),
+    )
+    for name, func, help_text, keys in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file with defaults; flags override", default=None)
+        for key in keys:
+            kind, _, key_help = OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True, default=None,
+                               help=key_help)
+            else:
+                p.add_argument(flag, dest=key, type=kind, default=None, help=key_help)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -3,8 +3,10 @@ error analysis.
 
 One "measurement" consumes one shot of each of the 2d configurations
 (d coupling indices x 2 pointer quadratures); N shots per configuration
-means 2dN state copies.  Outcomes are sampled by inverse CDF over the
-enumerated 2d-point joint law of (post-selection j, pointer eigenvalue).
+means 2dN state copies.  The estimator reads each configuration only
+through its per-j sums of pointer eigenvalues, so each configuration is
+sampled as one multinomial draw of its N shots over the enumerated 2d-point
+joint law of (post-selection j, pointer eigenvalue).
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -133,15 +135,20 @@ def outcome_distribution(
     return _outcome_laws(rho, quadrature, g, bases)[n]
 
 
+def _check_count(count: int, what: str) -> None:
+    if count < 1:
+        raise ValueError(f"{what} must be >= 1, got {count}")
+
+
 def sample_shots(dist: OutcomeDistribution, n_shots: int, rng: RandomStream) -> np.ndarray:
-    """Draw n_shots outcomes by inverse CDF; return per-j sums of observed eigenvalues."""
-    if n_shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {n_shots}")
-    d = len(dist.probs) // 2
-    cdf = np.cumsum(dist.probs)
-    cdf[-1] = 1.0  # guard the top edge against rounding
-    idx = np.searchsorted(cdf, rng.uniforms(n_shots), side="right")
-    return np.bincount(idx >> 1, weights=dist.values[idx], minlength=d)
+    """Per-j sums of the eigenvalues observed in n_shots draws of `dist`.
+
+    The sums are linear in the outcome counts, so one multinomial draw of the
+    2d counts replaces n_shots single draws: O(d) time and memory for any N.
+    """
+    _check_count(n_shots, "shot count")
+    counts = rng.multinomial(n_shots, dist.probs)
+    return (counts * dist.values).reshape(-1, 2).sum(axis=1)
 
 
 def estimate_pw(stats: SufficientStats, strengths: CouplingStrengths) -> np.ndarray:
@@ -203,6 +210,7 @@ def run_experiment(
     """Repeat the full 2d-configuration experiment `reps` times and report the
     empirical MSE of the raw and hermitized estimators, with theory values
     for the same configuration attached."""
+    _check_count(reps, "repetition count")
     d = rho.dim
     bases = fourier_mub(d)
     dists = _config_distributions(rho, strengths, bases)
@@ -240,6 +248,7 @@ def exact_mse_oracle(
     per-shot covariance over j is diag(s) - mu mu^T (one multinomial draw), so
     element (n, m) gets sum_j |c_jm|^2 s_j - |map(mu)[n, m]|^2 from each quadrature.
     """
+    _check_count(n_shots, "shot count")
     d = rho.dim
     bases = fourier_mub(d)
     overlaps = bases.overlaps()

@@ -33,5 +33,9 @@ class RandomStream:
         """n iid standard normals."""
         return self._gen.standard_normal(n)
 
+    def multinomial(self, n: int, pvals: np.ndarray) -> np.ndarray:
+        """Counts of n iid draws over the categories with probabilities pvals."""
+        return self._gen.multinomial(n, pvals)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -174,7 +174,7 @@ def test_05_raw_mse_reference_run():
     """Empirical raw MSE (d=5, N=100, 10^3 reps, pure) within 3 stderr of 0.15914."""
     t0 = time.monotonic()
     report = _desk_experiment()["report"]
-    # closed-form value for a pure state: (16.914 - 1)/100; rehearsed z = 1.1
+    # closed-form value for a pure state: (16.914 - 1)/100; rehearsed z = 0.5
     assert abs(report.mse_raw_mean - 0.15914) < 3.0 * report.mse_raw_stderr, (
         f"raw mean {report.mse_raw_mean:.6f} vs 0.15914 "
         f"(stderr {report.mse_raw_stderr:.2e})"

@@ -2,6 +2,7 @@
 determinism, and the statistical agreement of simulated sweeps."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_sweep_deterministic_bytes(tmp_path):
 
 
 def test_sweep_rows_match_oracle(capsys):
-    # rehearsed: worst |mean - oracle| is 1.2 stderr over these 4 rows
+    # rehearsed: worst |mean - oracle| is 1.3 stderr over these 4 rows
     rc, out, _ = _run(capsys, [
         "sweep", "--dim", "3", "--shots", "50", "--reps", "200",
         "--seed", str(SEED), "--mixed-rank", "3",
@@ -206,7 +207,7 @@ def test_compare_rejects_inverted_range(capsys):
 
 
 def test_reconstruct_round_trip_and_quality(tmp_path, capsys):
-    # rehearsed: hs_sq_herm = 1.7e-6 at one million shots, bound 1e-3
+    # rehearsed: hs_sq_herm = 6.6e-7 at one million shots, bound 1e-3
     rho = random_mixed(2, 2, RandomStream(SEED, 13))
     state = tmp_path / "in.state"
     write_state_file(state, rho.matrix)
@@ -315,3 +316,23 @@ def test_selfcheck_passes(capsys):
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["selfcheck", "--manifest", "m", "--out", "o.csv", "--dim", "1"],
+    ["compare", "--g-r", "9", "--optimal", "--shots", "5", "--dim", "40"],
+    ["reconstruct", "--state-file", "f", "--dim", "7", "--pure", "--reps", "9"],
+])
+def test_flags_the_subcommand_does_not_read_are_rejected(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_selfcheck_help_lists_only_the_seed(capsys):
+    with pytest.raises(SystemExit):
+        main(["selfcheck", "--help"])
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config", "--seed"}

@@ -1,6 +1,9 @@
 """Shot-level sampling, sufficient statistics, the end-to-end experiment
 driver, and the exact enumeration MSE oracle."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,7 +122,7 @@ def test_sample_shots_reproducible():
 
 def test_sample_shots_moments():
     # per-j sums/N estimate sum_k p(j,k) lambda_k; at N = 1e6 the rehearsed
-    # worst deviation was 1.4 stderr, bound at 5.
+    # worst deviation was 1.9 stderr, bound at 5.
     d = 3
     rho = random_mixed(d, 2, RandomStream(SEED, 11))
     dist = _config_distributions(rho, optimal_strengths(d), fourier_mub(d))[0]
@@ -138,6 +141,35 @@ def test_sample_shots_rejects_zero_shots():
     dist = outcome_distribution(rho, 0, "R", 1.0, fourier_mub(2))
     with pytest.raises(ValueError):
         sample_shots(dist, 0, RandomStream(SEED, 28))
+
+
+def test_sample_shots_memory_does_not_grow_with_shots():
+    # one count per outcome, not one index per shot: a per-shot draw of
+    # 1e6 shots holds about 24 MB
+    d, n = 4, 1_000_000
+    rho = random_mixed(d, 2, RandomStream(SEED, 38))
+    dist = replace(outcome_distribution(rho, 1, "R", 1.0, fourier_mub(d)), values=np.ones(2 * d))
+    stream = RandomStream(SEED, 39)
+    tracemalloc.start()
+    try:
+        sums = sample_shots(dist, n, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"sampler peaked at {peak} B"
+    assert sums.sum() == n
+
+
+@pytest.mark.parametrize("func, args", [
+    (exact_mse_oracle, (-5,)),
+    (exact_mse_oracle, (0,)),
+    (run_experiment, (10, 0, SEED)),
+    (run_experiment, (0, 2, SEED)),
+], ids=["oracle-negative-shots", "oracle-zero-shots", "zero-reps", "zero-shots"])
+def test_counts_below_one_rejected(func, args):
+    rho = random_pure(2, RandomStream(SEED, 40))
+    with pytest.raises(ValueError, match=">= 1"):
+        func(rho, optimal_strengths(2), *args)
 
 
 # ---------------------------------------------------------------- estimator
@@ -212,8 +244,8 @@ def test_run_experiment_matches_oracle_and_scales():
     """Empirical MSE tracks the enumeration oracle and scales as 1/N.
 
     Config rehearsed once at this seed: the N-scaled raw means differ by
-    at most 0.8 stderr across N in {50, 100, 200}, and the hermitized mean
-    sits within 0.6 stderr of the oracle at every N.
+    at most 0.7 stderr across N in {50, 100, 200}, and the hermitized mean
+    sits within 1.4 stderr of the oracle at every N (the raw within 0.6).
     """
     rho = random_mixed(3, 3, RandomStream(SEED, 2**32 + 1))
     strengths = optimal_strengths(3)
