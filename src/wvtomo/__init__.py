@@ -48,6 +48,7 @@ from .qmath import (
     PurityStats,
     eig_hermitian_2x2,
     hs_distance_sq,
+    project_to_density,
     purity_stats,
     random_mixed,
     random_pure,

@@ -22,9 +22,12 @@ import numpy as np
 
 from . import theory
 from .errors import StateFileError, TomographyError
-from .montecarlo import _config_distributions, exact_mse_oracle, run_experiment, simulate_once
+from .montecarlo import exact_mse_oracle, outcome_table, run_experiment, simulate_once
 from .protocol import CouplingStrengths, fourier_mub
-from .qmath import DensityMatrix, hs_distance_sq, purity_stats, random_mixed, random_pure, validate_density
+from .qmath import (
+    DensityMatrix, hs_distance_sq, project_to_density, purity_stats, random_mixed, random_pure,
+    validate_density,
+)
 from .rng import RandomStream
 from .statefile import read_state_file, write_state_file
 
@@ -32,6 +35,8 @@ from .statefile import read_state_file, write_state_file
 # one-off simulations live far away so they never collide.
 STATE_STREAM = 2**32
 RECONSTRUCT_STREAM = 2**33
+# numpy draws counts and sizes arrays as int64; a larger count cannot run.
+COUNT_MAX = int(np.iinfo(np.int64).max)
 
 # Every option: (type, default, help).  A config file may set any of them;
 # each subcommand takes as flags only the ones it reads (see build_parser).
@@ -126,8 +131,9 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _positive(cfg: dict, key: str, minimum: int) -> int:
     val = cfg[key]
-    if val < minimum:
-        raise ConfigError(f"--{key.replace('_', '-')} must be >= {minimum}, got {val}")
+    if not minimum <= val <= COUNT_MAX:
+        bound = f">= {minimum}" if val < minimum else f"<= {COUNT_MAX}"
+        raise ConfigError(f"--{key.replace('_', '-')} must be {bound}, got {val}")
     return val
 
 
@@ -273,26 +279,29 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     shots = _positive(cfg, "shots", 1)
     seed = cfg["seed"]
     out = cfg["out"] if cfg["out"] != "-" else "reconstruction"
-    raw_path, herm_path = f"{out}_raw.state", f"{out}_herm.state"
-    _check_writable(raw_path, herm_path, cfg["manifest"])
+    raw_path, herm_path, phys_path = (f"{out}_{kind}.state" for kind in ("raw", "herm", "phys"))
+    _check_writable(raw_path, herm_path, phys_path, cfg["manifest"])
     rho = validate_density(read_state_file(cfg["state_file"]))
     dim = rho.dim
     strengths = _fixed_strengths(cfg, dim)
 
     # One full experiment repetition on its own stream.
     bases = fourier_mub(dim)
-    est = simulate_once(
-        _config_distributions(rho, strengths, bases), bases, strengths, shots,
-        RandomStream(seed, RECONSTRUCT_STREAM), seed,
-    )
+    est = simulate_once(outcome_table(rho, strengths, bases), bases, strengths, shots,
+                        RandomStream(seed, RECONSTRUCT_STREAM), seed)
     write_state_file(raw_path, est.raw)
     write_state_file(herm_path, est.hermitized)
+    # The estimates need not have unit trace nor be positive; this one is a state.
+    phys = project_to_density(est.hermitized).matrix
+    write_state_file(phys_path, phys)
 
     pur = purity_stats(rho)
     inp = theory.TheoryInput(dim=dim, strengths=strengths, shots=shots, purity=pur)
     print(f"wrote {raw_path} and {herm_path}")
+    print(f"wrote {phys_path}")
     print(f"hs_sq_raw = {_fmt(hs_distance_sq(est.raw, rho.matrix))}")
     print(f"hs_sq_herm = {_fmt(hs_distance_sq(est.hermitized, rho.matrix))}")
+    print(f"hs_sq_phys = {_fmt(hs_distance_sq(phys, rho.matrix))}")
     print(f"theory_mse_raw = {_fmt(theory.mse_raw(inp))}")
     print(f"theory_mse_herm = {_fmt(theory.mse_hermitized(inp).total)}")
     _write_manifest(

@@ -4,9 +4,9 @@ error analysis.
 One "measurement" consumes one shot of each of the 2d configurations
 (d coupling indices x 2 pointer quadratures); N shots per configuration
 means 2dN state copies.  The estimator reads each configuration only
-through its per-j sums of pointer eigenvalues, so each configuration is
-sampled as one multinomial draw of its N shots over the enumerated 2d-point
-joint law of (post-selection j, pointer eigenvalue).
+through its per-j sums of pointer eigenvalues, so one repetition is one
+multinomial draw of every configuration's N shots over `outcome_table`, the
+joint law of (n, quadrature, post-selection j, pointer eigenvalue k).
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -55,39 +55,27 @@ class OutcomeDistribution:
 
 @dataclass
 class SufficientStats:
-    """Per-(n, quadrature, j) running sums of observed pointer eigenvalues."""
+    """Per-(n, quadrature, j) sums of observed pointer eigenvalues; NaN: not yet recorded."""
 
     dim: int
     shots: int
     sums_r: np.ndarray = field(default=None)
     sums_i: np.ndarray = field(default=None)
-    _filled_r: np.ndarray = field(default=None)
-    _filled_i: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        d = self.dim
         if self.sums_r is None:
-            self.sums_r = np.zeros((d, d))
+            self.sums_r = np.full((self.dim, self.dim), np.nan)
         if self.sums_i is None:
-            self.sums_i = np.zeros((d, d))
-        if self._filled_r is None:
-            self._filled_r = np.zeros(d, dtype=bool)
-        if self._filled_i is None:
-            self._filled_i = np.zeros(d, dtype=bool)
+            self.sums_i = np.full((self.dim, self.dim), np.nan)
 
     def record(self, n: int, quadrature: str, sums: np.ndarray) -> None:
-        if quadrature == "R":
-            self.sums_r[n] = sums
-            self._filled_r[n] = True
-        elif quadrature == "I":
-            self.sums_i[n] = sums
-            self._filled_i[n] = True
-        else:
+        if quadrature not in QUADRATURES:
             raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
+        (self.sums_r if quadrature == "R" else self.sums_i)[n] = sums
 
     @property
     def complete(self) -> bool:
-        return bool(self._filled_r.all() and self._filled_i.all())
+        return not (np.isnan(self.sums_r).any() or np.isnan(self.sums_i).any())
 
 
 @dataclass(frozen=True)
@@ -110,21 +98,31 @@ class MseReport:
     theory_herm: float
 
 
-def _outcome_laws(
+def _quadrature_law(
     rho: DensityMatrix, quadrature: str, g: float, bases: MeasurementBases
-) -> list[OutcomeDistribution]:
-    """The outcome distribution of every coupling index n at strength g, read
-    off the pointer blocks: prob(j, k) = <v_k|M[n, j]|v_k>, normalised per n."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """prob[n, j, k] = <v_k|M[n, j]|v_k>, normalised per n, read off the pointer
+    blocks at strength g, and the quadrature observable's eigenvalues lambda_k."""
     if quadrature not in QUADRATURES:
         raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
     obs = pointer_observables(g)
     evals, evecs = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
     blocks, _ = pointer_blocks(rho, g, bases)
-    probs = np.einsum("ik,njil,lk->njk", evecs.conj(), blocks, evecs).real.reshape(rho.dim, -1)
+    probs = np.einsum("ik,njil,lk->njk", evecs.conj(), blocks, evecs).real
     probs = np.maximum(probs, 0.0)  # rounding below zero on a vanishing branch
-    probs /= probs.sum(axis=1, keepdims=True)
-    values = np.tile(evals, rho.dim)
-    return [OutcomeDistribution(n, quadrature, g, probs[n], values) for n in range(rho.dim)]
+    probs /= probs.sum(axis=(1, 2), keepdims=True)
+    return probs, evals
+
+
+def outcome_table(
+    rho: DensityMatrix, strengths: CouplingStrengths, bases: MeasurementBases
+) -> tuple[np.ndarray, np.ndarray]:
+    """The joint law of all 2d configurations: probs[n, q, j, k] of post-selection
+    outcome j and eigenvalue values[q, k] when coupling index n is read in
+    quadrature q (0 = R at g_R, 1 = I at g_I).  Each (n, q) row sums to 1."""
+    p_r, v_r = _quadrature_law(rho, "R", strengths.g_r, bases)
+    p_i, v_i = _quadrature_law(rho, "I", strengths.g_i, bases)
+    return np.stack([p_r, p_i], axis=1), np.stack([v_r, v_i])
 
 
 def outcome_distribution(
@@ -132,7 +130,8 @@ def outcome_distribution(
 ) -> OutcomeDistribution:
     """Enumerate prob(j,k) = P_j <v_k|rho_d^{nj}|v_k> and the drawn eigenvalues."""
     _check_index(n, rho.dim)
-    return _outcome_laws(rho, quadrature, g, bases)[n]
+    probs, values = _quadrature_law(rho, quadrature, g, bases)
+    return OutcomeDistribution(n, quadrature, g, probs[n].ravel(), np.tile(values, rho.dim))
 
 
 def _check_count(count: int, what: str) -> None:
@@ -141,10 +140,9 @@ def _check_count(count: int, what: str) -> None:
 
 
 def sample_shots(dist: OutcomeDistribution, n_shots: int, rng: RandomStream) -> np.ndarray:
-    """Per-j sums of the eigenvalues observed in n_shots draws of `dist`.
-
-    The sums are linear in the outcome counts, so one multinomial draw of the
-    2d counts replaces n_shots single draws: O(d) time and memory for any N.
+    """Per-j sums of the eigenvalues observed in n_shots draws of `dist`, from one
+    multinomial draw of its 2d outcome counts (O(d) time and memory for any N): the
+    per-configuration reference that `simulate_once`'s stacked draw is tested against.
     """
     _check_count(n_shots, "shot count")
     counts = rng.multinomial(n_shots, dist.probs)
@@ -180,23 +178,28 @@ def assemble_estimate(
 def _config_distributions(
     rho: DensityMatrix, strengths: CouplingStrengths, bases: MeasurementBases
 ) -> list:
-    """The 2d outcome distributions in fixed order: n ascending, R before I."""
-    laws = [_outcome_laws(rho, q, g, bases) for q, g in (("R", strengths.g_r), ("I", strengths.g_i))]
-    return [dist for pair in zip(*laws) for dist in pair]
+    """The 2d rows of `outcome_table` as OutcomeDistributions, n ascending, R before I."""
+    probs, values = outcome_table(rho, strengths, bases)
+    gs = (strengths.g_r, strengths.g_i)
+    return [OutcomeDistribution(n, q, gs[iq], probs[n, iq].ravel(), np.tile(values[iq], rho.dim))
+            for n in range(rho.dim) for iq, q in enumerate(QUADRATURES)]
 
 
 def simulate_once(
-    dists: list,
+    table: tuple,
     bases: MeasurementBases,
     strengths: CouplingStrengths,
     n_shots: int,
     stream: RandomStream,
     seed: int,
 ) -> TomographyEstimate:
-    """One experiment: n_shots of each configuration in `dists`, drawn in order from `stream`."""
-    stats = SufficientStats(dim=bases.dim, shots=n_shots)
-    for dist in dists:
-        stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, stream))
+    """One experiment: n_shots of every configuration of `table` (from
+    `outcome_table`), drawn as one multinomial call over its 2d rows."""
+    _check_count(n_shots, "shot count")
+    probs, values = table
+    counts = stream.multinomial(n_shots, probs.reshape(2 * bases.dim, -1)).reshape(probs.shape)
+    sums = (counts * values[:, None, :]).sum(axis=-1)  # [n, q, j]
+    stats = SufficientStats(dim=bases.dim, shots=n_shots, sums_r=sums[:, 0], sums_i=sums[:, 1])
     return assemble_estimate(estimate_pw(stats, strengths), bases, strengths, n_shots, seed)
 
 
@@ -213,12 +216,12 @@ def run_experiment(
     _check_count(reps, "repetition count")
     d = rho.dim
     bases = fourier_mub(d)
-    dists = _config_distributions(rho, strengths, bases)
+    table = outcome_table(rho, strengths, bases)
 
     err_raw = np.zeros(reps)
     err_herm = np.zeros(reps)
     for rep in range(reps):
-        est = simulate_once(dists, bases, strengths, n_shots, RandomStream(seed, rep), seed)
+        est = simulate_once(table, bases, strengths, n_shots, RandomStream(seed, rep), seed)
         err_raw[rep] = hs_distance_sq(est.raw, rho.matrix)
         err_herm[rep] = hs_distance_sq(est.hermitized, rho.matrix)
 
@@ -249,15 +252,13 @@ def exact_mse_oracle(
     element (n, m) gets sum_j |c_jm|^2 s_j - |map(mu)[n, m]|^2 from each quadrature.
     """
     _check_count(n_shots, "shot count")
-    d = rho.dim
-    bases = fourier_mub(d)
+    bases = fourier_mub(rho.dim)
     overlaps = bases.overlaps()
     weights = np.abs(overlaps) ** 2
+    probs, values = outcome_table(rho, strengths, bases)
+    laws = zip(probs.swapaxes(0, 1), values, (strengths.g_r, strengths.g_i), (-1.0, 1.0))
     variances = []  # per-shot E|rho_hat[n,m] - rho[n,m]|^2, one term per quadrature
-    for quadrature, g, sign in (("R", strengths.g_r, -1.0), ("I", strengths.g_i, +1.0)):
-        dists = _outcome_laws(rho, quadrature, g, bases)
-        p = np.array([dist.probs for dist in dists]).reshape(d, d, 2)
-        v = dists[0].values[:2]
+    for p, v, g, sign in laws:
         mu = sign * (p @ v) / (2.0 * g)
         second = (p @ (v * v)) / (4.0 * g * g)
         spread = reconstruction_map(second, weights)

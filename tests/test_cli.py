@@ -1,13 +1,14 @@
 """Command-line harness: CSV outputs, config resolution, exit codes,
 determinism, and the statistical agreement of simulated sweeps."""
 
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from wvtomo import RandomStream, random_mixed, read_state_file, write_state_file
+from wvtomo import RandomStream, random_mixed, read_state_file, validate_density, write_state_file
 from wvtomo.cli import main
 
 SEED = 20240814  # statistical bounds below rehearsed once at this seed
@@ -64,6 +65,19 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().startswith(b"g_r,")
+
+
+def test_sweep_bytes_are_pinned(tmp_path):
+    # The sampled numbers of a small sweep, fixed on numpy 2.4.6 (Philox
+    # multinomial draws): a change that moves any drawn count or any digit of
+    # the estimator, theory or oracle columns fails here, not only in review.
+    out = tmp_path / "pin.csv"
+    assert main([
+        "sweep", "--dim", "3", "--shots", "20", "--reps", "5", "--sweep-steps", "3",
+        "--seed", "1", "--out", str(out),
+    ]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "a37b0669fd5035fcd0eb17276100267dc697d10e4a9a90138d18c119de24081f"
 
 
 def test_sweep_rows_match_oracle(capsys):
@@ -243,6 +257,29 @@ def test_reconstruct_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_reconstruct_physical_estimate_reads_back(tmp_path, capsys):
+    # at d=3, N=20 the raw and hermitized estimates are not states (trace off,
+    # negative eigenvalues); <out>_phys.state is, so the tool can read it back
+    rho = random_mixed(3, 2, RandomStream(SEED, 46))
+    state = tmp_path / "in.state"
+    write_state_file(state, rho.matrix)
+    out = tmp_path / "rec"
+    rc, text, _ = _run(capsys, [
+        "reconstruct", "--state-file", str(state), "--shots", "20",
+        "--seed", str(SEED), "--out", str(out),
+    ])
+    assert rc == 0
+    printed = dict(line.split(" = ") for line in text.strip().splitlines() if " = " in line)
+    phys = read_state_file(f"{out}_phys.state")
+    validate_density(phys)
+    assert abs(float(np.sum(np.abs(phys - rho.matrix) ** 2)) - float(printed["hs_sq_phys"])) < 1e-12
+    rc, _, err = _run(capsys, [
+        "reconstruct", "--state-file", f"{out}_phys.state", "--shots", "20",
+        "--out", str(tmp_path / "again"),
+    ])
+    assert rc == 0, err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--reps", "2", "--out", "{missing}/x.csv"],
     ["sweep", "--reps", "2", "--manifest", "{missing}/run.manifest"],
@@ -260,6 +297,29 @@ def test_unwritable_output_rejected_before_computing(tmp_path, capsys, argv):
     assert "config error" in err and "missing" in err
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("command, key", [
+    ("sweep", "shots"), ("sweep", "reps"), ("reconstruct", "shots"),
+])
+def test_counts_beyond_int64_are_config_errors(tmp_path, capsys, route, command, key):
+    # numpy cannot draw or size arrays with 2**63 or more; the CLI says so
+    state = tmp_path / "in.state"
+    write_state_file(state, random_mixed(2, 2, RandomStream(SEED, 47)).matrix)
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command == "reconstruct":
+        argv += ["--state-file", str(state)]
+    if route == "flag":
+        argv += ["--" + key, str(2**63)]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: 99999999999999999999}))
+        argv += ["--config", str(config)]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_reconstruct_requires_state_file(capsys):

@@ -32,7 +32,7 @@ from wvtomo import (
     sample_shots,
     validate_density,
 )
-from wvtomo.montecarlo import _config_distributions
+from wvtomo.montecarlo import _config_distributions, outcome_table, simulate_once
 
 SEED = 20240814  # shared with the acceptance suite; statistical bounds rehearsed once
 
@@ -143,21 +143,36 @@ def test_sample_shots_rejects_zero_shots():
         sample_shots(dist, 0, RandomStream(SEED, 28))
 
 
-def test_sample_shots_memory_does_not_grow_with_shots():
+@pytest.mark.parametrize("sampler", ["sample_shots", "simulate_once"])
+def test_sample_shots_memory_does_not_grow_with_shots(sampler):
     # one count per outcome, not one index per shot: a per-shot draw of
-    # 1e6 shots holds about 24 MB
+    # 1e6 shots holds about 24 MB.  With every pointer value 1 the per-j sums
+    # are the outcome counts, so at g_R = g_I = 1 each raw diagonal entry of
+    # simulate_once's estimate is (-N_R + i N_I) / 2N, where N_R and N_I are
+    # the shots drawn in that row's two configurations: both must be N.
     d, n = 4, 1_000_000
     rho = random_mixed(d, 2, RandomStream(SEED, 38))
-    dist = replace(outcome_distribution(rho, 1, "R", 1.0, fourier_mub(d)), values=np.ones(2 * d))
+    bases = fourier_mub(d)
+    if sampler == "sample_shots":
+        dist = replace(outcome_distribution(rho, 1, "R", 1.0, bases), values=np.ones(2 * d))
+        draw = lambda stream: sample_shots(dist, n, stream)
+    else:
+        strengths = CouplingStrengths(1.0, 1.0)
+        probs, values = outcome_table(rho, strengths, bases)
+        table = (probs, np.ones_like(values))
+        draw = lambda stream: simulate_once(table, bases, strengths, n, stream, SEED)
     stream = RandomStream(SEED, 39)
     tracemalloc.start()
     try:
-        sums = sample_shots(dist, n, stream)
+        out = draw(stream)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, f"sampler peaked at {peak} B"
-    assert sums.sum() == n
+    if sampler == "sample_shots":
+        assert out.sum() == n
+    else:
+        assert np.array_equal(np.rint(2 * n * out.raw.diagonal()), np.full(d, -n + 1j * n))
 
 
 @pytest.mark.parametrize("func, args", [
@@ -170,6 +185,42 @@ def test_counts_below_one_rejected(func, args):
     rho = random_pure(2, RandomStream(SEED, 40))
     with pytest.raises(ValueError, match=">= 1"):
         func(rho, optimal_strengths(2), *args)
+
+
+@pytest.mark.parametrize("d", [2, 5, 32])
+def test_stacked_draw_equals_per_configuration_draws(d):
+    # simulate_once draws the 2d configurations in one multinomial call; it
+    # must reproduce, bit for bit, sample_shots run on each configuration in
+    # draw order (n ascending, R before I) on the same stream
+    rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 41))
+    strengths = optimal_strengths(d)
+    bases = fourier_mub(d)
+    table = outcome_table(rho, strengths, bases)
+    dists = _config_distributions(rho, strengths, bases)
+    for k, n_shots in enumerate((1, 100, 1_000_000)):
+        stats = SufficientStats(dim=d, shots=n_shots)
+        stream = RandomStream(SEED, 42 + k)
+        for dist in dists:
+            stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, stream))
+        want = assemble_estimate(estimate_pw(stats, strengths), bases, strengths, n_shots, SEED)
+        got = simulate_once(table, bases, strengths, n_shots, RandomStream(SEED, 42 + k), SEED)
+        assert np.array_equal(got.raw, want.raw), f"N={n_shots}"
+        assert np.array_equal(got.hermitized, want.hermitized), f"N={n_shots}"
+
+
+def test_outcome_table_rows_are_the_per_configuration_laws():
+    d = 3
+    rho = random_mixed(d, 2, RandomStream(SEED, 45))
+    strengths = CouplingStrengths(0.8, 2.1)
+    bases = fourier_mub(d)
+    probs, values = outcome_table(rho, strengths, bases)
+    assert probs.shape == (d, 2, d, 2) and values.shape == (2, 2)
+    assert np.max(np.abs(probs.sum(axis=(2, 3)) - 1.0)) < 1e-15
+    for n in range(d):
+        for q, (quadrature, g) in enumerate((("R", 0.8), ("I", 2.1))):
+            dist = outcome_distribution(rho, n, quadrature, g, bases)
+            assert np.array_equal(probs[n, q].ravel(), dist.probs)
+            assert np.array_equal(np.tile(values[q], d), dist.values)
 
 
 # ---------------------------------------------------------------- estimator

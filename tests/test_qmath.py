@@ -15,6 +15,7 @@ from wvtomo import (
     TraceNotOne,
     eig_hermitian_2x2,
     hs_distance_sq,
+    project_to_density,
     purity_stats,
     random_mixed,
     random_pure,
@@ -176,6 +177,40 @@ def test_hs_distance_matches_elementwise_loop():
 def test_hs_distance_rejects_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         hs_distance_sq(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
+def test_projection_leaves_a_state_unchanged(d):
+    for rho in (random_pure(d, RandomStream(SEED, 1000 + d)),
+                random_mixed(d, max(1, d // 2), RandomStream(SEED, 1100 + d)),
+                random_mixed(d, d, RandomStream(SEED, 1200 + d))):
+        assert np.max(np.abs(project_to_density(rho.matrix).matrix - rho.matrix)) < 1e-12
+
+
+def test_projection_hand_value():
+    # eigenvalues (0.7, 0.5, -0.2) shift down by 0.1 onto the simplex: (0.6, 0.4, 0)
+    u = np.linalg.qr(np.arange(9.0).reshape(3, 3) + 1j * np.eye(3) + 2.0)[0]
+    m = u @ np.diag([0.7, 0.5, -0.2]) @ u.conj().T
+    want = u @ np.diag([0.6, 0.4, 0.0]) @ u.conj().T
+    assert np.max(np.abs(project_to_density(m).matrix - want)) < 1e-14
+
+
+def test_projection_is_nearest_state_to_a_non_physical_matrix():
+    # A noisy non-Hermitian matrix with trace != 1.  The projection P of its
+    # Hermitian part H onto the convex set of states is the nearest state iff
+    # Re tr((H - P)(sigma - P)) <= 0 for every state sigma.
+    d = 4
+    z = RandomStream(SEED, 1300).normals(2 * d * d)
+    noise = (z[: d * d] + 1j * z[d * d :]).reshape(d, d)
+    m = random_mixed(d, 2, RandomStream(SEED, 1301)).matrix + 0.3 * noise
+    proj = project_to_density(m)
+    assert isinstance(proj, DensityMatrix)
+    herm = (m + m.conj().T) / 2
+    assert np.array_equal(proj.matrix, project_to_density(herm).matrix)
+    assert np.linalg.eigvalsh(herm)[0] < -0.1  # not a state to begin with
+    for k in range(200):
+        sigma = random_mixed(d, 1 + k % d, RandomStream(SEED, 1400 + k)).matrix
+        assert np.trace((herm - proj.matrix) @ (sigma - proj.matrix)).real < 1e-12
 
 
 def test_eig2x2_sigma_z():
