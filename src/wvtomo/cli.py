@@ -137,6 +137,14 @@ def _positive(cfg: dict, key: str, minimum: int) -> int:
     return val
 
 
+def _allocatable(key: str, *shape: int, dtype=float) -> None:
+    """Fail before any work if numpy cannot allocate the array that count sizes."""
+    try:
+        np.empty(shape, dtype)
+    except (MemoryError, ValueError):  # beyond the address space, or beyond memory
+        raise ConfigError(f"--{key.replace('_', '-')} {max(shape)} is more than numpy can allocate")
+
+
 def _load_state(cfg: dict, dim: int, stream: RandomStream) -> tuple[DensityMatrix, str]:
     sources = [cfg["state_file"] is not None, bool(cfg["pure"]), cfg["mixed_rank"] is not None]
     if sum(sources) > 1:
@@ -193,6 +201,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = float(cfg["sweep_min"]), float(cfg["sweep_max"])
     if not (0.0 < lo < hi < np.pi):
         raise ConfigError(f"sweep range [{lo}, {hi}] must satisfy 0 < min < max < pi")
+    _allocatable("dim", dim, dim, dtype=complex)
+    _allocatable("sweep_steps", steps)
+    _allocatable("reps", 2, reps)
     _check_writable(cfg["out"], cfg["manifest"])
 
     rho, source = _load_state(cfg, dim, RandomStream(seed, STATE_STREAM))
@@ -288,7 +299,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     # One full experiment repetition on its own stream.
     bases = fourier_mub(dim)
     est = simulate_once(outcome_table(rho, strengths, bases), bases, strengths, shots,
-                        RandomStream(seed, RECONSTRUCT_STREAM), seed)
+                        RandomStream(seed, RECONSTRUCT_STREAM))
     write_state_file(raw_path, est.raw)
     write_state_file(herm_path, est.hermitized)
     # The estimates need not have unit trace nor be positive; this one is a state.

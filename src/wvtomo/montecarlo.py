@@ -35,6 +35,7 @@ from .qmath import DensityMatrix, eig_hermitian_2x2, hs_distance_sq, purity_stat
 from .rng import RandomStream
 
 QUADRATURES = ("R", "I")
+BATCH_ELEMENTS = 2**11  # estimate entries per batch of repetitions: a few hundred KB at any d
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,6 @@ class SufficientStats:
 class TomographyEstimate:
     raw: np.ndarray
     hermitized: np.ndarray
-    strengths: CouplingStrengths
-    shots: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -159,20 +157,11 @@ def estimate_pw(stats: SufficientStats, strengths: CouplingStrengths) -> np.ndar
     return -avg_r / (2.0 * strengths.g_r) + 1j * avg_i / (2.0 * strengths.g_i)
 
 
-def assemble_estimate(
-    pw_table: np.ndarray,
-    bases: MeasurementBases,
-    strengths: CouplingStrengths,
-    shots: int,
-    seed: int,
-) -> TomographyEstimate:
+def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> TomographyEstimate:
     """Linear reconstruction raw[n][m] = sum_j (<psi_j|a_m>/<psi_j|a_n>) pw[n][j],
-    plus the hermitized combination (raw + raw^dag)/2."""
+    plus the hermitized combination (raw + raw^dag)/2, for each table of a stack."""
     raw = reconstruction_map(pw_table, bases.overlaps())
-    hermitized = (raw + raw.conj().T) / 2.0
-    return TomographyEstimate(
-        raw=raw, hermitized=hermitized, strengths=strengths, shots=shots, seed=seed
-    )
+    return TomographyEstimate(raw=raw, hermitized=(raw + raw.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def _config_distributions(
@@ -185,22 +174,30 @@ def _config_distributions(
             for n in range(rho.dim) for iq, q in enumerate(QUADRATURES)]
 
 
+def _estimates(table: tuple, bases: MeasurementBases, strengths: CouplingStrengths,
+               n_shots: int, streams) -> TomographyEstimate:
+    """One experiment per stream, estimates stacked on a leading axis; each stream draws
+    the n_shots of all 2d rows of `table` (n ascending, R before I) in one multinomial call."""
+    _check_count(n_shots, "shot count")
+    probs, values = table
+    rows = probs.reshape(2 * bases.dim, -1)
+    counts = np.array([s.multinomial(n_shots, rows) for s in streams])
+    sums = (counts.reshape(-1, *probs.shape) * values[:, None, :]).sum(axis=-1)  # [rep, n, q, j]
+    stats = SufficientStats(bases.dim, n_shots, sums_r=sums[:, :, 0], sums_i=sums[:, :, 1])
+    return assemble_estimate(estimate_pw(stats, strengths), bases)
+
+
 def simulate_once(
     table: tuple,
     bases: MeasurementBases,
     strengths: CouplingStrengths,
     n_shots: int,
     stream: RandomStream,
-    seed: int,
 ) -> TomographyEstimate:
     """One experiment: n_shots of every configuration of `table` (from
     `outcome_table`), drawn as one multinomial call over its 2d rows."""
-    _check_count(n_shots, "shot count")
-    probs, values = table
-    counts = stream.multinomial(n_shots, probs.reshape(2 * bases.dim, -1)).reshape(probs.shape)
-    sums = (counts * values[:, None, :]).sum(axis=-1)  # [n, q, j]
-    stats = SufficientStats(dim=bases.dim, shots=n_shots, sums_r=sums[:, 0], sums_i=sums[:, 1])
-    return assemble_estimate(estimate_pw(stats, strengths), bases, strengths, n_shots, seed)
+    est = _estimates(table, bases, strengths, n_shots, [stream])
+    return TomographyEstimate(raw=est.raw[0], hermitized=est.hermitized[0])
 
 
 def run_experiment(
@@ -210,9 +207,9 @@ def run_experiment(
     reps: int,
     seed: int,
 ) -> MseReport:
-    """Repeat the full 2d-configuration experiment `reps` times and report the
-    empirical MSE of the raw and hermitized estimators, with theory values
-    for the same configuration attached."""
+    """Repeat the full 2d-configuration experiment `reps` times, repetition r on
+    RandomStream(seed, r) and estimated a batch at a time, and report the empirical
+    MSE of the raw and hermitized estimators, with theory values attached."""
     _check_count(reps, "repetition count")
     d = rho.dim
     bases = fourier_mub(d)
@@ -220,10 +217,12 @@ def run_experiment(
 
     err_raw = np.zeros(reps)
     err_herm = np.zeros(reps)
-    for rep in range(reps):
-        est = simulate_once(table, bases, strengths, n_shots, RandomStream(seed, rep), seed)
-        err_raw[rep] = hs_distance_sq(est.raw, rho.matrix)
-        err_herm[rep] = hs_distance_sq(est.hermitized, rho.matrix)
+    batch = max(1, BATCH_ELEMENTS // d**2)
+    for start in range(0, reps, batch):
+        streams = (RandomStream(seed, rep) for rep in range(start, min(start + batch, reps)))
+        est = _estimates(table, bases, strengths, n_shots, streams)
+        err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
+        err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
 
     stats_input = theory.TheoryInput(
         dim=d, strengths=strengths, shots=n_shots, purity=purity_stats(rho)

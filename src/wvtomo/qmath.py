@@ -118,14 +118,14 @@ def random_mixed(d: int, rank: int, rng: RandomStream) -> DensityMatrix:
     return validate_density(m)
 
 
-def hs_distance_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt distance sum |a_nm - b_nm|^2."""
+def hs_distance_sq(a: np.ndarray, b: np.ndarray):
+    """Squared Hilbert-Schmidt distance sum |a_nm - b_nm|^2, one per matrix of a stack."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise ShapeMismatch(f"operands differ in shape: {a.shape} vs {b.shape}")
     diff = a - b
-    return float(np.sum(diff.real**2 + diff.imag**2))
+    return np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
 
 
 def eig_hermitian_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

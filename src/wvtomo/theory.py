@@ -125,9 +125,9 @@ def scaled_mse_menu(
     """Per-measurement (and per-copy) scaled MSEs of this scheme at its
     optimum, next to the projective MUB and SIC baselines.
 
-    The hermitized-per-shot and per-copy rows are the large-d forms (half of
-    and d times the raw bracket); the -exact row evaluates the full
-    hermitized optimum so the approximation error stays visible.
+    The -approx and per-copy rows are the large-d forms (half of and d times the
+    raw bracket); the -exact row is mse_hermitized_optimal, the uniform-variance
+    hermitized form at the optimum, not the exact hermitized MSE of a state.
     """
     if d < 2:
         raise InvalidDimension(f"system dimension must be >= 2, got {d}")

@@ -227,9 +227,7 @@ def test_08_elementwise_unbiasedness():
         stats = SufficientStats(dim=d, shots=n_shots)
         for dist in dists:
             stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, stream))
-        estimates[rep] = assemble_estimate(
-            estimate_pw(stats, strengths), bases, strengths, n_shots, SEED
-        ).raw
+        estimates[rep] = assemble_estimate(estimate_pw(stats, strengths), bases).raw
     mean = estimates.mean(axis=0)
     se_re = estimates.real.std(axis=0, ddof=1) / np.sqrt(reps)
     se_im = estimates.imag.std(axis=0, ddof=1) / np.sqrt(reps)

@@ -4,6 +4,7 @@ determinism, and the statistical agreement of simulated sweeps."""
 import hashlib
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ def test_sweep_bytes_are_pinned(tmp_path):
     ]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "a37b0669fd5035fcd0eb17276100267dc697d10e4a9a90138d18c119de24081f"
+
+
+def test_sweep_bytes_across_batches_are_pinned(tmp_path):
+    # At d=32 run_experiment estimates two repetitions at a time, so five
+    # repetitions span two full batches and a partial one; the digest is that of
+    # the same sweep with every repetition estimated on its own.
+    out = tmp_path / "pin.csv"
+    assert main([
+        "sweep", "--dim", "32", "--shots", "10", "--reps", "5", "--sweep-steps", "2",
+        "--seed", "1", "--out", str(out),
+    ]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "8048de425ce7b9e4c90d20f70594ada8ea3ff239f485b82cbdd10740bc5769d0"
 
 
 def test_sweep_rows_match_oracle(capsys):
@@ -320,6 +334,26 @@ def test_counts_beyond_int64_are_config_errors(tmp_path, capsys, route, command,
     assert rc == 2
     assert "config error" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("reps", 2**63 - 1), ("reps", 10**14),
+    ("sweep_steps", 2**63 - 1), ("sweep_steps", 10**14),
+    ("dim", 2**63 - 1), ("dim", 10**7),
+])
+def test_counts_too_large_to_allocate_are_config_errors(tmp_path, capsys, key, value):
+    # each value sizes an array of 1e14 or more elements, which no allocation
+    # can hold, so the sweep must stop at once instead of failing in numpy
+    start = time.monotonic()
+    rc, out, err = _run(capsys, [
+        "sweep", "--" + key.replace("_", "-"), str(value),
+        "--out", str(tmp_path / "o.csv"), "--manifest", str(tmp_path / "o.manifest"),
+    ])
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert time.monotonic() - start < 1.0
 
 
 def test_reconstruct_requires_state_file(capsys):

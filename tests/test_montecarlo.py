@@ -21,6 +21,7 @@ from wvtomo import (
     estimate_pw,
     exact_mse_oracle,
     fourier_mub,
+    hs_distance_sq,
     mse_raw,
     optimal_strengths,
     outcome_distribution,
@@ -32,7 +33,7 @@ from wvtomo import (
     sample_shots,
     validate_density,
 )
-from wvtomo.montecarlo import _config_distributions, outcome_table, simulate_once
+from wvtomo.montecarlo import BATCH_ELEMENTS, _config_distributions, outcome_table, simulate_once
 
 SEED = 20240814  # shared with the acceptance suite; statistical bounds rehearsed once
 
@@ -160,7 +161,7 @@ def test_sample_shots_memory_does_not_grow_with_shots(sampler):
         strengths = CouplingStrengths(1.0, 1.0)
         probs, values = outcome_table(rho, strengths, bases)
         table = (probs, np.ones_like(values))
-        draw = lambda stream: simulate_once(table, bases, strengths, n, stream, SEED)
+        draw = lambda stream: simulate_once(table, bases, strengths, n, stream)
     stream = RandomStream(SEED, 39)
     tracemalloc.start()
     try:
@@ -202,8 +203,8 @@ def test_stacked_draw_equals_per_configuration_draws(d):
         stream = RandomStream(SEED, 42 + k)
         for dist in dists:
             stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, stream))
-        want = assemble_estimate(estimate_pw(stats, strengths), bases, strengths, n_shots, SEED)
-        got = simulate_once(table, bases, strengths, n_shots, RandomStream(SEED, 42 + k), SEED)
+        want = assemble_estimate(estimate_pw(stats, strengths), bases)
+        got = simulate_once(table, bases, strengths, n_shots, RandomStream(SEED, 42 + k))
         assert np.array_equal(got.raw, want.raw), f"N={n_shots}"
         assert np.array_equal(got.hermitized, want.hermitized), f"N={n_shots}"
 
@@ -260,7 +261,7 @@ def test_assemble_estimate_exact_inputs_recover_state():
     strengths = CouplingStrengths(1.0, 1.5)
     bases = fourier_mub(d)
     pw = estimate_pw(_exact_sums(rho, strengths, 5), strengths)
-    est = assemble_estimate(pw, bases, strengths, 5, SEED)
+    est = assemble_estimate(pw, bases)
     assert np.max(np.abs(est.raw - rho.matrix)) < 1e-10
     assert np.max(np.abs(est.hermitized - rho.matrix)) < 1e-10
 
@@ -274,7 +275,7 @@ def test_assemble_estimate_hermitized_properties():
     stream = RandomStream(SEED, 32)
     for dist in _config_distributions(rho, strengths, bases):
         stats.record(dist.n, dist.quadrature, sample_shots(dist, 40, stream))
-    est = assemble_estimate(estimate_pw(stats, strengths), bases, strengths, 40, SEED)
+    est = assemble_estimate(estimate_pw(stats, strengths), bases)
     assert np.max(np.abs(est.hermitized - (est.raw + est.raw.conj().T) / 2)) == 0.0
     assert np.max(np.abs(est.hermitized.diagonal().imag)) == 0.0
     assert np.max(np.abs(est.hermitized - est.hermitized.conj().T)) == 0.0
@@ -289,6 +290,44 @@ def test_run_experiment_reproducible():
     a = run_experiment(rho, strengths, 30, 5, SEED + 3)
     b = run_experiment(rho, strengths, 30, 5, SEED + 3)
     assert a == b
+
+
+@pytest.mark.parametrize("d", [2, 5, 32])
+def test_batched_run_equals_per_repetition_loop(d):
+    # run_experiment estimates BATCH_ELEMENTS // d^2 repetitions at once; over
+    # two full batches and a partial one it must give, to the last bit, what
+    # one simulate_once per repetition gives
+    rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 46))
+    strengths = optimal_strengths(d)
+    bases = fourier_mub(d)
+    table = outcome_table(rho, strengths, bases)
+    reps = 2 * max(1, BATCH_ELEMENTS // d**2) + 3
+    err_raw = np.zeros(reps)
+    err_herm = np.zeros(reps)
+    for rep in range(reps):
+        est = simulate_once(table, bases, strengths, 20, RandomStream(SEED, rep))
+        err_raw[rep] = hs_distance_sq(est.raw, rho.matrix)
+        err_herm[rep] = hs_distance_sq(est.hermitized, rho.matrix)
+    got = run_experiment(rho, strengths, 20, reps, SEED)
+    assert got.mse_raw_mean == err_raw.mean()
+    assert got.mse_raw_stderr == err_raw.std(ddof=1) / np.sqrt(reps)
+    assert got.mse_herm_mean == err_herm.mean()
+    assert got.mse_herm_stderr == err_herm.std(ddof=1) / np.sqrt(reps)
+
+
+@pytest.mark.parametrize("reps", [10**3, 10**4])
+def test_run_experiment_memory_grows_only_by_the_errors(reps):
+    # two float64 errors per repetition (16 B) and one batch of estimates; a
+    # batch of every repetition would hold about 33 KB per repetition at d=32
+    d = 32
+    rho = random_mixed(d, d, RandomStream(SEED, 47))
+    tracemalloc.start()
+    try:
+        run_experiment(rho, optimal_strengths(d), 10**4, reps, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 16 * reps < 2**20, f"run_experiment peaked at {peak} B"
 
 
 def test_run_experiment_matches_oracle_and_scales():

@@ -179,6 +179,18 @@ def test_hs_distance_rejects_shape_mismatch():
         hs_distance_sq(np.eye(2), np.eye(3))
 
 
+def test_hs_distance_on_a_stack_is_each_distance():
+    stack = np.stack([random_mixed(4, 1 + k, RandomStream(SEED, 13 + k)).matrix for k in range(3)])
+    b = random_mixed(4, 4, RandomStream(SEED, 16)).matrix
+    got = hs_distance_sq(stack, b)
+    assert got.shape == (3,)
+    assert all(got[k] == hs_distance_sq(stack[k], b) for k in range(3))
+    with pytest.raises(ShapeMismatch):
+        hs_distance_sq(stack, np.eye(3))
+    with pytest.raises(ShapeMismatch):
+        hs_distance_sq(np.zeros((3, 2, 4)), b)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
 def test_projection_leaves_a_state_unchanged(d):
     for rho in (random_pure(d, RandomStream(SEED, 1000 + d)),
