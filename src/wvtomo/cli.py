@@ -31,8 +31,8 @@ from .qmath import (
 from .rng import RandomStream
 from .statefile import read_state_file, write_state_file
 
-# Stream ids: repetitions use 0..reps-1 inside run_experiment; state draws and
-# one-off simulations live far away so they never collide.
+# Stream ids: run_experiment draws every repetition from stream 0; state draws
+# and one-off simulations live far away so they never collide.
 STATE_STREAM = 2**32
 RECONSTRUCT_STREAM = 2**33
 # numpy draws counts and sizes arrays as int64; a larger count cannot run.
@@ -264,6 +264,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if cfg["state_file"] is not None and d_lo != d_hi:
         raise ConfigError("--state-file fixes one dimension; use --dim-min == --dim-max with it")
     seed = cfg["seed"]
+    _allocatable("dim_max", d_hi, d_hi, dtype=complex)
     _check_writable(cfg["out"], cfg["manifest"])
 
     rows = []

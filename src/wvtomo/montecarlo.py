@@ -175,14 +175,14 @@ def _config_distributions(
 
 
 def _estimates(table: tuple, bases: MeasurementBases, strengths: CouplingStrengths,
-               n_shots: int, streams) -> TomographyEstimate:
-    """One experiment per stream, estimates stacked on a leading axis; each stream draws
-    the n_shots of all 2d rows of `table` (n ascending, R before I) in one multinomial call."""
+               n_shots: int, stream: RandomStream, count: int) -> TomographyEstimate:
+    """`count` experiments in order from `stream`, estimates stacked on a leading axis; one
+    multinomial call draws all their rows of `table` (n ascending, R before I), n_shots each."""
     _check_count(n_shots, "shot count")
     probs, values = table
     rows = probs.reshape(2 * bases.dim, -1)
-    counts = np.array([s.multinomial(n_shots, rows) for s in streams])
-    sums = (counts.reshape(-1, *probs.shape) * values[:, None, :]).sum(axis=-1)  # [rep, n, q, j]
+    counts = stream.multinomial(n_shots, np.broadcast_to(rows, (count, *rows.shape)))
+    sums = (counts.reshape(count, *probs.shape) * values[:, None, :]).sum(axis=-1)  # [rep, n, q, j]
     stats = SufficientStats(bases.dim, n_shots, sums_r=sums[:, :, 0], sums_i=sums[:, :, 1])
     return assemble_estimate(estimate_pw(stats, strengths), bases)
 
@@ -196,7 +196,7 @@ def simulate_once(
 ) -> TomographyEstimate:
     """One experiment: n_shots of every configuration of `table` (from
     `outcome_table`), drawn as one multinomial call over its 2d rows."""
-    est = _estimates(table, bases, strengths, n_shots, [stream])
+    est = _estimates(table, bases, strengths, n_shots, stream, 1)
     return TomographyEstimate(raw=est.raw[0], hermitized=est.hermitized[0])
 
 
@@ -207,9 +207,9 @@ def run_experiment(
     reps: int,
     seed: int,
 ) -> MseReport:
-    """Repeat the full 2d-configuration experiment `reps` times, repetition r on
-    RandomStream(seed, r) and estimated a batch at a time, and report the empirical
-    MSE of the raw and hermitized estimators, with theory values attached."""
+    """Repeat the full 2d-configuration experiment `reps` times, every repetition drawn
+    in order from RandomStream(seed) and estimated a batch at a time, and report the
+    empirical MSE of the raw and hermitized estimators, with theory values attached."""
     _check_count(reps, "repetition count")
     d = rho.dim
     bases = fourier_mub(d)
@@ -218,9 +218,9 @@ def run_experiment(
     err_raw = np.zeros(reps)
     err_herm = np.zeros(reps)
     batch = max(1, BATCH_ELEMENTS // d**2)
+    stream = RandomStream(seed)
     for start in range(0, reps, batch):
-        streams = (RandomStream(seed, rep) for rep in range(start, min(start + batch, reps)))
-        est = _estimates(table, bases, strengths, n_shots, streams)
+        est = _estimates(table, bases, strengths, n_shots, stream, min(batch, reps - start))
         err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
         err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
 

@@ -3,9 +3,9 @@
 A :class:`RandomStream` is a counter-based (Philox) generator keyed by a
 ``(seed, stream_id)`` pair, so independent substreams can be derived
 without any sequential draining: stream ``(seed, k)`` produces the same
-numbers no matter how many other streams were used before it.  This is
-what makes repetition loops order-independent and, in principle,
-parallelizable.
+numbers no matter how many other streams were used before it.  Each kind
+of draw (states, a reconstruction, an experiment's repetitions) has its
+own stream id, so draws of one kind never move the numbers of another.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,29 +70,30 @@ def test_sweep_deterministic_bytes(tmp_path):
 
 
 def test_sweep_bytes_are_pinned(tmp_path):
-    # The sampled numbers of a small sweep, fixed on numpy 2.4.6 (Philox
-    # multinomial draws): a change that moves any drawn count or any digit of
-    # the estimator, theory or oracle columns fails here, not only in review.
+    # The sampled numbers of a small sweep, fixed on numpy 2.4.6 (every
+    # repetition of a step drawn in order from the one Philox stream (seed, 0)):
+    # a change that moves any drawn count or any digit of the estimator, theory
+    # or oracle columns fails here, not only in review.
     out = tmp_path / "pin.csv"
     assert main([
         "sweep", "--dim", "3", "--shots", "20", "--reps", "5", "--sweep-steps", "3",
         "--seed", "1", "--out", str(out),
     ]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "a37b0669fd5035fcd0eb17276100267dc697d10e4a9a90138d18c119de24081f"
+    assert digest == "d665ac3392495010a5de7d5f06045837d3b4861dcd4c9e8af49723dea533ab62"
 
 
 def test_sweep_bytes_across_batches_are_pinned(tmp_path):
-    # At d=32 run_experiment estimates two repetitions at a time, so five
-    # repetitions span two full batches and a partial one; the digest is that of
-    # the same sweep with every repetition estimated on its own.
+    # At d=32 run_experiment draws and estimates two repetitions at a time, so
+    # five repetitions span two full batches and a partial one; the digest is that
+    # of the same sweep with every repetition drawn and estimated on its own.
     out = tmp_path / "pin.csv"
     assert main([
         "sweep", "--dim", "32", "--shots", "10", "--reps", "5", "--sweep-steps", "2",
         "--seed", "1", "--out", str(out),
     ]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "8048de425ce7b9e4c90d20f70594ada8ea3ff239f485b82cbdd10740bc5769d0"
+    assert digest == "31087e070bab78494bcbe36c34275e52d386e4690ff986d06866b1f55fac16ba"
 
 
 def test_sweep_rows_match_oracle(capsys):
@@ -271,6 +273,22 @@ def test_reconstruct_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_reconstruct_bytes_are_pinned(tmp_path, capsys):
+    # One experiment drawn from the stream (seed, 2**33), fixed on numpy 2.4.6:
+    # a change to how a stream draws its repetitions must leave these bytes.
+    state = tmp_path / "in.state"
+    write_state_file(state, random_mixed(3, 2, RandomStream(SEED, 47)).matrix)
+    out = tmp_path / "rec"
+    rc, _, _ = _run(capsys, [
+        "reconstruct", "--state-file", str(state), "--shots", "20", "--seed", "1",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    files = b"".join(Path(f"{out}_{kind}.state").read_bytes() for kind in ("raw", "herm", "phys"))
+    digest = hashlib.sha256(files).hexdigest()
+    assert digest == "505bf7a2020d7b0991ab8003a67427bb723d9e5e90efa476aef23cc0ea6893e6"
+
+
 def test_reconstruct_physical_estimate_reads_back(tmp_path, capsys):
     # at d=3, N=20 the raw and hermitized estimates are not states (trace off,
     # negative eigenvalues); <out>_phys.state is, so the tool can read it back
@@ -340,13 +358,16 @@ def test_counts_beyond_int64_are_config_errors(tmp_path, capsys, route, command,
     ("reps", 2**63 - 1), ("reps", 10**14),
     ("sweep_steps", 2**63 - 1), ("sweep_steps", 10**14),
     ("dim", 2**63 - 1), ("dim", 10**7),
+    ("dim_max", 2**63 - 1), ("dim_max", 10**7),
 ])
 def test_counts_too_large_to_allocate_are_config_errors(tmp_path, capsys, key, value):
     # each value sizes an array of 1e14 or more elements, which no allocation
-    # can hold, so the sweep must stop at once instead of failing in numpy
+    # can hold, so the command must stop at once instead of failing in numpy
+    # or running until memory runs out
+    command = "compare" if key == "dim_max" else "sweep"
     start = time.monotonic()
     rc, out, err = _run(capsys, [
-        "sweep", "--" + key.replace("_", "-"), str(value),
+        command, "--" + key.replace("_", "-"), str(value),
         "--out", str(tmp_path / "o.csv"), "--manifest", str(tmp_path / "o.manifest"),
     ])
     assert rc == 2
