@@ -23,7 +23,10 @@ import numpy as np
 from . import theory
 from .errors import StateFileError, TomographyError
 from .montecarlo import exact_mse_oracle, outcome_table, run_experiment, simulate_once
-from .protocol import CouplingStrengths, fourier_mub
+from .protocol import (
+    CouplingStrengths, check_strength, couple_and_postselect, fourier_mub, pointer_observables,
+    reconstruct, weak_value_from_device, weak_values_exact,
+)
 from .qmath import (
     DensityMatrix, hs_distance_sq, project_to_density, purity_stats, random_mixed, random_pure,
     validate_density,
@@ -61,6 +64,9 @@ OPTIONS = {
     "manifest": (str, None, "also write a run manifest here"),
 }
 DEFAULTS = {key: default for key, (_, default, _) in OPTIONS.items()}
+# The MseReport fields a sweep row carries after its swept strength, in CSV order.
+SWEEP_COLUMNS = ("mse_raw_mean", "mse_raw_stderr", "mse_herm_mean", "mse_herm_stderr",
+                 "theory_raw", "theory_herm", "oracle_raw", "oracle_herm")
 
 
 class ConfigError(Exception):
@@ -87,10 +93,13 @@ def _write_manifest(path, entries: list) -> None:
 
 
 def _check_writable(*paths) -> None:
-    """Fail before any computation if an output file cannot be written."""
-    for path in (p for p in paths if p not in (None, "-")):
-        if Path(path).is_dir() or not os.access(Path(path).parent, os.W_OK):
+    """Fail before any work if an output cannot be written or two outputs name one file."""
+    files = [Path(p) for p in paths if p not in (None, "-")]
+    for i, path in enumerate(files):
+        if path.is_dir() or not os.access(path.parent, os.W_OK):
             raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
+        if path.resolve() in [earlier.resolve() for earlier in files[:i]]:
+            raise ConfigError(f"two outputs name the same file {path}")
 
 
 def _type_ok(key: str, val) -> bool:
@@ -173,9 +182,12 @@ def _fixed_strengths(cfg: dict, dim: int) -> CouplingStrengths:
     g_r = float(cfg["g_r"]) if cfg["g_r"] is not None else opt.g_r
     g_i = float(cfg["g_i"]) if cfg["g_i"] is not None else float(np.pi / 2)
     try:
-        return CouplingStrengths(g_r, g_i)
+        strengths = CouplingStrengths(g_r, g_i)
+        check_strength(g_r, "g_r")
+        check_strength(g_i, "g_i")
     except TomographyError as exc:
         raise ConfigError(str(exc))
+    return strengths
 
 
 def _state_manifest(rho: DensityMatrix, source: str) -> list:
@@ -201,6 +213,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = float(cfg["sweep_min"]), float(cfg["sweep_max"])
     if not (0.0 < lo < hi < np.pi):
         raise ConfigError(f"sweep range [{lo}, {hi}] must satisfy 0 < min < max < pi")
+    try:  # on (0, pi) |sin g| and cos(g/2) have no interior minimum: the ends suffice
+        check_strength(lo, "sweep_min")
+        check_strength(hi, "sweep_max")
+    except TomographyError as exc:
+        raise ConfigError(str(exc))
     _allocatable("dim", dim, dim, dtype=complex)
     _allocatable("sweep_steps", steps)
     _allocatable("reps", 2, reps)
@@ -211,33 +228,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     for value in np.linspace(lo, hi, steps):
-        strengths = replace(fixed, **{axis: float(value)})
-        report = run_experiment(rho, strengths, shots, reps, seed)
-        rows.append(
-            [
-                value,
-                report.mse_raw_mean,
-                report.mse_raw_stderr,
-                report.mse_herm_mean,
-                report.mse_herm_stderr,
-                report.theory_raw,
-                report.theory_herm,
-                exact_mse_oracle(rho, strengths, shots),
-                exact_mse_oracle(rho, strengths, shots, hermitized=True),
-            ]
-        )
-    header = [
-        axis,
-        "mse_raw_mean",
-        "mse_raw_stderr",
-        "mse_herm_mean",
-        "mse_herm_stderr",
-        "theory_raw",
-        "theory_herm",
-        "oracle_raw",
-        "oracle_herm",
-    ]
-    _write_csv(cfg["out"], header, rows)
+        report = run_experiment(rho, replace(fixed, **{axis: float(value)}), shots, reps, seed)
+        rows.append([value] + [getattr(report, name) for name in SWEEP_COLUMNS])
+    _write_csv(cfg["out"], [axis, *SWEEP_COLUMNS], rows)
     _write_manifest(
         cfg["manifest"],
         [("command", "sweep")]
@@ -326,8 +319,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _selfcheck_probes(seed: int):
-    from .protocol import couple_and_postselect, pointer_observables, weak_value_from_device, weak_values_exact, reconstruct
-
     checks = []
 
     dev = 0.0

@@ -94,6 +94,8 @@ class MseReport:
     reps: int
     theory_raw: float
     theory_herm: float
+    oracle_raw: float
+    oracle_herm: float
 
 
 def _quadrature_law(
@@ -209,7 +211,7 @@ def run_experiment(
 ) -> MseReport:
     """Repeat the full 2d-configuration experiment `reps` times, every repetition drawn
     in order from RandomStream(seed) and estimated a batch at a time, and report the
-    empirical MSE of the raw and hermitized estimators, with theory values attached."""
+    empirical MSE of the raw and hermitized estimators, with theory and oracle attached."""
     _check_count(reps, "repetition count")
     d = rho.dim
     bases = fourier_mub(d)
@@ -227,6 +229,7 @@ def run_experiment(
     stats_input = theory.TheoryInput(
         dim=d, strengths=strengths, shots=n_shots, purity=purity_stats(rho)
     )
+    oracle_raw, oracle_herm = _oracle(table, bases.overlaps(), strengths, n_shots)
     return MseReport(
         mse_raw_mean=float(err_raw.mean()),
         mse_raw_stderr=float(err_raw.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
@@ -235,7 +238,26 @@ def run_experiment(
         reps=reps,
         theory_raw=theory.mse_raw(stats_input),
         theory_herm=theory.mse_hermitized(stats_input).total,
+        oracle_raw=oracle_raw, oracle_herm=oracle_herm,
     )
+
+
+def _oracle(table: tuple, overlaps: np.ndarray, strengths: CouplingStrengths, n_shots: int):
+    """(raw, hermitized) exact MSE of `exact_mse_oracle`, from one variance pass over `table`."""
+    weights = np.abs(overlaps) ** 2
+    probs, values = table
+    laws = zip(probs.swapaxes(0, 1), values, (strengths.g_r, strengths.g_i), (-1.0, 1.0))
+    variances = []  # per-shot E|rho_hat[n,m] - rho[n,m]|^2, one term per quadrature
+    for p, v, g, sign in laws:
+        mu = sign * (p @ v) / (2.0 * g)
+        second = (p @ (v * v)) / (4.0 * g * g)
+        spread = reconstruction_map(second, weights)
+        variances.append(spread - np.abs(reconstruction_map(mu, overlaps)) ** 2)
+    var_re, var_im = variances
+    var_elem = var_re + var_im
+    # At m=n every coefficient is 1: Re rho_hat[n,n] = sum_j X_j, whose variance is var_re[n,n].
+    off = (var_elem.sum() - np.trace(var_elem)) / 2.0  # averaging independent rows halves it
+    return float(var_elem.sum() / n_shots), float((off + np.trace(var_re)) / n_shots)
 
 
 def exact_mse_oracle(
@@ -252,20 +274,5 @@ def exact_mse_oracle(
     """
     _check_count(n_shots, "shot count")
     bases = fourier_mub(rho.dim)
-    overlaps = bases.overlaps()
-    weights = np.abs(overlaps) ** 2
-    probs, values = outcome_table(rho, strengths, bases)
-    laws = zip(probs.swapaxes(0, 1), values, (strengths.g_r, strengths.g_i), (-1.0, 1.0))
-    variances = []  # per-shot E|rho_hat[n,m] - rho[n,m]|^2, one term per quadrature
-    for p, v, g, sign in laws:
-        mu = sign * (p @ v) / (2.0 * g)
-        second = (p @ (v * v)) / (4.0 * g * g)
-        spread = reconstruction_map(second, weights)
-        variances.append(spread - np.abs(reconstruction_map(mu, overlaps)) ** 2)
-    var_re, var_im = variances
-    var_elem = var_re + var_im
-    if not hermitized:
-        return float(var_elem.sum() / n_shots)
-    # At m=n every coefficient is 1: Re rho_hat[n,n] = sum_j X_j, whose variance is var_re[n,n].
-    off = (var_elem.sum() - np.trace(var_elem)) / 2.0  # averaging independent rows halves it
-    return float((off + np.trace(var_re)) / n_shots)
+    raw, herm = _oracle(outcome_table(rho, strengths, bases), bases.overlaps(), strengths, n_shots)
+    return herm if hermitized else raw

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from wvtomo import RandomStream, random_mixed, read_state_file, validate_density, write_state_file
+from wvtomo import montecarlo
 from wvtomo.cli import main
 
 SEED = 20240814  # statistical bounds below rehearsed once at this seed
@@ -110,6 +111,21 @@ def test_sweep_rows_match_oracle(capsys):
         _, raw_m, raw_se, herm_m, herm_se, _, _, o_raw, o_herm = map(float, row)
         assert abs(raw_m - o_raw) < 3.0 * raw_se
         assert abs(herm_m - o_herm) < 3.0 * herm_se
+
+
+def test_each_sweep_step_builds_one_outcome_table(monkeypatch, capsys):
+    # the table a step samples also feeds that step's oracle columns
+    calls = []
+    build = montecarlo.outcome_table
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(montecarlo, "outcome_table", counted)
+    rc, _, _ = _run(capsys, ["sweep", "--dim", "3", "--reps", "2", "--sweep-steps", "3"])
+    assert rc == 0
+    assert len(calls) == 3
 
 
 def test_sweep_theory_minimum_near_optimum(capsys):
@@ -331,6 +347,23 @@ def test_unwritable_output_rejected_before_computing(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--reps", "2", "--out", "{d}/x.csv", "--manifest", "{d}/x.csv"],
+    ["compare", "--out", "{d}/x.csv", "--manifest", "{d}/../{name}/x.csv"],
+    ["reconstruct", "--state-file", "{state}", "--out", "{d}/est", "--manifest", "{d}/est_phys.state"],
+])
+def test_outputs_naming_the_same_file_rejected(tmp_path, capsys, argv):
+    # the later output would overwrite the earlier; nothing may be computed or written
+    state = tmp_path / "in.state"
+    write_state_file(state, random_mixed(2, 2, RandomStream(SEED, 44)).matrix)
+    argv = [a.format(d=tmp_path, name=tmp_path.name, state=state) for a in argv]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert "config error" in err and "same file" in err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
+
+
 @pytest.mark.parametrize("route", ["flag", "config"])
 @pytest.mark.parametrize("command, key", [
     ("sweep", "shots"), ("sweep", "reps"), ("reconstruct", "shots"),
@@ -411,9 +444,21 @@ def test_state_file_dimension_must_match(tmp_path, capsys):
     assert rc == 2
 
 
-def test_explicit_strength_out_of_range(capsys):
-    rc, _, err = _run(capsys, ["reconstruct", "--g-r", "3.5"])
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--g-r", "3.5"],
+    ["reconstruct", "--g-r", "1e-10"],
+    ["sweep", "--g-i", "1e-10"],
+    ["sweep", "--sweep-min", "1e-12", "--sweep-max", "1"],
+])
+def test_explicit_strength_out_of_range(tmp_path, capsys, argv):
+    # a strength outside (0, pi) or at a singular end is a config value: exit 2, not 3
+    if argv[0] == "reconstruct":
+        state = tmp_path / "in.state"
+        write_state_file(state, random_mixed(2, 2, RandomStream(SEED, 48)).matrix)
+        argv = argv + ["--state-file", str(state), "--out", str(tmp_path / "rec")]
+    rc, _, err = _run(capsys, argv)
     assert rc == 2
+    assert "config error" in err
 
 
 # ---------------------------------------------------------------- selfcheck / parser

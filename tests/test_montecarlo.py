@@ -382,6 +382,8 @@ def test_run_experiment_attaches_theory():
     rep = run_experiment(rho, strengths, 25, 2, SEED)
     inp = TheoryInput(dim=2, strengths=strengths, shots=25, purity=purity_stats(rho))
     assert rep.theory_raw == mse_raw(inp)
+    assert rep.oracle_raw == exact_mse_oracle(rho, strengths, 25)
+    assert rep.oracle_herm == exact_mse_oracle(rho, strengths, 25, hermitized=True)
     assert rep.reps == 2
 
 
