@@ -24,7 +24,7 @@ from . import theory
 from .errors import StateFileError, TomographyError
 from .montecarlo import exact_mse_oracle, outcome_table, run_experiment, simulate_once
 from .protocol import (
-    CouplingStrengths, check_strength, couple_and_postselect, fourier_mub, pointer_observables,
+    CouplingStrengths, couple_and_postselect, fourier_mub, pointer_observables,
     reconstruct, weak_value_from_device, weak_values_exact,
 )
 from .qmath import (
@@ -50,7 +50,7 @@ OPTIONS = {
     "seed": (int, 1, "master seed"),
     "g_r": (float, None, "real-part strength"),
     "g_i": (float, None, "imaginary-part strength"),
-    "optimal": (bool, False, "use the closed-form optimal strengths"),
+    "optimal": (bool, False, "closed-form optimal strengths (default; refuses --g-r/--g-i)"),
     "sweep_axis": (str, "g_r", "strength to sweep: g_r or g_i"),
     "sweep_min": (float, 0.6, "lowest swept strength"),
     "sweep_max": (float, 2.4, "highest swept strength"),
@@ -79,21 +79,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _open_output(path: str):
+    """The file at path, or stdout for '-'."""
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
+
+
 def _write_csv(out: str, header: list, rows: list) -> None:
-    with nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="") as fh:
+    with _open_output(out) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows([[_fmt(x) for x in row] for row in rows])
 
 
 def _write_manifest(path, entries: list) -> None:
-    if path is None:
-        return
-    Path(path).write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in entries))
+    if path is not None:
+        with _open_output(path) as fh:
+            fh.write("".join(f"{k} = {_fmt(v)}\n" for k, v in entries))
 
 
 def _check_writable(*paths) -> None:
     """Fail before any work if an output cannot be written or two outputs name one file."""
+    if paths.count("-") > 1:
+        raise ConfigError("two outputs name the same file, stdout ('-')")
     files = [Path(p) for p in paths if p not in (None, "-")]
     for i, path in enumerate(files):
         if path.is_dir() or not os.access(path.parent, os.W_OK):
@@ -174,20 +181,14 @@ def _load_state(cfg: dict, dim: int, stream: RandomStream) -> tuple[DensityMatri
 
 
 def _fixed_strengths(cfg: dict, dim: int) -> CouplingStrengths:
-    opt = theory.optimal_strengths(dim)
-    if cfg["optimal"]:
-        if cfg["g_r"] is not None or cfg["g_i"] is not None:
-            raise ConfigError("--optimal conflicts with explicit --g-r/--g-i")
-        return opt
-    g_r = float(cfg["g_r"]) if cfg["g_r"] is not None else opt.g_r
-    g_i = float(cfg["g_i"]) if cfg["g_i"] is not None else float(np.pi / 2)
+    """The optimal pair, with any strength set by flag or config in its place."""
+    given = {key: float(cfg[key]) for key in ("g_r", "g_i") if cfg[key] is not None}
+    if cfg["optimal"] and given:
+        raise ConfigError("--optimal conflicts with explicit --g-r/--g-i")
     try:
-        strengths = CouplingStrengths(g_r, g_i)
-        check_strength(g_r, "g_r")
-        check_strength(g_i, "g_i")
+        return replace(theory.optimal_strengths(dim), **given)
     except TomographyError as exc:
         raise ConfigError(str(exc))
-    return strengths
 
 
 def _state_manifest(rho: DensityMatrix, source: str) -> list:
@@ -211,13 +212,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--sweep-axis must be g_r or g_i, got {axis!r}")
     steps = _positive(cfg, "sweep_steps", 2)
     lo, hi = float(cfg["sweep_min"]), float(cfg["sweep_max"])
-    if not (0.0 < lo < hi < np.pi):
-        raise ConfigError(f"sweep range [{lo}, {hi}] must satisfy 0 < min < max < pi")
+    if not lo < hi:
+        raise ConfigError(f"sweep range [{lo}, {hi}] must satisfy min < max")
     try:  # on (0, pi) |sin g| and cos(g/2) have no interior minimum: the ends suffice
-        check_strength(lo, "sweep_min")
-        check_strength(hi, "sweep_max")
+        for end in (lo, hi):
+            replace(theory.optimal_strengths(dim), **{axis: end})
     except TomographyError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"sweep range [{lo}, {hi}]: {exc}")
     _allocatable("dim", dim, dim, dtype=complex)
     _allocatable("sweep_steps", steps)
     _allocatable("reps", 2, reps)

@@ -52,7 +52,7 @@ class MeasurementBases:
 
 @dataclass(frozen=True)
 class CouplingStrengths:
-    """The pair (g_R, g_I) of coupling strengths, each strictly inside (0, pi)."""
+    """The pair (g_R, g_I) of coupling strengths, each in (0, pi) and clear of its singular ends."""
 
     g_r: float
     g_i: float
@@ -61,6 +61,7 @@ class CouplingStrengths:
         for name, g in (("g_r", self.g_r), ("g_i", self.g_i)):
             if not 0.0 < g < np.pi:
                 raise StrengthOutOfRange(f"{name} = {g!r} outside the open interval (0, pi)")
+            check_strength(g, name)
 
 
 @dataclass(frozen=True)

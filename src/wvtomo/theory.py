@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension
-from .protocol import CouplingStrengths, check_strength
+from .protocol import CouplingStrengths
 from .qmath import DensityMatrix, PurityStats, purity_stats
 
 
@@ -40,9 +40,7 @@ class ComparisonRow:
 
 
 def _strength_terms(strengths: CouplingStrengths) -> tuple[float, float, float]:
-    """1/sin^2 g_R, 1/sin^2 g_I and 1/cos^2(g_R/2), after the singularity check."""
-    check_strength(strengths.g_r, "g_r")
-    check_strength(strengths.g_i, "g_i")
+    """1/sin^2 g_R, 1/sin^2 g_I and 1/cos^2(g_R/2), finite because the type guards them."""
     sr, si, cr = np.sin(strengths.g_r), np.sin(strengths.g_i), np.cos(strengths.g_r / 2.0)
     return 1.0 / sr**2, 1.0 / si**2, 1.0 / cr**2
 
@@ -64,9 +62,7 @@ def optimal_strengths(d: int) -> CouplingStrengths:
     """Minimizers of mse_raw: g_R = arccos(1 + d/4 - sqrt(d/2 + d^2/16)), g_I = pi/2."""
     if d < 2:
         raise InvalidDimension(f"system dimension must be >= 2, got {d}")
-    arg = 1.0 + d / 4.0 - _sqrt_term(d)
-    if not -1.0 < arg < 1.0:
-        raise InvalidDimension(f"arccos argument {arg!r} fell outside (-1, 1) for d={d}")
+    arg = 1.0 + d / 4.0 - _sqrt_term(d)  # in (0, 1) for every d >= 2
     return CouplingStrengths(g_r=float(np.arccos(arg)), g_i=float(np.pi / 2.0))
 
 

@@ -159,10 +159,20 @@ def test_sweep_manifest_and_config_precedence(tmp_path, capsys):
     assert "purity = " in text
 
 
-def test_sweep_rejects_bad_range(capsys):
-    rc, _, err = _run(capsys, ["sweep", "--sweep-min", "1.5", "--sweep-max", "3.5"])
+@pytest.mark.parametrize("lo, hi", [("1.5", "3.5"), ("2", "1"), ("-1", "1"), ("0.6", "inf")])
+def test_sweep_rejects_bad_range(capsys, lo, hi):
+    rc, _, err = _run(capsys, ["sweep", "--sweep-min", lo, "--sweep-max", hi])
     assert rc == 2
     assert "config error" in err
+
+
+def test_sweep_fixed_strength_on_the_swept_axis_yields(tmp_path):
+    # the swept value replaces a fixed --g-r on the g_r axis, step by step
+    args = ["sweep", "--reps", "20", "--sweep-steps", "3", "--seed", "1"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--g-r", "1.0", "--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -351,6 +361,7 @@ def test_unwritable_output_rejected_before_computing(tmp_path, capsys, argv):
     ["sweep", "--reps", "2", "--out", "{d}/x.csv", "--manifest", "{d}/x.csv"],
     ["compare", "--out", "{d}/x.csv", "--manifest", "{d}/../{name}/x.csv"],
     ["reconstruct", "--state-file", "{state}", "--out", "{d}/est", "--manifest", "{d}/est_phys.state"],
+    ["sweep", "--reps", "2", "--manifest", "-"],
 ])
 def test_outputs_naming_the_same_file_rejected(tmp_path, capsys, argv):
     # the later output would overwrite the earlier; nothing may be computed or written
@@ -362,6 +373,16 @@ def test_outputs_naming_the_same_file_rejected(tmp_path, capsys, argv):
     assert "config error" in err and "same file" in err
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
+
+
+def test_manifest_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    # '-' means stdout for the manifest as for --out; no file named '-' appears
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = _run(capsys, ["compare", "--dim-max", "3", "--out", "x.csv", "--manifest", "-"])
+    assert rc == 0
+    assert "command = compare\n" in out
+    assert not (tmp_path / "-").exists()
+    assert (tmp_path / "x.csv").read_text().startswith("dim,")
 
 
 @pytest.mark.parametrize("route", ["flag", "config"])

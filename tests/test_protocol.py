@@ -360,6 +360,13 @@ def test_strengths_validate_range():
         CouplingStrengths(0.0, 1.0)
     with pytest.raises(StrengthOutOfRange):
         CouplingStrengths(1.0, np.pi)
+    # inside (0, pi) but where 1/sin g or 1/cos(g/2) is singular, and not a number
+    with pytest.raises(StrengthOutOfRange):
+        CouplingStrengths(1e-10, 1.0)
+    with pytest.raises(StrengthOutOfRange):
+        CouplingStrengths(1.0, np.pi - 1e-10)
+    with pytest.raises(StrengthOutOfRange):
+        CouplingStrengths(float("nan"), 1.0)
     s = CouplingStrengths(0.5, 2.0)
     assert (s.g_r, s.g_i) == (0.5, 2.0)
 
