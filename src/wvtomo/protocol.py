@@ -116,12 +116,17 @@ def _check_index(n: int, d: int) -> None:
         raise IndexOutOfRange(f"basis index {n} outside 0..{d - 1}")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices, as the one broadcast product np.kron computes."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def _coupling_from_projector(proj: np.ndarray, g: float) -> np.ndarray:
     # exp(-i g P (x) sigma_x) = (I-P) (x) I + P (x) (cos g I - i sin g sigma_x)
     # exactly, because P (x) sigma_x squares to P (x) I.
     d = proj.shape[0]
     v = np.cos(g) * np.eye(2, dtype=complex) - 1j * np.sin(g) * SIGMA_X
-    return np.kron(np.eye(d, dtype=complex) - proj, np.eye(2, dtype=complex)) + np.kron(proj, v)
+    return _kron(np.eye(d, dtype=complex) - proj, np.eye(2, dtype=complex)) + _kron(proj, v)
 
 
 def coupling_unitary(n: int, g: float, d: int) -> np.ndarray:
@@ -167,7 +172,7 @@ def couple_and_postselect(
     a_n = bases.a_basis[:, n]
     proj = np.outer(a_n, a_n.conj())
     u = _coupling_from_projector(proj, g)
-    joint = u @ np.kron(rho.matrix, DEVICE_ZERO) @ u.conj().T
+    joint = u @ _kron(rho.matrix, DEVICE_ZERO) @ u.conj().T
     # Partial inner product <psi_j| . |psi_j> over the system factor.
     blocks = joint.reshape(d, 2, d, 2)
     m = np.einsum("aj,aibk,bj->jik", bases.psi_basis.conj(), blocks, bases.psi_basis)
@@ -233,12 +238,11 @@ def weak_value_from_device(
     if abs(ens.g - obs.g) > 1e-12:
         raise StrengthMismatch(f"ensemble built at g={ens.g!r}, observables at g={obs.g!r}")
     out = np.full(len(ens.probs), np.nan + 1j * np.nan, dtype=complex)
-    for j, state in enumerate(ens.device_states):
-        if state is None:
-            continue
-        re = -np.trace(state @ obs.sigma_r).real
-        im = np.trace(state @ obs.sigma_i).real
-        out[j] = (re + 1j * im) / (2.0 * ens.g)
+    defined = [j for j, state in enumerate(ens.device_states) if state is not None]
+    states = np.reshape([ens.device_states[j] for j in defined], (-1, 2, 2))
+    re = -np.trace(states @ obs.sigma_r, axis1=1, axis2=2).real
+    im = np.trace(states @ obs.sigma_i, axis1=1, axis2=2).real
+    out[defined] = (re + 1j * im) / (2.0 * ens.g)
     return out
 
 
@@ -266,5 +270,5 @@ def marginal_device_state(rho: DensityMatrix, n: int, g: float) -> np.ndarray:
     d = rho.dim
     _check_index(n, d)
     u = coupling_unitary(n, g, d)
-    joint = u @ np.kron(rho.matrix, DEVICE_ZERO) @ u.conj().T
+    joint = u @ _kron(rho.matrix, DEVICE_ZERO) @ u.conj().T
     return np.einsum("aiak->ik", joint.reshape(d, 2, d, 2))

@@ -39,10 +39,17 @@ class ComparisonRow:
     scaled_mse: float
 
 
-def _strength_terms(strengths: CouplingStrengths) -> tuple[float, float, float]:
-    """1/sin^2 g_R, 1/sin^2 g_I and 1/cos^2(g_R/2), finite because the type guards them."""
-    sr, si, cr = np.sin(strengths.g_r), np.sin(strengths.g_i), np.cos(strengths.g_r / 2.0)
+def _strength_terms(g_r, g_i):
+    """1/sin^2 g_R, 1/sin^2 g_I and 1/cos^2(g_R/2), of floats or arrays; finite for
+    any CouplingStrengths, because the type guards them."""
+    sr, si, cr = np.sin(g_r), np.sin(g_i), np.cos(g_r / 2.0)
     return 1.0 / sr**2, 1.0 / si**2, 1.0 / cr**2
+
+
+def _raw_bracket(d: int, g_r, g_i, purity: float):
+    """N times mse_raw, the one copy of its formula, for floats or arrays of strengths."""
+    inv_sr2, inv_si2, inv_cr2 = _strength_terms(g_r, g_i)
+    return d * d / 4.0 * (inv_sr2 + inv_si2) + d / 2.0 * inv_cr2 - purity
 
 
 def _sqrt_term(d: int) -> float:
@@ -52,10 +59,8 @@ def _sqrt_term(d: int) -> float:
 def mse_raw(inp: TheoryInput) -> float:
     """MSE of the raw (non-Hermitian) estimator:
     (1/N)[(d^2/4)(1/sin^2 g_R + 1/sin^2 g_I) + d/(2 cos^2(g_R/2)) - tr(rho^2)]."""
-    d = inp.dim
-    inv_sr2, inv_si2, inv_cr2 = _strength_terms(inp.strengths)
-    bracket = d * d / 4.0 * (inv_sr2 + inv_si2) + d / 2.0 * inv_cr2 - inp.purity.purity
-    return float(bracket / inp.shots)
+    s = inp.strengths
+    return float(_raw_bracket(inp.dim, s.g_r, s.g_i, inp.purity.purity) / inp.shots)
 
 
 def optimal_strengths(d: int) -> CouplingStrengths:
@@ -78,7 +83,7 @@ def mse_hermitized(inp: TheoryInput) -> HermitizedMse:
     terms; the state-dependent term spreads tr(rho^2) uniformly over
     elements).  See mse_hermitized_exact for the exact bookkeeping."""
     d, n = inp.dim, inp.shots
-    inv_sr2, _, inv_cr2 = _strength_terms(inp.strengths)
+    inv_sr2, _, inv_cr2 = _strength_terms(inp.strengths.g_r, inp.strengths.g_i)
     off = (d - 1.0) / (2.0 * d) * mse_raw(inp)  # the raw bracket, over the off-diagonal pairs
     dia = (d * d / 4.0 * inv_sr2 + d / 2.0 * inv_cr2 - inp.purity.purity_re) / (d * n)
     return HermitizedMse(total=float(off + dia), off_diagonal=float(off), diagonal=float(dia))
@@ -103,7 +108,7 @@ def mse_hermitized_exact(rho: DensityMatrix, strengths: CouplingStrengths, shots
     this form to machine precision.
     """
     d = rho.dim
-    inv_sr2, inv_si2, inv_cr2 = _strength_terms(strengths)
+    inv_sr2, inv_si2, inv_cr2 = _strength_terms(strengths.g_r, strengths.g_i)
     pur = purity_stats(rho)
     diag_sq = float(np.sum(rho.matrix.diagonal().real ** 2))
     bracket = (
@@ -159,18 +164,17 @@ def _golden_section(f, a: float, b: float, tol: float = 1e-10) -> float:
 
 def numeric_optimal_strengths(d: int) -> CouplingStrengths:
     """Independent check of optimal_strengths: coarse grid over (0.01, pi-0.01)
-    then golden-section refinement of mse_raw in each strength, the other at pi/2."""
+    then golden-section refinement of mse_raw in each strength, the other at pi/2.
+    Each grid is one array evaluation of the raw bracket (N = 1, tr(rho^2) = 0)."""
     if d < 2:
         raise InvalidDimension(f"system dimension must be >= 2, got {d}")
-
-    def mse(g_r, g_i):
-        return mse_raw(TheoryInput(d, CouplingStrengths(g_r, g_i), 1, PurityStats(0.0, 0.0, 0.0)))
 
     lo, hi = 0.01, np.pi - 0.01
     grid = np.linspace(lo, hi, 201)
     found = []
-    for f in (lambda g: mse(g, np.pi / 2.0), lambda g: mse(np.pi / 2.0, g)):
-        k = int(np.argmin([f(g) for g in grid]))
+    for f in (lambda g: _raw_bracket(d, g, np.pi / 2.0, 0.0),
+              lambda g: _raw_bracket(d, np.pi / 2.0, g, 0.0)):
+        k = int(np.argmin(f(grid)))
         a = grid[max(k - 1, 0)]
         b = grid[min(k + 1, len(grid) - 1)]
         found.append(_golden_section(f, a, b))

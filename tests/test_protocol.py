@@ -112,6 +112,19 @@ def test_coupling_unitary_matches_matrix_exponential():
     assert np.max(np.abs(coupling_unitary(n, g, d) - scipy_linalg.expm(-1j * g * h))) < 1e-13
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 16])
+def test_coupling_unitary_equals_numpy_kron_bitwise(d):
+    # the Kronecker products are built by broadcasting; np.kron's values, exactly
+    for n in (0, d // 2, d - 1):
+        for g in (0.3, 1.9, 3.5):
+            proj = np.zeros((d, d), dtype=complex)
+            proj[n, n] = 1.0
+            v = np.cos(g) * np.eye(2, dtype=complex) - 1j * np.sin(g) * SIGMA_X
+            ref = np.kron(np.eye(d, dtype=complex) - proj, np.eye(2, dtype=complex))
+            ref += np.kron(proj, v)
+            assert np.array_equal(coupling_unitary(n, g, d), ref)
+
+
 def test_coupling_unitary_rejects_bad_index():
     with pytest.raises(IndexOutOfRange):
         coupling_unitary(3, 1.0, 3)
@@ -265,6 +278,30 @@ def test_device_readout_nan_for_vanished_outcome():
     w = weak_value_from_device(ens, pointer_observables(g))
     assert np.isnan(w[1].real) and np.isnan(w[1].imag)
     assert np.isfinite(w[0])
+
+
+def _readout_one_outcome_at_a_time(ens, obs):
+    out = np.full(len(ens.probs), np.nan + 1j * np.nan, dtype=complex)
+    for j, state in enumerate(ens.device_states):
+        if state is not None:
+            re = -np.trace(state @ obs.sigma_r).real
+            im = np.trace(state @ obs.sigma_i).real
+            out[j] = (re + 1j * im) / (2.0 * ens.g)
+    return out
+
+
+def test_device_readout_equals_the_per_outcome_loop_bitwise():
+    # one stacked matmul and trace over the defined outcomes; NaN where one vanished
+    cases = [(_singular_pure_state(), 0, 0.7)]
+    for k in range(12):
+        d = 2 + k % 4
+        rho = random_mixed(d, 1 + k % d, RandomStream(SEED, 700 + k))
+        cases.append((rho, k % d, 0.2 + 0.25 * k))
+    for rho, n, g in cases:
+        ens = couple_and_postselect(rho, n, g, fourier_mub(rho.dim))
+        obs = pointer_observables(g)
+        w = weak_value_from_device(ens, obs)
+        assert np.array_equal(w, _readout_one_outcome_at_a_time(ens, obs), equal_nan=True)
 
 
 def test_device_readout_rejects_strength_mismatch():

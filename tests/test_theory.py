@@ -22,6 +22,7 @@ from wvtomo import (
     random_mixed,
     scaled_mse_menu,
 )
+from wvtomo import theory
 
 SEED = 61409
 
@@ -130,6 +131,25 @@ def test_numeric_search_never_beats_closed_form():
         f_closed = mse_raw(_inp(d, closed.g_r, closed.g_i))
         f_numeric = mse_raw(_inp(d, numeric.g_r, numeric.g_i))
         assert f_numeric >= f_closed - 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 5, 32])
+def test_optimum_grid_is_mse_raw_elementwise(monkeypatch, d):
+    # the numeric search evaluates each 201-point grid in one call of the bracket
+    # mse_raw uses, so the grid values, and their argmin, are mse_raw's exactly
+    grid = np.linspace(0.01, np.pi - 0.01, 201)
+    zero = PurityStats(0.0, 0.0, 0.0)
+    on_r = [mse_raw(TheoryInput(d, CouplingStrengths(g, np.pi / 2), 1, zero)) for g in grid]
+    on_i = [mse_raw(TheoryInput(d, CouplingStrengths(np.pi / 2, g), 1, zero)) for g in grid]
+    assert np.array_equal(theory._raw_bracket(d, grid, np.pi / 2, 0.0), on_r)
+    assert np.array_equal(theory._raw_bracket(d, np.pi / 2, grid, 0.0), on_i)
+
+    bracket, calls = theory._raw_bracket, []
+    monkeypatch.setattr(theory, "_raw_bracket", lambda *args: calls.append(args) or bracket(*args))
+    numeric_optimal_strengths(d)
+    grids = [(np.shape(g_r), np.shape(g_i)) for _, g_r, g_i, _ in calls
+             if np.ndim(g_r) + np.ndim(g_i)]
+    assert grids == [((201,), ()), ((), (201,))]
 
 
 def test_optimal_strengths_rejects_small_dimension():
