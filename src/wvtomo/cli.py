@@ -22,16 +22,14 @@ import numpy as np
 
 from . import theory
 from .errors import StateFileError, TomographyError
-from .montecarlo import _oracle, outcome_table, run_experiment, simulate_once
-from .protocol import (
-    CouplingStrengths, couple_and_postselect, fourier_mub, pointer_observables,
-    reconstruct, weak_value_from_device, weak_values_exact,
-)
+from .montecarlo import outcome_table, run_experiment, simulate_once
+from .protocol import CouplingStrengths, fourier_mub
 from .qmath import (
     DensityMatrix, hs_distance_sq, project_to_density, purity_stats, random_mixed, random_pure,
     validate_density,
 )
 from .rng import RandomStream
+from .selfcheck import probes
 from .statefile import read_state_file, write_state_file
 
 # Stream ids: run_experiment draws every repetition from stream 0; state draws
@@ -319,76 +317,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selfcheck_probes(seed: int):
-    # Each gate reads the np.max of its deviations, which a NaN deviation fails.
-    checks = []
-
-    devs = []
-    for d in (2, 3, 4, 5):
-        rho = random_mixed(d, d, RandomStream(seed, 100 + d))
-        bases = fourier_mub(d)
-        for g in (0.7, 1.9):
-            rec = reconstruct(weak_values_exact(rho, bases, g), bases)
-            devs.append(hs_distance_sq(rec, rho.matrix))
-    checks.append(("exact-reconstruction", np.max(devs), 1e-20))
-
-    devs = []
-    for d in (2, 3, 5):
-        rho = random_mixed(d, d, RandomStream(seed, 200 + d))
-        bases = fourier_mub(d)
-        for g in np.linspace(0.1, 3.0, 10):
-            obs = pointer_observables(g)
-            table = weak_values_exact(rho, bases, g)
-            for n in range(d):
-                w = weak_value_from_device(couple_and_postselect(rho, n, g, bases), obs)
-                # NaN exactly where the table is undefined, the table's value elsewhere
-                if np.array_equal(np.isnan(w), table.undefined[n]):
-                    devs.append(np.max(np.abs(w - table.entries[n])[~table.undefined[n]]))
-                else:
-                    devs.append(np.inf)
-    checks.append(("readout-identity", np.max(devs), 1e-10))
-
-    devs = []
-    for d in (2, 3, 5, 12, 32):
-        a, b = theory.optimal_strengths(d), theory.numeric_optimal_strengths(d)
-        devs += [abs(a.g_r - b.g_r), abs(a.g_i - b.g_i)]
-    checks.append(("optimum-agreement", np.max(devs), 1e-6))
-
-    devs = []
-    for d in range(2, 33):
-        opt = theory.optimal_strengths(d)
-        rho = random_mixed(d, d, RandomStream(seed, 300 + d))
-        pur = purity_stats(rho)
-        inp = theory.TheoryInput(dim=d, strengths=opt, shots=7, purity=pur)
-        devs.append(abs(theory.mse_raw(inp) - theory.mse_raw_optimal(d, 7, pur.purity)))
-        devs.append(abs(theory.mse_hermitized(inp).total
-                        - theory.mse_hermitized_optimal(d, 7, pur.purity_re, pur.purity_im)))
-    checks.append(("substitution-identities", np.max(devs), 1e-12))
-
-    devs_raw, devs_herm, devs_gap = [], [], []
-    for d in (2, 3, 4):
-        bases = fourier_mub(d)
-        for k in range(3):
-            rho = random_mixed(d, max(1, d - k % 2), RandomStream(seed, 400 + 10 * d + k))
-            st = CouplingStrengths(0.35 + 0.5 * k, 2.2 - 0.4 * k)
-            pur = purity_stats(rho)
-            inp = theory.TheoryInput(dim=d, strengths=st, shots=25, purity=pur)
-            o_raw, o_herm = _oracle(outcome_table(rho, st, bases), bases.overlaps(), st, 25)
-            devs_raw.append(abs(o_raw - theory.mse_raw(inp)))
-            devs_herm.append(abs(o_herm - theory.mse_hermitized_exact(rho, st, 25)))
-            diag_sq = float(np.sum(rho.matrix.diagonal().real ** 2))
-            predicted_gap = (diag_sq / 2.0 - (pur.purity_re - pur.purity_im) / (2.0 * d)) / 25.0
-            probe_gap = theory.mse_hermitized(inp).total - o_herm
-            devs_gap.append(abs(probe_gap - predicted_gap))
-    checks.append(("raw-variance-oracle", np.max(devs_raw), 1e-9))
-    checks.append(("hermitized-variance-oracle-exact-form", np.max(devs_herm), 1e-9))
-    checks.append(("hermitized-approx-gap-characterized", np.max(devs_gap), 1e-12))
-    return checks, probe_gap
-
-
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    checks, probe_gap = _selfcheck_probes(cfg["seed"])
+    checks, probe_gap = probes(cfg["seed"])
     failed = False
     for name, dev, tol in checks:
         ok = dev <= tol

@@ -117,16 +117,20 @@ def _check_index(n: int, d: int) -> None:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two matrices, as the one broadcast product np.kron computes."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    """np.kron(a, b) of two stacks of matrices, batch axes broadcast, as np.kron's product."""
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(*k.shape[:-4], k.shape[-4] * k.shape[-3], -1)
 
 
-def _coupling_from_projector(proj: np.ndarray, g: float) -> np.ndarray:
+def _coupling_unitaries(a_cols: np.ndarray, gs) -> np.ndarray:
+    """U[g, n] = exp(-i gs[g] |a_n><a_n| (x) sigma_x), 2d x 2d; |a_n> is column n of a_cols."""
     # exp(-i g P (x) sigma_x) = (I-P) (x) I + P (x) (cos g I - i sin g sigma_x)
     # exactly, because P (x) sigma_x squares to P (x) I.
-    d = proj.shape[0]
+    proj = a_cols.T[:, :, None] * a_cols.T.conj()[:, None, :]  # np.outer's product, per column
+    g = np.asarray(gs, dtype=float)[:, None, None, None]
     v = np.cos(g) * np.eye(2, dtype=complex) - 1j * np.sin(g) * SIGMA_X
-    return _kron(np.eye(d, dtype=complex) - proj, np.eye(2, dtype=complex)) + _kron(proj, v)
+    eye = np.eye(len(a_cols), dtype=complex)
+    return _kron(eye - proj, np.eye(2, dtype=complex)) + _kron(proj, v)
 
 
 def coupling_unitary(n: int, g: float, d: int) -> np.ndarray:
@@ -134,9 +138,7 @@ def coupling_unitary(n: int, g: float, d: int) -> np.ndarray:
     if d < 2:
         raise InvalidDimension(f"system dimension must be >= 2, got {d}")
     _check_index(n, d)
-    proj = np.zeros((d, d), dtype=complex)
-    proj[n, n] = 1.0
-    return _coupling_from_projector(proj, g)
+    return _coupling_unitaries(np.eye(d, dtype=complex)[:, [n]], [g])[0, 0]
 
 
 def check_strength(g: float, name: str = "g") -> None:
@@ -159,31 +161,40 @@ def pointer_observables(g: float) -> PointerObservables:
     return PointerObservables(sigma_r=sigma_r, sigma_i=sigma_i, g=g)
 
 
+def _postselected_pointers(rho: DensityMatrix, ns, gs, bases: MeasurementBases) -> tuple:
+    """couple_and_postselect for every strength gs[g] and coupling index ns[n] at once:
+    the pointer states rho_d[g, n, j] (2x2, NaN where P <= 1e-12) and the probabilities
+    P[g, n, j].  Each (g, n) still builds its full 2d x 2d unitary and joint state."""
+    d = rho.dim
+    if bases.dim != d:
+        raise ShapeMismatch(f"bases built for d={bases.dim}, state has d={d}")
+    for n in ns:
+        _check_index(n, d)
+
+    u = _coupling_unitaries(bases.a_basis[:, ns], gs)
+    joint = u @ _kron(rho.matrix, DEVICE_ZERO) @ u.conj().swapaxes(-1, -2)
+    # Partial inner product <psi_j| . |psi_j> over the system factor.
+    blocks = joint.reshape(*u.shape[:2], d, 2, d, 2)
+    m = np.einsum("aj,gnaibk,bj->gnjik", bases.psi_basis.conj(), blocks, bases.psi_basis)
+    m = (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0  # kill rounding asymmetry
+
+    probs = np.einsum("...ii->...", m).real
+    if probs.min() < -PROB_DEFINED_TOL:
+        raise NotPositive(f"post-selection probability {probs.min():.3e} below -1e-12")
+    probs = np.where(probs < 0.0, 0.0, probs)
+    defined = (probs > PROB_DEFINED_TOL)[..., None, None]
+    states = np.divide(m, probs[..., None, None], out=np.full_like(m, np.nan), where=defined)
+    return states, probs
+
+
 def couple_and_postselect(
     rho: DensityMatrix, n: int, g: float, bases: MeasurementBases
 ) -> ConditionalDeviceEnsemble:
     """Couple to |a_n>, post-select each |psi_j>, return outcome probabilities
     and the conditional pointer states."""
-    d = rho.dim
-    if bases.dim != d:
-        raise ShapeMismatch(f"bases built for d={bases.dim}, state has d={d}")
-    _check_index(n, d)
-
-    a_n = bases.a_basis[:, n]
-    proj = np.outer(a_n, a_n.conj())
-    u = _coupling_from_projector(proj, g)
-    joint = u @ _kron(rho.matrix, DEVICE_ZERO) @ u.conj().T
-    # Partial inner product <psi_j| . |psi_j> over the system factor.
-    blocks = joint.reshape(d, 2, d, 2)
-    m = np.einsum("aj,aibk,bj->jik", bases.psi_basis.conj(), blocks, bases.psi_basis)
-    m = (m + np.conj(np.transpose(m, (0, 2, 1)))) / 2.0  # kill rounding asymmetry
-
-    probs = np.einsum("jii->j", m).real
-    if probs.min() < -PROB_DEFINED_TOL:
-        raise NotPositive(f"post-selection probability {probs.min():.3e} below -1e-12")
-    probs = np.where(probs < 0.0, 0.0, probs)
-    states = tuple(m[j] / probs[j] if probs[j] > PROB_DEFINED_TOL else None for j in range(d))
-    return ConditionalDeviceEnsemble(n=n, g=g, probs=probs, device_states=states)
+    states, probs = (x[0, 0] for x in _postselected_pointers(rho, [n], [g], bases))
+    device = tuple(s if p > PROB_DEFINED_TOL else None for s, p in zip(states, probs))
+    return ConditionalDeviceEnsemble(n=n, g=g, probs=probs, device_states=device)
 
 
 def pointer_blocks(
@@ -228,6 +239,14 @@ def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g: float) -> 
     return WeakValueTable(dim=rho.dim, entries=entries, probs=probs, undefined=~defined)
 
 
+def _read_weak_values(states, probs, sigma_r, sigma_i, g) -> np.ndarray:
+    """W = (1/2g)[-tr(rho_d sigma_R) + i tr(rho_d sigma_I)] of a stack of pointer
+    states rho_d, the other arguments broadcast against it; NaN where P <= 1e-12."""
+    re = -np.trace(states @ sigma_r, axis1=-2, axis2=-1).real
+    im = np.trace(states @ sigma_i, axis1=-2, axis2=-1).real
+    return np.where(probs > PROB_DEFINED_TOL, (re + 1j * im) / (2.0 * g), np.nan + 1j * np.nan)
+
+
 def weak_value_from_device(
     ens: ConditionalDeviceEnsemble, obs: PointerObservables
 ) -> np.ndarray:
@@ -237,13 +256,8 @@ def weak_value_from_device(
     """
     if abs(ens.g - obs.g) > 1e-12:
         raise StrengthMismatch(f"ensemble built at g={ens.g!r}, observables at g={obs.g!r}")
-    out = np.full(len(ens.probs), np.nan + 1j * np.nan, dtype=complex)
-    defined = [j for j, state in enumerate(ens.device_states) if state is not None]
-    states = np.reshape([ens.device_states[j] for j in defined], (-1, 2, 2))
-    re = -np.trace(states @ obs.sigma_r, axis1=1, axis2=2).real
-    im = np.trace(states @ obs.sigma_i, axis1=1, axis2=2).real
-    out[defined] = (re + 1j * im) / (2.0 * ens.g)
-    return out
+    states = np.array([np.full((2, 2), np.nan) if s is None else s for s in ens.device_states])
+    return _read_weak_values(states, ens.probs, obs.sigma_r, obs.sigma_i, ens.g)
 
 
 def reconstruction_map(pw: np.ndarray, overlaps: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wvtomo import RandomStream, random_mixed, read_state_file, validate_density, write_state_file
-from wvtomo import cli, montecarlo
+from wvtomo import cli, montecarlo, selfcheck, theory
 from wvtomo.cli import main
 
 SEED = 20240814  # statistical bounds below rehearsed once at this seed
@@ -494,24 +494,37 @@ def test_selfcheck_passes(capsys):
     assert any(line.startswith("INFO") for line in lines)
 
 
-def test_selfcheck_bytes_are_pinned(capsys):
+@pytest.mark.parametrize("seed, expected", [
+    (1, "2d0fa8ab1cff5d8d82f55caf293f3323724b4c4c9225b4081605c3038e726ecd"),
+    (2, "9d1fd79ca4fa6146edab29466dfcd1518c7c9f0197567cf77bb061f78f024b33"),
+    (3, "3010a606040210fee81d6d471bcdcc5ad7f5198267031e05e88e2558a79a52f5"),
+], ids=["seed1", "seed2", "seed3"])
+def test_selfcheck_bytes_are_pinned(capsys, seed, expected):
     # Every deviation selfcheck prints, to its last printed digit, on numpy 2.4.6:
     # a rewrite of the readout, the numeric optimum or the oracle probes that
-    # moves any of them fails here (seed 2 gives 9d1fd79c..., seed 3 3010a606...).
-    rc, out, _ = _run(capsys, ["selfcheck", "--seed", "1"])
+    # moves any of them fails here.  The readout deviation is 7.0e-16 at seed 1
+    # and 5.9e-15 at seed 2.
+    rc, out, _ = _run(capsys, ["selfcheck", "--seed", str(seed)])
     assert rc == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "2d0fa8ab1cff5d8d82f55caf293f3323724b4c4c9225b4081605c3038e726ecd"
+    assert digest == expected
 
 
-@pytest.mark.parametrize("name, gate", [
-    ("weak_value_from_device", "readout-identity"),
-    ("hs_distance_sq", "exact-reconstruction"),
-])
-def test_selfcheck_fails_on_a_nan_deviation(monkeypatch, capsys, name, gate):
+# (module, name the probe looks up there, the gate its value feeds)
+NAN_PROBES = [
+    (selfcheck, "_read_weak_values", "readout-identity"),
+    (selfcheck, "hs_distance_sq", "exact-reconstruction"),
+    (theory, "mse_raw_optimal", "substitution-identities"),
+    (theory, "mse_hermitized_exact", "hermitized-variance-oracle-exact-form"),
+]
+
+
+@pytest.mark.parametrize("module, name, gate", NAN_PROBES,
+                         ids=[f"{name}-{gate}" for _, name, gate in NAN_PROBES])
+def test_selfcheck_fails_on_a_nan_deviation(monkeypatch, capsys, module, name, gate):
     # max(dev, nan) keeps dev, so a probe that computes NaN must still fail its gate.
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *args: real(*args) * np.nan)
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: real(*args) * np.nan)
     rc, out, _ = _run(capsys, ["selfcheck", "--seed", "1"])
     assert rc == 4
     assert any(line.startswith(f"FAIL {gate} ") for line in out.splitlines())

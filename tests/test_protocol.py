@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from wvtomo import (
+    ConditionalDeviceEnsemble,
     CouplingStrengths,
+    DensityMatrix,
     IndexOutOfRange,
     InvalidDimension,
     MeasurementBases,
@@ -29,13 +31,14 @@ from wvtomo import (
     weak_value_from_device,
     weak_values_exact,
 )
-from wvtomo.protocol import pointer_blocks
+from wvtomo.protocol import _postselected_pointers, _read_weak_values, pointer_blocks
 
 SEED = 40823
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+DEVICE_ZERO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
 def _singular_pure_state():
@@ -478,3 +481,85 @@ def test_pointer_blocks_match_reference_for_random_bases():
 def test_pointer_blocks_rejects_dimension_mismatch():
     with pytest.raises(ShapeMismatch):
         pointer_blocks(random_pure(3, RandomStream(SEED, 12)), 1.0, fourier_mub(2))
+
+
+def test_non_state_is_refused_as_not_positive():
+    # 1.5|psi_0><psi_0| - 0.5|psi_1><psi_1| has unit trace but a negative eigenvalue;
+    # built directly, since validate_density would refuse it.
+    bases = fourier_mub(2)
+    psi = bases.psi_basis
+    rho = DensityMatrix(2, 1.5 * np.outer(psi[:, 0], psi[:, 0].conj())
+                        - 0.5 * np.outer(psi[:, 1], psi[:, 1].conj()))
+    g = 0.05
+    for build in (
+        lambda: pointer_blocks(rho, g, bases),
+        lambda: weak_values_exact(rho, bases, g),
+        lambda: couple_and_postselect(rho, 0, g, bases),
+        lambda: _postselected_pointers(rho, range(2), [g], bases),
+    ):
+        with pytest.raises(NotPositive, match=r"-4\.988e-01"):
+            build()
+
+
+# ---------------------------------------------------------------- stacked Kronecker reference
+
+
+def _couple_and_postselect_per_n(rho, n, g, bases):
+    """couple_and_postselect for one (g, n), transcribed from its per-n form with np.kron."""
+    d = rho.dim
+    a_n = bases.a_basis[:, n]
+    proj = np.outer(a_n, a_n.conj())
+    v = np.cos(g) * np.eye(2, dtype=complex) - 1j * np.sin(g) * SIGMA_X
+    u = np.kron(np.eye(d, dtype=complex) - proj, np.eye(2, dtype=complex)) + np.kron(proj, v)
+    joint = u @ np.kron(rho.matrix, DEVICE_ZERO) @ u.conj().T
+    blocks = joint.reshape(d, 2, d, 2)
+    m = np.einsum("aj,aibk,bj->jik", bases.psi_basis.conj(), blocks, bases.psi_basis)
+    m = (m + np.conj(np.transpose(m, (0, 2, 1)))) / 2.0
+    probs = np.einsum("jii->j", m).real
+    probs = np.where(probs < 0.0, 0.0, probs)
+    states = tuple(m[j] / probs[j] if probs[j] > 1e-12 else None for j in range(d))
+    return ConditionalDeviceEnsemble(n=n, g=g, probs=probs, device_states=states)
+
+
+def _nan_filled(ens):
+    return np.array([np.full((2, 2), np.nan) if s is None else s for s in ens.device_states])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16])
+def test_stacked_reference_equals_the_per_n_path_bitwise(d):
+    # one broadcast pass over strengths and couplings gives the per-(g, n) arrays exactly,
+    # NaN where an outcome vanished
+    gs = np.array([0.05, 1.0, np.pi / 2, 3.0])
+    obs = [pointer_observables(g) for g in gs]
+    sigma_r = np.array([o.sigma_r for o in obs])[:, None, None]
+    sigma_i = np.array([o.sigma_i for o in obs])[:, None, None]
+    fourier = fourier_mub(d)
+    random_bases = MeasurementBases(
+        dim=d,
+        a_basis=_random_unitary(d, RandomStream(SEED, 1400 + d)),
+        psi_basis=_random_unitary(d, RandomStream(SEED, 1500 + d)),
+    )
+    states = [
+        random_pure(d, RandomStream(SEED, 1600 + d)),
+        random_mixed(d, d, RandomStream(SEED, 1700 + d)),
+        random_mixed(d, max(1, d // 2), RandomStream(SEED, 1800 + d)),
+    ]
+    cases = [(rho, bases) for rho in states for bases in (fourier, random_bases)]
+    if d == 3:
+        cases.append((_singular_pure_state(), fourier))
+    for rho, bases in cases:
+        pointers, probs = _postselected_pointers(rho, range(d), gs, bases)
+        w = _read_weak_values(pointers, probs, sigma_r, sigma_i, gs[:, None, None])
+        for k, g in enumerate(gs):
+            for n in range(d):
+                ref = _couple_and_postselect_per_n(rho, n, g, bases)
+                ref_w = _readout_one_outcome_at_a_time(ref, obs[k])
+                assert np.array_equal(probs[k, n], ref.probs), f"d={d}, g={g}, n={n}"
+                assert np.array_equal(pointers[k, n], _nan_filled(ref), equal_nan=True)
+                assert np.array_equal(w[k, n], ref_w, equal_nan=True)
+                ens = couple_and_postselect(rho, n, g, bases)
+                assert np.array_equal(ens.probs, ref.probs)
+                assert np.array_equal(_nan_filled(ens), _nan_filled(ref), equal_nan=True)
+                assert np.array_equal(weak_value_from_device(ens, obs[k]), ref_w, equal_nan=True)
+    if d == 3:  # the singular state's vanished outcome (n=0, j=1) reads NaN at every strength
+        assert np.isnan(w[:, 0, 1]).all() and np.isnan(w).sum() == len(gs)
