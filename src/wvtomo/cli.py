@@ -123,9 +123,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path is not None:
         try:
-            loaded = json.loads(Path(config_path).read_text())
+            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise StateFileError(f"cannot read config file {config_path}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise StateFileError(f"config file {config_path} is not UTF-8 text: {exc}")
         except json.JSONDecodeError as exc:
             raise StateFileError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):

@@ -197,9 +197,7 @@ def couple_and_postselect(
     return ConditionalDeviceEnsemble(n=n, g=g, probs=probs, device_states=device)
 
 
-def pointer_blocks(
-    rho: DensityMatrix, g: float, bases: MeasurementBases
-) -> tuple[np.ndarray, np.ndarray]:
+def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.ndarray, np.ndarray]:
     """Every unnormalised post-selected pointer state M[n, j] (2x2) at strength g,
     and its post-selection probability P[n, j] = tr M[n, j].  Closed form of
     couple_and_postselect:
@@ -207,7 +205,8 @@ def pointer_blocks(
         M01 = conj M10 = i sin g (conj B_nj + (cos g - 1) C_nj)
         M11 = sin^2 g C_nj
     with A_j = <psi_j|rho|psi_j>, B_nj = <psi_j|a_n><a_n|rho|psi_j> and
-    C_nj = |<psi_j|a_n>|^2 <a_n|rho|a_n>.
+    C_nj = |<psi_j|a_n>|^2 <a_n|rho|a_n>.  g may be a 1-D array of strengths:
+    A, B and C are then built once and both outputs gain a leading strength axis.
     """
     if bases.dim != rho.dim:
         raise ShapeMismatch(f"bases built for d={bases.dim}, state has d={rho.dim}")
@@ -218,24 +217,26 @@ def pointer_blocks(
     rho_nn = np.einsum("an,an->n", bases.a_basis.conj(), rho.matrix @ bases.a_basis).real
     c = np.abs(overlaps) ** 2 * rho_nn[:, None]
 
+    g = np.asarray(g, dtype=float)[..., None, None]
     cm1, s = np.cos(g) - 1.0, np.sin(g)
     m00 = a + 2.0 * cm1 * b.real + cm1 * cm1 * c
     m01 = 1j * s * (b.conj() + cm1 * c)
     m11 = s * s * c
-    blocks = np.stack([m00, m01, m01.conj(), m11], axis=-1).reshape(rho.dim, rho.dim, 2, 2)
+    blocks = np.stack([m00, m01, m01.conj(), m11], axis=-1).reshape(*m00.shape, 2, 2)
     probs = m00 + m11
     if probs.min() < -PROB_DEFINED_TOL:
         raise NotPositive(f"post-selection probability {probs.min():.3e} below -1e-12")
     return blocks, np.where(probs < 0.0, 0.0, probs)
 
 
-def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g: float) -> WeakValueTable:
+def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g) -> WeakValueTable:
     """Definitional weak values W_nj = <psi_j|a_n><a_n|rho|psi_j> / P_j(n),
-    with P_j(n) the physical post-selection probability under coupling g."""
+    with P_j(n) the physical post-selection probability under coupling g.
+    A 1-D array g gives every array of the table a leading strength axis."""
     _, probs = pointer_blocks(rho, g, bases)
     numer = bases.overlaps().T * ((bases.a_basis.conj().T @ rho.matrix) @ bases.psi_basis)
     defined = probs > PROB_DEFINED_TOL
-    entries = np.divide(numer, probs, out=np.zeros_like(numer), where=defined)
+    entries = np.divide(numer, probs, out=np.zeros(probs.shape, dtype=complex), where=defined)
     return WeakValueTable(dim=rho.dim, entries=entries, probs=probs, undefined=~defined)
 
 
@@ -267,11 +268,12 @@ def reconstruction_map(pw: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(table: WeakValueTable, bases: MeasurementBases) -> np.ndarray:
-    """Assemble rho[n][m] = sum_j P_j(n) (<psi_j|a_m>/<psi_j|a_n>) W_nj."""
+    """Assemble rho[n][m] = sum_j P_j(n) (<psi_j|a_m>/<psi_j|a_n>) W_nj, one state per
+    table of a stack (see weak_values_exact)."""
     if bases.dim != table.dim:
         raise ShapeMismatch(f"bases built for d={bases.dim}, table has d={table.dim}")
     if table.undefined.any():
-        n, j = np.argwhere(table.undefined)[0]
+        *_, n, j = np.argwhere(table.undefined)[0]
         raise UndefinedWeakValue(
             f"weak value undefined at (n={n}, j={j}): post-selection probability vanished"
         )

@@ -28,9 +28,8 @@ def probes(seed: int):
     for d in (2, 3, 4, 5):
         rho = random_mixed(d, d, RandomStream(seed, 100 + d))
         bases = fourier_mub(d)
-        for g in (0.7, 1.9):
-            rec = reconstruct(weak_values_exact(rho, bases, g), bases)
-            devs.append(hs_distance_sq(rec, rho.matrix))
+        rec = reconstruct(weak_values_exact(rho, bases, np.array([0.7, 1.9])), bases)
+        devs.append(hs_distance_sq(rec, rho.matrix))
     checks.append(("exact-reconstruction", np.max(devs), 1e-20))
 
     devs = []
@@ -41,9 +40,8 @@ def probes(seed: int):
     for d in (2, 3, 5):
         rho = random_mixed(d, d, RandomStream(seed, 200 + d))
         bases = fourier_mub(d)
-        tables = [weak_values_exact(rho, bases, g) for g in gs]
-        entries = np.array([t.entries for t in tables])
-        undefined = np.array([t.undefined for t in tables])
+        table = weak_values_exact(rho, bases, gs)
+        entries, undefined = table.entries, table.undefined
         states, probs = _postselected_pointers(rho, range(d), gs, bases)
         w = _read_weak_values(states, probs, sigma_r, sigma_i, gs[:, None, None])
         # NaN exactly where the table is undefined, the table's value elsewhere

@@ -29,9 +29,11 @@ def write_state_file(path: str | Path, matrix: np.ndarray) -> None:
 def read_state_file(path: str | Path) -> np.ndarray:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"{path} is not UTF-8 text: {exc}") from exc
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise StateFileError(f"{path}: line 1: expected the dimension, found nothing")

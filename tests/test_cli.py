@@ -3,13 +3,17 @@ determinism, and the statistical agreement of simulated sweeps."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wvtomo
 from wvtomo import RandomStream, random_mixed, read_state_file, validate_density, write_state_file
 from wvtomo import cli, montecarlo, selfcheck, theory
 from wvtomo.cli import main
@@ -450,6 +454,19 @@ def test_reconstruct_malformed_file_names_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("flag, command", [
+    ("--state-file", ["reconstruct", "--shots", "10"]),
+    ("--config", ["compare", "--dim-max", "3"]),
+], ids=["reconstruct-state-file", "compare-config"])
+def test_non_utf8_input_file_is_an_input_error(tmp_path, capsys, flag, command):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff2\n1,0 0,0\n0,0 0,0\n")
+    rc, out, err = _run(capsys, [*command, flag, str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "not UTF-8" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_reconstruct_rejects_invalid_state(tmp_path, capsys):
     bad = tmp_path / "bad.state"
     bad.write_text("2\n1,0 0,0\n0,0 1,0\n")  # trace 2
@@ -494,11 +511,14 @@ def test_selfcheck_passes(capsys):
     assert any(line.startswith("INFO") for line in lines)
 
 
-@pytest.mark.parametrize("seed, expected", [
+SELFCHECK_PINS = [
     (1, "2d0fa8ab1cff5d8d82f55caf293f3323724b4c4c9225b4081605c3038e726ecd"),
     (2, "9d1fd79ca4fa6146edab29466dfcd1518c7c9f0197567cf77bb061f78f024b33"),
     (3, "3010a606040210fee81d6d471bcdcc5ad7f5198267031e05e88e2558a79a52f5"),
-], ids=["seed1", "seed2", "seed3"])
+]
+
+
+@pytest.mark.parametrize("seed, expected", SELFCHECK_PINS, ids=["seed1", "seed2", "seed3"])
 def test_selfcheck_bytes_are_pinned(capsys, seed, expected):
     # Every deviation selfcheck prints, to its last printed digit, on numpy 2.4.6:
     # a rewrite of the readout, the numeric optimum or the oracle probes that
@@ -508,6 +528,17 @@ def test_selfcheck_bytes_are_pinned(capsys, seed, expected):
     assert rc == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == expected
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m wvtomo` with the package on PYTHONPATH only, as from a source checkout
+    src = str(Path(wvtomo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "wvtomo", "selfcheck", "--seed", "1"],
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == SELFCHECK_PINS[0][1]
 
 
 # (module, name the probe looks up there, the gate its value feeds)

@@ -34,7 +34,10 @@ from wvtomo import (
     sample_shots,
     validate_density,
 )
-from wvtomo.montecarlo import BATCH_ELEMENTS, _config_distributions, outcome_table, simulate_once
+from wvtomo.montecarlo import (
+    BATCH_ELEMENTS, _config_distributions, _quadrature_law, _sample_stats, outcome_table, simulate_once,
+)
+from wvtomo.protocol import pointer_blocks
 
 SEED = 20240814  # shared with the acceptance suite; statistical bounds rehearsed once
 
@@ -223,6 +226,62 @@ def test_outcome_table_rows_are_the_per_configuration_laws():
             dist = outcome_distribution(rho, n, quadrature, g, bases)
             assert np.array_equal(probs[n, q].ravel(), dist.probs)
             assert np.array_equal(np.tile(values[q], d), dist.values)
+
+
+def _singular_pure_state():
+    """d=3 pure state whose post-selection outcome (n=0, j=1) has probability zero."""
+    v = np.array([0.0, 1.0, -np.exp(-2j * np.pi / 3)]) / np.sqrt(2)
+    return validate_density(np.outer(v, v.conj()))
+
+
+def _quadrature_law_by_einsum(blocks, quadrature, g):
+    """_quadrature_law transcribed from its three-operand einsum form."""
+    obs = pointer_observables(g)
+    evals, evecs = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
+    probs = np.einsum("ik,njil,lk->njk", evecs.conj(), blocks, evecs).real
+    probs = np.maximum(probs, 0.0)
+    probs /= probs.sum(axis=(1, 2), keepdims=True)
+    return probs, evals
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
+def test_quadrature_law_equals_the_einsum_bitwise(d):
+    bases = fourier_mub(d)
+    states = [
+        random_pure(d, RandomStream(SEED, 46 + d)),
+        random_mixed(d, d, RandomStream(SEED, 86 + d)),
+        random_mixed(d, max(1, d // 2), RandomStream(SEED, 126 + d)),
+    ]
+    if d == 3:
+        states.append(_singular_pure_state())
+    gs = (0.05, 0.6, 1.3, optimal_strengths(d).g_r, np.pi / 2, 2.4, 3.0)
+    for rho in states:
+        for g in gs:
+            blocks, _ = pointer_blocks(rho, g, bases)
+            for quadrature in ("R", "I"):
+                got = _quadrature_law(blocks, quadrature, g)
+                want = _quadrature_law_by_einsum(blocks, quadrature, g)
+                assert np.array_equal(got[0], want[0]), f"d={d}, g={g}, {quadrature}"
+                assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("d", [2, 5, 32])
+def test_eigenvalue_sums_from_the_count_slices_equal_the_summed_product_bitwise(d):
+    # _sample_stats adds the two eigenvalue slices of the counts; the reference multiplies
+    # the counts by the eigenvalues and sums over k, on the same draw
+    rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 47))
+    table = outcome_table(rho, optimal_strengths(d), fourier_mub(d))
+    probs, values = table
+    count = max(1, BATCH_ELEMENTS // d**2)
+    rows = probs.reshape(2 * d, -1)
+    for k, n_shots in enumerate((1, 100, 1_000_000)):
+        counts = RandomStream(SEED, 48 + k).multinomial(
+            n_shots, np.broadcast_to(rows, (count, *rows.shape)))
+        sums = (counts.reshape(count, *probs.shape) * values[:, None, :]).sum(axis=-1)
+        stats = _sample_stats(table, n_shots, RandomStream(SEED, 48 + k), count)
+        assert stats.sums_r.shape == (count, d, d)
+        assert np.array_equal(stats.sums_r, sums[:, :, 0]), f"N={n_shots}"
+        assert np.array_equal(stats.sums_i, sums[:, :, 1]), f"N={n_shots}"
 
 
 # ---------------------------------------------------------------- estimator

@@ -501,6 +501,62 @@ def test_non_state_is_refused_as_not_positive():
             build()
 
 
+STACKED_STRENGTHS = np.array([0.05, 0.6, 1.0, np.pi / 2, 2.4, 3.0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
+def test_pointer_blocks_over_a_stack_of_strengths_equal_the_per_g_loop_bitwise(d):
+    bases = fourier_mub(d)
+    states = [
+        random_pure(d, RandomStream(SEED, 1900 + d)),
+        random_mixed(d, d, RandomStream(SEED, 2000 + d)),
+        random_mixed(d, max(1, d // 2), RandomStream(SEED, 2100 + d)),
+    ]
+    if d == 3:
+        states.append(_singular_pure_state())
+    for rho in states:
+        blocks, probs = pointer_blocks(rho, STACKED_STRENGTHS, bases)
+        assert blocks.shape == (len(STACKED_STRENGTHS), d, d, 2, 2)
+        assert probs.shape == (len(STACKED_STRENGTHS), d, d)
+        table = weak_values_exact(rho, bases, STACKED_STRENGTHS)
+        for k, g in enumerate(STACKED_STRENGTHS):
+            one_blocks, one_probs = pointer_blocks(rho, float(g), bases)
+            assert one_blocks.shape == (d, d, 2, 2) and one_probs.shape == (d, d)
+            assert np.array_equal(blocks[k], one_blocks), f"d={d}, g={g}"
+            assert np.array_equal(probs[k], one_probs), f"d={d}, g={g}"
+            one = weak_values_exact(rho, bases, float(g))
+            assert np.array_equal(table.entries[k], one.entries)
+            assert np.array_equal(table.probs[k], one.probs)
+            assert np.array_equal(table.undefined[k], one.undefined)
+
+
+def test_reconstruct_a_stack_of_tables_equals_one_at_a_time_bitwise():
+    for d in (2, 5):
+        bases = fourier_mub(d)
+        rho = random_mixed(d, d, RandomStream(SEED, 2200 + d))
+        rec = reconstruct(weak_values_exact(rho, bases, STACKED_STRENGTHS), bases)
+        for k, g in enumerate(STACKED_STRENGTHS):
+            assert np.array_equal(rec[k], reconstruct(weak_values_exact(rho, bases, g), bases))
+    stacked = weak_values_exact(_singular_pure_state(), fourier_mub(3), STACKED_STRENGTHS)
+    with pytest.raises(UndefinedWeakValue, match=r"n=0, j=1"):
+        reconstruct(stacked, fourier_mub(3))
+
+
+def test_a_stack_with_a_non_state_is_refused_as_not_positive():
+    # the same non-state as above: g = 2.0 alone passes, the stack's g = 0.05 does not
+    bases = fourier_mub(2)
+    psi = bases.psi_basis
+    rho = DensityMatrix(2, 1.5 * np.outer(psi[:, 0], psi[:, 0].conj())
+                        - 0.5 * np.outer(psi[:, 1], psi[:, 1].conj()))
+    pointer_blocks(rho, np.array([2.0]), bases)
+    for build in (
+        lambda: pointer_blocks(rho, np.array([2.0, 0.05]), bases),
+        lambda: weak_values_exact(rho, bases, np.array([2.0, 0.05])),
+    ):
+        with pytest.raises(NotPositive, match=r"-4\.988e-01"):
+            build()
+
+
 # ---------------------------------------------------------------- stacked Kronecker reference
 
 

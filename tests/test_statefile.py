@@ -43,6 +43,13 @@ def test_read_empty_file(tmp_path):
         read_state_file(path)
 
 
+def test_read_non_utf8_file(tmp_path):
+    path = tmp_path / "state.txt"
+    path.write_bytes(b"\xff2\n1,0 0,0\n0,0 0,0\n")
+    with pytest.raises(StateFileError, match="not UTF-8"):
+        read_state_file(path)
+
+
 def test_read_non_integer_dimension(tmp_path):
     path = tmp_path / "state.txt"
     path.write_text("two\n")
