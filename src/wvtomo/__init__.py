@@ -6,6 +6,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidDimension,
     InvalidRank,
+    NotFinite,
     NotHermitian,
     NotPositive,
     ShapeMismatch,

@@ -14,6 +14,10 @@ class ShapeMismatch(TomographyError):
     """Operands have incompatible or non-square shapes."""
 
 
+class NotFinite(TomographyError):
+    """A matrix entry is NaN or infinite."""
+
+
 class NotHermitian(TomographyError):
     """Matrix deviates from its conjugate transpose beyond tolerance."""
 

@@ -5,8 +5,12 @@ One "measurement" consumes one shot of each of the 2d configurations
 (d coupling indices x 2 pointer quadratures); N shots per configuration
 means 2dN state copies.  The estimator reads each configuration only
 through its per-j sums of pointer eigenvalues, so one repetition is one
-multinomial draw of every configuration's N shots over `outcome_table`, the
-joint law of (n, quadrature, post-selection j, pointer eigenvalue k).
+draw of the outcome counts of every configuration's N shots over
+`outcome_table`, the joint law of (n, quadrature, post-selection j, pointer
+eigenvalue k).  `RandomStream.multinomial` picks the draw: numpy's
+multinomial, whose work grows with the 2d outcomes of a row, when N >= 2d,
+and one inverse-CDF draw per shot, whose work grows with N, when N < 2d.
+Either way memory is bounded by the count array, not by N.
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -143,7 +147,8 @@ def _check_count(count: int, what: str) -> None:
 
 def sample_shots(dist: OutcomeDistribution, n_shots: int, rng: RandomStream) -> np.ndarray:
     """Per-j sums of the eigenvalues observed in n_shots draws of `dist`, from one
-    multinomial draw of its 2d outcome counts (O(d) time and memory for any N): the
+    `RandomStream.multinomial` draw of its 2d outcome counts (a multinomial when N >= 2d,
+    shot by shot when N < 2d, so time grows with min(N, 2d) and memory is O(d)): the
     per-configuration reference that `simulate_once`'s stacked draw is tested against.
     """
     _check_count(n_shots, "shot count")
@@ -185,7 +190,8 @@ def _config_distributions(
 
 def _sample_stats(table: tuple, n_shots: int, stream: RandomStream, count: int) -> SufficientStats:
     """`count` experiments in order from `stream`, their sums stacked on a leading axis; one
-    multinomial call draws all their rows of `table` (n ascending, R before I), n_shots each."""
+    `stream.multinomial` call draws all their rows of `table` (n ascending, R before I),
+    n_shots each."""
     _check_count(n_shots, "shot count")
     probs, values = table
     d = len(probs)
@@ -206,7 +212,8 @@ def simulate_once(
     stream: RandomStream,
 ) -> TomographyEstimate:
     """One experiment: n_shots of every configuration of `table` (from
-    `outcome_table`), drawn as one multinomial call over its 2d rows."""
+    `outcome_table`), drawn as one `RandomStream.multinomial` call over its 2d rows
+    (numpy's multinomial when N >= 2d, one inverse-CDF draw per shot when N < 2d)."""
     stats = _sample_stats(table, n_shots, stream, 1)
     est = assemble_estimate(estimate_pw(stats, strengths), bases)  # overlaps after the draw
     return TomographyEstimate(raw=est.raw[0], hermitized=est.hermitized[0])

@@ -11,6 +11,7 @@ Tensor ordering is system (x) device everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,9 @@ def coupling_unitary(n: int, g: float, d: int) -> np.ndarray:
 
 
 def check_strength(g: float, name: str = "g") -> None:
-    """Reject a strength at which 1/sin(g) or 1/cos(g/2) is singular."""
+    """Reject a non-finite strength, or one at which 1/sin(g) or 1/cos(g/2) is singular."""
+    if not math.isfinite(g):  # first: `|sin g| < tol` is False for NaN
+        raise StrengthOutOfRange(f"{name} = {g} is not finite")
     s = np.sin(g)
     half_c = np.cos(g / 2.0)
     if abs(s) < SINGULAR_TOL or abs(half_c) < SINGULAR_TOL:
@@ -210,6 +213,10 @@ def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.n
     """
     if bases.dim != rho.dim:
         raise ShapeMismatch(f"bases built for d={bases.dim}, state has d={rho.dim}")
+    g = np.asarray(g, dtype=float)
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise StrengthOutOfRange(f"g = {g[~finite][0]} is not finite")
     overlaps = bases.overlaps().T  # [n, j] = <psi_j|a_n>
     rho_psi = rho.matrix @ bases.psi_basis
     a = np.einsum("aj,aj->j", bases.psi_basis.conj(), rho_psi).real
@@ -217,7 +224,7 @@ def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.n
     rho_nn = np.einsum("an,an->n", bases.a_basis.conj(), rho.matrix @ bases.a_basis).real
     c = np.abs(overlaps) ** 2 * rho_nn[:, None]
 
-    g = np.asarray(g, dtype=float)[..., None, None]
+    g = g[..., None, None]
     cm1, s = np.cos(g) - 1.0, np.sin(g)
     m00 = a + 2.0 * cm1 * b.real + cm1 * cm1 * c
     m01 = 1j * s * (b.conj() + cm1 * c)

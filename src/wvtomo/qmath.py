@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     InvalidDimension,
     InvalidRank,
+    NotFinite,
     NotHermitian,
     NotPositive,
     ShapeMismatch,
@@ -49,11 +50,19 @@ class PurityStats:
     purity_im: float
 
 
-def validate_density(m: np.ndarray) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity, and wrap the matrix.
+def _check_finite(m: np.ndarray, what: str) -> None:
+    """Raise NotFinite naming the first NaN or infinite entry of m: a tolerance test
+    such as `deviation > tol` is False for NaN, so it must not see one."""
+    if not np.isfinite(m).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(m))[0])
+        raise NotFinite(f"{what} entry {list(at)} = {m[at]} is not finite")
 
-    Raises ShapeMismatch / InvalidDimension / NotHermitian / TraceNotOne /
-    NotPositive with the measured deviation in the message.
+
+def validate_density(m: np.ndarray) -> DensityMatrix:
+    """Check finiteness, Hermiticity, unit trace and positivity, and wrap the matrix.
+
+    Raises ShapeMismatch / InvalidDimension / NotFinite / NotHermitian /
+    TraceNotOne / NotPositive with the measured deviation in the message.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -61,6 +70,7 @@ def validate_density(m: np.ndarray) -> DensityMatrix:
     d = m.shape[0]
     if d < 2:
         raise InvalidDimension(f"system dimension must be >= 2, got {d}")
+    _check_finite(m, "density matrix")
     herm_dev = np.max(np.abs(m - m.conj().T))
     if herm_dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |m - m^dag| = {herm_dev:.3e} exceeds {HERMITIAN_TOL:.0e}")
@@ -78,6 +88,7 @@ def project_to_density(m: np.ndarray) -> DensityMatrix:
     of m's Hermitian part projected onto the probability simplex, its eigenvectors
     kept (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).  O(d^3)."""
     m = np.asarray(m, dtype=complex)
+    _check_finite(m, "matrix")
     evals, evecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     desc = evals[::-1]
     shifts = (np.cumsum(desc) - 1.0) / np.arange(1, len(desc) + 1)
@@ -139,6 +150,7 @@ def eig_hermitian_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ShapeMismatch(f"expected a 2x2 matrix, got shape {m.shape}")
+    _check_finite(m, "2x2 matrix")
     herm_dev = np.max(np.abs(m - m.conj().T))
     if herm_dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |m - m^dag| = {herm_dev:.3e} exceeds {HERMITIAN_TOL:.0e}")

@@ -113,8 +113,10 @@ def test_sample_shots_concentrated_distribution():
         probs=np.array([1.0, 0.0, 0.0, 0.0]),
         values=np.array([2.5, -1.0, 0.25, 3.0]),
     )
-    sums = sample_shots(dist, 1000, RandomStream(SEED, 24))
-    assert np.array_equal(sums, [2500.0, 0.0])
+    # 1000 shots draw a multinomial, 3 shots (fewer than the 4 outcomes) draw shot by shot
+    for n_shots in (1000, 3):
+        sums = sample_shots(dist, n_shots, RandomStream(SEED, 24))
+        assert np.array_equal(sums, [2.5 * n_shots, 0.0])
 
 
 def test_sample_shots_reproducible():
@@ -356,7 +358,8 @@ def test_run_experiment_reproducible():
 def test_batched_run_equals_per_repetition_loop(d):
     # run_experiment draws and estimates BATCH_ELEMENTS // d^2 repetitions at
     # once; over two full batches and a partial one it must give, to the last
-    # bit, what one simulate_once per repetition on the same stream gives
+    # bit, what one simulate_once per repetition on the same stream gives.
+    # At d=32, N=20 is below the 64 outcomes of a row, so this covers the per-shot draw.
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 46))
     strengths = optimal_strengths(d)
     bases = fourier_mub(d)
@@ -376,15 +379,20 @@ def test_batched_run_equals_per_repetition_loop(d):
     assert got.mse_herm_stderr == err_herm.std(ddof=1) / np.sqrt(reps)
 
 
-@pytest.mark.parametrize("reps", [10**3, 10**4])
-def test_run_experiment_memory_grows_only_by_the_errors(reps):
+@pytest.mark.parametrize("reps, n_shots", [
+    pytest.param(10**3, 10**4, id="1000"),
+    pytest.param(10**4, 10**4, id="10000"),
+    pytest.param(10**3, 63, id="1000-per-shot"),
+])
+def test_run_experiment_memory_grows_only_by_the_errors(reps, n_shots):
     # two float64 errors per repetition (16 B) and one batch of estimates; a
-    # batch of every repetition would hold about 33 KB per repetition at d=32
+    # batch of every repetition would hold about 33 KB per repetition at d=32.
+    # N = 63 < 2d draws shot by shot: its (rows, N) arrays stay below the counts'.
     d = 32
     rho = random_mixed(d, d, RandomStream(SEED, 47))
     tracemalloc.start()
     try:
-        run_experiment(rho, optimal_strengths(d), 10**4, reps, SEED)
+        run_experiment(rho, optimal_strengths(d), n_shots, reps, SEED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -413,6 +421,19 @@ def test_run_experiment_matches_oracle_and_scales():
         for j in range(i + 1, 3):
             gap = abs(scaled[i][0] - scaled[j][0])
             assert gap < 3.0 * np.hypot(scaled[i][1], scaled[j][1])
+
+
+def test_run_experiment_matches_oracle_when_drawn_shot_by_shot():
+    """At N = 5 below the 16 outcomes of a d=8 row, every configuration is drawn shot by
+    shot.  Rehearsed once at this seed: z = +2.06 for the raw and +1.16 for the
+    hermitized MSE against the exact oracle."""
+    rho = random_mixed(8, 4, RandomStream(SEED, 2**32 + 2))
+    strengths = optimal_strengths(8)
+    rep = run_experiment(rho, strengths, 5, 2 * 10**4, SEED)
+    z_raw = (rep.mse_raw_mean - exact_mse_oracle(rho, strengths, 5)) / rep.mse_raw_stderr
+    o_herm = exact_mse_oracle(rho, strengths, 5, hermitized=True)
+    z_herm = (rep.mse_herm_mean - o_herm) / rep.mse_herm_stderr
+    assert abs(z_raw) < 3.0 and abs(z_herm) < 3.0, (z_raw, z_herm)
 
 
 def test_monte_carlo_arbitrates_the_oracle_against_the_uniform_form():

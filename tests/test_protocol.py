@@ -31,7 +31,7 @@ from wvtomo import (
     weak_value_from_device,
     weak_values_exact,
 )
-from wvtomo.protocol import _postselected_pointers, _read_weak_values, pointer_blocks
+from wvtomo.protocol import _postselected_pointers, _read_weak_values, check_strength, pointer_blocks
 
 SEED = 40823
 
@@ -393,6 +393,22 @@ def test_marginal_equals_postselection_average():
     ens = couple_and_postselect(rho, n, g, fourier_mub(3))
     avg = sum(ens.probs[j] * ens.device_states[j] for j in range(3))
     assert np.max(np.abs(avg - marginal_device_state(rho, n, g))) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_strengths_are_rejected_by_value(bad):
+    # checked before any arithmetic, so no RuntimeWarning fires on the way
+    named = f"= {bad} is not finite"
+    with pytest.raises(StrengthOutOfRange, match=named):
+        check_strength(bad)
+    with pytest.raises(StrengthOutOfRange, match=named):
+        pointer_observables(bad)
+    rho = validate_density(np.eye(3) / 3)
+    for g in (bad, np.array([1.0, bad])):
+        with pytest.raises(StrengthOutOfRange, match=named):
+            pointer_blocks(rho, g, fourier_mub(3))
+    with pytest.raises(StrengthOutOfRange):
+        CouplingStrengths(1.0, bad)
 
 
 def test_strengths_validate_range():

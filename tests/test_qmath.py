@@ -1,6 +1,8 @@
 """State utilities: validation, purity bookkeeping, random ensembles, and
 the closed-form 2x2 Hermitian eigensolver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from wvtomo import (
     DensityMatrix,
     InvalidDimension,
     InvalidRank,
+    NotFinite,
     NotHermitian,
     NotPositive,
     RandomStream,
@@ -287,6 +290,20 @@ def test_eig2x2_rejects_bad_input():
         eig_hermitian_2x2(np.eye(3))
     with pytest.raises(NotHermitian):
         eig_hermitian_2x2(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_entries_are_rejected_by_value(bad):
+    # checked before any arithmetic: `deviation > tol` is False for NaN, and inf - inf
+    # warns; the message names the first bad entry and its value
+    named = re.escape(f"= ({bad}+0j)")
+    for m in (np.full((2, 2), bad), np.array([[0.5, bad], [bad, 0.5]])):
+        with pytest.raises(NotFinite, match=named):
+            validate_density(m)
+        with pytest.raises(NotFinite, match=named):
+            project_to_density(m)
+    with pytest.raises(NotFinite, match=re.escape(f"entry [0, 0] = ({bad}+0j)")):
+        eig_hermitian_2x2(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_density_matrix_is_frozen():
