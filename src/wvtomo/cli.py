@@ -153,6 +153,15 @@ def _positive(cfg: dict, key: str, minimum: int) -> int:
     return val
 
 
+def _seed(cfg: dict) -> int:
+    """The seed, one 64-bit word of every stream's Philox key: outside [0, 2**64) two seeds
+    would draw the same numbers."""
+    seed = cfg["seed"]
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _allocatable(key: str, *shape: int, dtype=float) -> None:
     """Fail before any work if numpy cannot allocate the array that count sizes."""
     try:
@@ -203,10 +212,10 @@ def _state_manifest(rho: DensityMatrix, source: str) -> list:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    seed = _seed(cfg)
     dim = _positive(cfg, "dim", 2)
     shots = _positive(cfg, "shots", 1)
     reps = _positive(cfg, "reps", 1)
-    seed = cfg["seed"]
     axis = cfg["sweep_axis"]
     if axis not in ("g_r", "g_i"):
         raise ConfigError(f"--sweep-axis must be g_r or g_i, got {axis!r}")
@@ -251,13 +260,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    seed = _seed(cfg)
     d_lo = _positive(cfg, "dim_min", 2)
     d_hi = _positive(cfg, "dim_max", 2)
     if d_lo > d_hi:
         raise ConfigError(f"--dim-min {d_lo} exceeds --dim-max {d_hi}")
     if cfg["state_file"] is not None and d_lo != d_hi:
         raise ConfigError("--state-file fixes one dimension; use --dim-min == --dim-max with it")
-    seed = cfg["seed"]
     _allocatable("dim_max", d_hi, d_hi, dtype=complex)
     _check_writable(cfg["out"], cfg["manifest"])
 
@@ -280,10 +289,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    seed = _seed(cfg)
     if cfg["state_file"] is None:
         raise ConfigError("reconstruct requires --state-file")
     shots = _positive(cfg, "shots", 1)
-    seed = cfg["seed"]
     out = cfg["out"] if cfg["out"] != "-" else "reconstruction"
     raw_path, herm_path, phys_path = (f"{out}_{kind}.state" for kind in ("raw", "herm", "phys"))
     _check_writable(raw_path, herm_path, phys_path, cfg["manifest"])
@@ -321,7 +330,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    checks, probe_gap = probes(cfg["seed"])
+    checks, probe_gap = probes(_seed(cfg))
     failed = False
     for name, dev, tol in checks:
         ok = dev <= tol

@@ -25,13 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theory
-from .errors import IncompleteStats
+from .errors import IncompleteStats, ShapeMismatch
 from .protocol import (
     CouplingStrengths,
     MeasurementBases,
     _check_index,
+    _features,
     fourier_mub,
-    pointer_blocks,
     pointer_observables,
     reconstruction_map,
 )
@@ -76,6 +76,9 @@ class SufficientStats:
     def record(self, n: int, quadrature: str, sums: np.ndarray) -> None:
         if quadrature not in QUADRATURES:
             raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
+        _check_index(n, self.dim)
+        if np.shape(sums) != (self.dim,):
+            raise ShapeMismatch(f"sums must have shape ({self.dim},), got {np.shape(sums)}")
         (self.sums_r if quadrature == "R" else self.sums_i)[n] = sums
 
     @property
@@ -102,17 +105,22 @@ class MseReport:
     oracle_herm: float
 
 
-def _quadrature_law(blocks: np.ndarray, quadrature: str, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """prob[n, j, k] = <v_k|M[n, j]|v_k>, normalised per n, read off the pointer
-    blocks M built at strength g, and the quadrature observable's eigenvalues lambda_k."""
+def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """prob[n, j, k] = <v_k|M[n, j]|v_k> of the `pointer_blocks` M at strength g, normalised
+    per n, and the quadrature's eigenvalues lambda_k.  Each entry is a real linear form in
+    the `_features` of rho: alpha_k A_j + beta_k Re B_nj + gamma_k Im B_nj + delta_k C_nj,
+    with w = conj(v_0k) v_1k, c = cos g - 1, s = sin g, alpha = |v_0|^2, gamma = 2s Re w,
+    beta = 2c|v_0|^2 - 2s Im w and delta = c^2|v_0|^2 + s^2|v_1|^2 - 2sc Im w."""
     if quadrature not in QUADRATURES:
         raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
     obs = pointer_observables(g)
-    evals, evecs = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
-    # sum over (i, l) of conj(v[i, k]) M[n, j, i, l] v[l, k], i outer and l inner: another
-    # order can move a probability's last bit, and with it the sampled counts
-    terms = [(evecs[i].conj() * blocks[..., i, l, None]) * evecs[l] for i in (0, 1) for l in (0, 1)]
-    probs = (terms[0] + terms[1] + terms[2] + terms[3]).real
+    evals, (v0, v1) = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
+    a, b, c = (x[..., None] for x in features)  # [j, 1] and [n, j, 1] against [k]
+    w, alpha = v0.conj() * v1, np.abs(v0) ** 2
+    cm1, s = np.cos(g) - 1.0, np.sin(g)
+    beta, gamma = 2.0 * cm1 * alpha - 2.0 * s * w.imag, 2.0 * s * w.real
+    delta = cm1 * cm1 * alpha + s * s * np.abs(v1) ** 2 - 2.0 * s * cm1 * w.imag
+    probs = a * alpha + b.real * beta + b.imag * gamma + c * delta
     probs = np.maximum(probs, 0.0)  # rounding below zero on a vanishing branch
     probs /= probs.sum(axis=(1, 2), keepdims=True)
     return probs, evals
@@ -121,13 +129,12 @@ def _quadrature_law(blocks: np.ndarray, quadrature: str, g: float) -> tuple[np.n
 def outcome_table(
     rho: DensityMatrix, strengths: CouplingStrengths, bases: MeasurementBases
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The joint law of all 2d configurations: probs[n, q, j, k] of post-selection
-    outcome j and eigenvalue values[q, k] when coupling index n is read in
-    quadrature q (0 = R at g_R, 1 = I at g_I).  Each (n, q) row sums to 1."""
-    gs = (strengths.g_r, strengths.g_i)
-    blocks, _ = pointer_blocks(rho, np.array(gs), bases)
-    p_r, v_r = _quadrature_law(blocks[0], "R", gs[0])
-    p_i, v_i = _quadrature_law(blocks[1], "I", gs[1])
+    """The joint law of all 2d configurations, from one `_features` pass: probs[n, q, j, k]
+    of post-selection outcome j and eigenvalue values[q, k] when coupling index n is read
+    in quadrature q (0 = R at g_R, 1 = I at g_I).  Each (n, q) row sums to 1."""
+    features = _features(rho, bases)
+    p_r, v_r = _quadrature_law(features, "R", strengths.g_r)
+    p_i, v_i = _quadrature_law(features, "I", strengths.g_i)
     return np.stack([p_r, p_i], axis=1), np.stack([v_r, v_i])
 
 
@@ -136,7 +143,7 @@ def outcome_distribution(
 ) -> OutcomeDistribution:
     """Enumerate prob(j,k) = P_j <v_k|rho_d^{nj}|v_k> and the drawn eigenvalues."""
     _check_index(n, rho.dim)
-    probs, values = _quadrature_law(pointer_blocks(rho, g, bases)[0], quadrature, g)
+    probs, values = _quadrature_law(_features(rho, bases), quadrature, g)
     return OutcomeDistribution(n, quadrature, g, probs[n].ravel(), np.tile(values, rho.dim))
 
 
@@ -176,16 +183,6 @@ def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> Tomograp
     """Linear reconstruction raw[n][m] = sum_j (<psi_j|a_m>/<psi_j|a_n>) pw[n][j],
     plus the hermitized combination (raw + raw^dag)/2, for each table of a stack."""
     return _assemble(pw_table, bases.overlaps())
-
-
-def _config_distributions(
-    rho: DensityMatrix, strengths: CouplingStrengths, bases: MeasurementBases
-) -> list:
-    """The 2d rows of `outcome_table` as OutcomeDistributions, n ascending, R before I."""
-    probs, values = outcome_table(rho, strengths, bases)
-    gs = (strengths.g_r, strengths.g_i)
-    return [OutcomeDistribution(n, q, gs[iq], probs[n, iq].ravel(), np.tile(values[iq], rho.dim))
-            for n in range(rho.dim) for iq, q in enumerate(QUADRATURES)]
 
 
 def _sample_stats(table: tuple, n_shots: int, stream: RandomStream, count: int) -> SufficientStats:

@@ -200,29 +200,35 @@ def couple_and_postselect(
     return ConditionalDeviceEnsemble(n=n, g=g, probs=probs, device_states=device)
 
 
-def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.ndarray, np.ndarray]:
-    """Every unnormalised post-selected pointer state M[n, j] (2x2) at strength g,
-    and its post-selection probability P[n, j] = tr M[n, j].  Closed form of
-    couple_and_postselect:
-        M00 = A_j + 2(cos g - 1) Re B_nj + (cos g - 1)^2 C_nj
-        M01 = conj M10 = i sin g (conj B_nj + (cos g - 1) C_nj)
-        M11 = sin^2 g C_nj
-    with A_j = <psi_j|rho|psi_j>, B_nj = <psi_j|a_n><a_n|rho|psi_j> and
-    C_nj = |<psi_j|a_n>|^2 <a_n|rho|a_n>.  g may be a 1-D array of strengths:
-    A, B and C are then built once and both outputs gain a leading strength axis.
-    """
+def _features(rho: DensityMatrix, bases: MeasurementBases) -> tuple:
+    """The pointer features of rho, linear in rho: A[j] = <psi_j|rho|psi_j>,
+    B[n, j] = <psi_j|a_n><a_n|rho|psi_j> and C[n, j] = |<psi_j|a_n>|^2 <a_n|rho|a_n>."""
     if bases.dim != rho.dim:
         raise ShapeMismatch(f"bases built for d={bases.dim}, state has d={rho.dim}")
-    g = np.asarray(g, dtype=float)
-    finite = np.isfinite(g)
-    if not finite.all():
-        raise StrengthOutOfRange(f"g = {g[~finite][0]} is not finite")
     overlaps = bases.overlaps().T  # [n, j] = <psi_j|a_n>
     rho_psi = rho.matrix @ bases.psi_basis
     a = np.einsum("aj,aj->j", bases.psi_basis.conj(), rho_psi).real
     b = overlaps * (bases.a_basis.conj().T @ rho_psi)
     rho_nn = np.einsum("an,an->n", bases.a_basis.conj(), rho.matrix @ bases.a_basis).real
     c = np.abs(overlaps) ** 2 * rho_nn[:, None]
+    return a, b, c
+
+
+def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.ndarray, np.ndarray]:
+    """Every unnormalised post-selected pointer state M[n, j] (2x2) at strength g,
+    and its post-selection probability P[n, j] = tr M[n, j].  Closed form of
+    couple_and_postselect, from the features A, B, C of `_features`:
+        M00 = A_j + 2(cos g - 1) Re B_nj + (cos g - 1)^2 C_nj
+        M01 = conj M10 = i sin g (conj B_nj + (cos g - 1) C_nj)
+        M11 = sin^2 g C_nj
+    g may be a 1-D array of strengths: A, B and C are then built once and both
+    outputs gain a leading strength axis.  The outcome table's reference.
+    """
+    a, b, c = _features(rho, bases)
+    g = np.asarray(g, dtype=float)
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise StrengthOutOfRange(f"g = {g[~finite][0]} is not finite")
 
     g = g[..., None, None]
     cm1, s = np.cos(g) - 1.0, np.sin(g)

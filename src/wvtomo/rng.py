@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 # numpy's multinomial rejects sum(pvals[:-1]) above 1 by more than this
 _PVALS_SUM_TOL = 1e-12
 
 
 class RandomStream:
-    """Philox-backed generator for the substream ``(seed, stream_id)``."""
+    """Philox-backed generator for the substream ``(seed, stream_id)``, each in [0, 2**64)."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
+        self.seed, self.stream_id = int(seed), int(stream_id)
+        for name, word in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not 0 <= word < 2**64:  # two seeds must never share a key
+                raise ValueError(f"{name} must be in [0, 2**64), got {word}")
         # Philox takes a 2x64-bit key; (seed, stream_id) maps one-to-one.
         bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         self._gen = np.random.Generator(bitgen)

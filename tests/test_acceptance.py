@@ -26,6 +26,7 @@ from wvtomo import (
     mse_raw,
     numeric_optimal_strengths,
     optimal_strengths,
+    outcome_distribution,
     pointer_observables,
     purity_stats,
     random_mixed,
@@ -38,7 +39,6 @@ from wvtomo import (
     weak_values_exact,
 )
 from wvtomo.cli import STATE_STREAM, main
-from wvtomo.montecarlo import _config_distributions
 
 SEED = 20240814
 
@@ -220,7 +220,8 @@ def test_08_elementwise_unbiasedness():
     rho = random_mixed(d, d, RandomStream(SEED, STATE_STREAM + 1))
     strengths = optimal_strengths(d)
     bases = fourier_mub(d)
-    dists = _config_distributions(rho, strengths, bases)
+    gs = {"R": strengths.g_r, "I": strengths.g_i}
+    dists = [outcome_distribution(rho, n, q, gs[q], bases) for n in range(d) for q in ("R", "I")]
     estimates = np.zeros((reps, d, d), dtype=complex)
     for rep in range(reps):
         stream = RandomStream(SEED, rep)

@@ -32,6 +32,13 @@ def _rows(out):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def _assert_pinned(produced: bytes, pin: str) -> None:
+    """sha256 of the produced output against its pin.  A mismatch shows the output itself,
+    so that a re-taken pin can be reviewed line by line."""
+    digest = hashlib.sha256(produced).hexdigest()
+    assert digest == pin, f"sha256 {digest} is not the pin {pin}; produced:\n{produced.decode()}"
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -84,8 +91,7 @@ def test_sweep_bytes_are_pinned(tmp_path):
         "sweep", "--dim", "3", "--shots", "20", "--reps", "5", "--sweep-steps", "3",
         "--seed", "1", "--out", str(out),
     ]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "d665ac3392495010a5de7d5f06045837d3b4861dcd4c9e8af49723dea533ab62"
+    _assert_pinned(out.read_bytes(), "d665ac3392495010a5de7d5f06045837d3b4861dcd4c9e8af49723dea533ab62")
 
 
 def test_sweep_bytes_across_batches_are_pinned(tmp_path):
@@ -98,8 +104,7 @@ def test_sweep_bytes_across_batches_are_pinned(tmp_path):
         "sweep", "--dim", "32", "--shots", "10", "--reps", "5", "--sweep-steps", "2",
         "--seed", "1", "--out", str(out),
     ]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "6edf61d8b960dd455700e3f0e626a7532bdb685558dadaf561fa2db44dddc04d"
+    _assert_pinned(out.read_bytes(), "6edf61d8b960dd455700e3f0e626a7532bdb685558dadaf561fa2db44dddc04d")
 
 
 def test_sweep_rows_match_oracle(capsys):
@@ -191,6 +196,43 @@ def test_config_values_of_the_wrong_type(tmp_path, capsys, values):
     assert rc == 2
     assert "config error" in err and "Traceback" not in err
     assert out == ""
+
+
+SEED_COMMANDS = [
+    ["sweep", "--reps", "2", "--sweep-steps", "2", "--out", "o.csv", "--manifest", "m"],
+    ["compare", "--out", "o.csv", "--manifest", "m"],
+    ["reconstruct", "--state-file", "in.state", "--out", "rec", "--manifest", "m"],
+    ["selfcheck"],
+]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1], ids=["minus-one", "two-to-64", "past-64"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("argv", SEED_COMMANDS, ids=[argv[0] for argv in SEED_COMMANDS])
+def test_a_seed_outside_64_bits_is_a_config_error(tmp_path, monkeypatch, capsys, argv, where, seed):
+    # a seed is one 64-bit word of a Philox key: wrapped, 1 and 2**64 + 1 would draw alike
+    monkeypatch.chdir(tmp_path)
+    write_state_file("in.state", random_mixed(2, 1, RandomStream(SEED, 60)).matrix)
+    if where == "flag":
+        argv = argv + ["--seed", str(seed)]
+    else:
+        Path("cfg.json").write_text(json.dumps({"seed": seed}))
+        argv = argv + ["--config", "cfg.json"]
+    before = sorted(tmp_path.iterdir())
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert "config error: --seed must be in [0, 2**64)" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--dim-max", "3"],
+    ["sweep", "--dim", "2", "--shots", "5", "--reps", "2", "--sweep-steps", "2"],
+], ids=["compare", "sweep"])
+def test_the_largest_seed_is_accepted(capsys, argv):
+    rc, out, _ = _run(capsys, argv + ["--seed", str(2**64 - 1)])
+    assert rc == 0
+    assert len(_rows(out)[1]) == 2
 
 
 def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
@@ -316,8 +358,7 @@ def test_reconstruct_bytes_are_pinned(tmp_path, capsys):
     ])
     assert rc == 0
     files = b"".join(Path(f"{out}_{kind}.state").read_bytes() for kind in ("raw", "herm", "phys"))
-    digest = hashlib.sha256(files).hexdigest()
-    assert digest == "505bf7a2020d7b0991ab8003a67427bb723d9e5e90efa476aef23cc0ea6893e6"
+    _assert_pinned(files, "505bf7a2020d7b0991ab8003a67427bb723d9e5e90efa476aef23cc0ea6893e6")
 
 
 def test_reconstruct_physical_estimate_reads_back(tmp_path, capsys):
@@ -513,9 +554,9 @@ def test_selfcheck_passes(capsys):
 
 
 SELFCHECK_PINS = [
-    (1, "2d0fa8ab1cff5d8d82f55caf293f3323724b4c4c9225b4081605c3038e726ecd"),
+    (1, "2601db726873738b30f2ca054783d2f8894d0a5fe460e9932962fead5f561241"),
     (2, "9d1fd79ca4fa6146edab29466dfcd1518c7c9f0197567cf77bb061f78f024b33"),
-    (3, "3010a606040210fee81d6d471bcdcc5ad7f5198267031e05e88e2558a79a52f5"),
+    (3, "bc2812a397cc9ed110bfa2aeb0b83270d3748935fc06c0acece4c7001c460413"),
 ]
 
 
@@ -527,8 +568,7 @@ def test_selfcheck_bytes_are_pinned(capsys, seed, expected):
     # and 5.9e-15 at seed 2.
     rc, out, _ = _run(capsys, ["selfcheck", "--seed", str(seed)])
     assert rc == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == expected
+    _assert_pinned(out.encode(), expected)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -539,7 +579,7 @@ def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "wvtomo", "selfcheck", "--seed", "1"],
                           capture_output=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == SELFCHECK_PINS[0][1]
+    _assert_pinned(done.stdout, SELFCHECK_PINS[0][1])
 
 
 # (module, name the probe looks up there, the gate its value feeds)

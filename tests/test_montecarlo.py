@@ -10,9 +10,11 @@ import pytest
 from wvtomo import (
     CouplingStrengths,
     IncompleteStats,
+    IndexOutOfRange,
     OutcomeDistribution,
     RandomStream,
     StrengthOutOfRange,
+    ShapeMismatch,
     SufficientStats,
     TheoryInput,
     assemble_estimate,
@@ -35,18 +37,25 @@ from wvtomo import (
     validate_density,
 )
 from wvtomo.montecarlo import (
-    BATCH_ELEMENTS, _config_distributions, _quadrature_law, _sample_stats, outcome_table, simulate_once,
+    BATCH_ELEMENTS, QUADRATURES, _quadrature_law, _sample_stats, outcome_table, simulate_once,
 )
-from wvtomo.protocol import pointer_blocks
+from wvtomo.protocol import _features, _postselected_pointers, pointer_blocks
 
 SEED = 20240814  # shared with the acceptance suite; statistical bounds rehearsed once
+
+
+def _config_laws(rho, strengths, bases):
+    """The 2d per-configuration laws in the table's draw order: n ascending, R before I."""
+    gs = {"R": strengths.g_r, "I": strengths.g_i}
+    return [outcome_distribution(rho, n, q, gs[q], bases)
+            for n in range(rho.dim) for q in QUADRATURES]
 
 
 def _exact_sums(rho, strengths, n_shots):
     """Sufficient statistics filled with exact expectations instead of samples."""
     bases = fourier_mub(rho.dim)
     stats = SufficientStats(dim=rho.dim, shots=n_shots)
-    for dist in _config_distributions(rho, strengths, bases):
+    for dist in _config_laws(rho, strengths, bases):
         p = dist.probs.reshape(-1, 2)
         v = dist.values.reshape(-1, 2)
         stats.record(dist.n, dist.quadrature, n_shots * (p * v).sum(axis=1))
@@ -132,7 +141,7 @@ def test_sample_shots_moments():
     # worst deviation was 1.9 stderr, bound at 5.
     d = 3
     rho = random_mixed(d, 2, RandomStream(SEED, 11))
-    dist = _config_distributions(rho, optimal_strengths(d), fourier_mub(d))[0]
+    dist = outcome_distribution(rho, 0, "R", optimal_strengths(d).g_r, fourier_mub(d))
     n = 1_000_000
     sums = sample_shots(dist, n, RandomStream(SEED, 12))
     p = dist.probs.reshape(d, 2)
@@ -203,7 +212,7 @@ def test_stacked_draw_equals_per_configuration_draws(d):
     strengths = optimal_strengths(d)
     bases = fourier_mub(d)
     table = outcome_table(rho, strengths, bases)
-    dists = _config_distributions(rho, strengths, bases)
+    dists = _config_laws(rho, strengths, bases)
     for k, n_shots in enumerate((1, 100, 1_000_000)):
         stats = SufficientStats(dim=d, shots=n_shots)
         stream = RandomStream(SEED, 42 + k)
@@ -237,7 +246,7 @@ def _singular_pure_state():
 
 
 def _quadrature_law_by_einsum(blocks, quadrature, g):
-    """_quadrature_law transcribed from its three-operand einsum form."""
+    """_quadrature_law as the three-operand einsum <v_k|M[n, j]|v_k> over the pointer blocks."""
     obs = pointer_observables(g)
     evals, evecs = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
     probs = np.einsum("ik,njil,lk->njk", evecs.conj(), blocks, evecs).real
@@ -247,7 +256,8 @@ def _quadrature_law_by_einsum(blocks, quadrature, g):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
-def test_quadrature_law_equals_the_einsum_bitwise(d):
+def test_quadrature_law_equals_the_einsum_over_pointer_blocks(d):
+    # the linear form in the features reads the same law as the block read, to rounding
     bases = fourier_mub(d)
     states = [
         random_pure(d, RandomStream(SEED, 46 + d)),
@@ -258,13 +268,48 @@ def test_quadrature_law_equals_the_einsum_bitwise(d):
         states.append(_singular_pure_state())
     gs = (0.05, 0.6, 1.3, optimal_strengths(d).g_r, np.pi / 2, 2.4, 3.0)
     for rho in states:
+        features = _features(rho, bases)
         for g in gs:
             blocks, _ = pointer_blocks(rho, g, bases)
             for quadrature in ("R", "I"):
-                got = _quadrature_law(blocks, quadrature, g)
+                got = _quadrature_law(features, quadrature, g)
                 want = _quadrature_law_by_einsum(blocks, quadrature, g)
-                assert np.array_equal(got[0], want[0]), f"d={d}, g={g}, {quadrature}"
+                assert np.max(np.abs(got[0] - want[0])) < 1e-15, f"d={d}, g={g}, {quadrature}"
                 assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16])
+def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
+    # p[n, q, j, k] = P_nj <v_k|rho_d[n, j]|v_k>, the post-selected pointer states built
+    # from the full 2d x 2d unitary and joint state; a vanished outcome is exactly 0
+    bases = fourier_mub(d)
+    states = [
+        random_pure(d, RandomStream(SEED, 166 + d)),
+        random_mixed(d, d, RandomStream(SEED, 206 + d)),
+        random_mixed(d, max(1, d // 2), RandomStream(SEED, 246 + d)),
+    ]
+    if d == 3:
+        states.append(_singular_pure_state())
+    for rho in states:
+        for strengths in (optimal_strengths(d), CouplingStrengths(0.05, 3.0),
+                          CouplingStrengths(2.4, 0.6)):
+            probs, _ = outcome_table(rho, strengths, bases)
+            gs = (strengths.g_r, strengths.g_i)
+            pointers, p_post = _postselected_pointers(rho, range(d), gs, bases)
+            for q, quadrature in enumerate(QUADRATURES):
+                obs = pointer_observables(gs[q])
+                _, evecs = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
+                # <v_k|rho_d|v_k> for every (n, j, k)
+                read = np.einsum("ik,njil,lk->njk", evecs.conj(), pointers[q], evecs).real
+                want = p_post[q][..., None] * read
+                defined = np.isfinite(want)
+                assert np.max(np.abs(probs[:, q][defined] - want[defined])) < 1e-14
+                assert np.all(probs[:, q][~defined] == 0.0), f"d={d}, {strengths}"
+    if d == 3:  # the singular state's outcome (n=0, j=1) vanished, so it is never drawn
+        _, p_post = _postselected_pointers(states[-1], [0], [1.0], bases)
+        assert p_post[0, 0, 1] <= 1e-12
+        probs, _ = outcome_table(states[-1], CouplingStrengths(1.0, 1.0), bases)
+        assert np.array_equal(probs[0, :, 1], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("d", [2, 5, 32])
@@ -317,6 +362,19 @@ def test_sufficient_stats_rejects_unknown_quadrature():
         stats.record(0, "Q", np.zeros(2))
 
 
+@pytest.mark.parametrize("n, sums, error", [
+    (-1, np.zeros(3), IndexOutOfRange),
+    (0, [5.0], ShapeMismatch),
+    (3, np.zeros(3), IndexOutOfRange),
+], ids=["negative-row", "one-sum-for-every-j", "row-past-the-end"])
+def test_sufficient_stats_record_rejects_a_row_it_would_not_fill(n, sums, error):
+    # a negative row counts from the end and one sum broadcasts over j: both must raise
+    stats = SufficientStats(dim=3, shots=10)
+    with pytest.raises(error):
+        stats.record(n, "I", sums)
+    assert np.isnan(stats.sums_r).all() and np.isnan(stats.sums_i).all()
+
+
 def test_assemble_estimate_exact_inputs_recover_state():
     d = 4
     rho = random_mixed(d, 2, RandomStream(SEED, 30))
@@ -335,7 +393,7 @@ def test_assemble_estimate_hermitized_properties():
     bases = fourier_mub(d)
     stats = SufficientStats(dim=d, shots=40)
     stream = RandomStream(SEED, 32)
-    for dist in _config_distributions(rho, strengths, bases):
+    for dist in _config_laws(rho, strengths, bases):
         stats.record(dist.n, dist.quadrature, sample_shots(dist, 40, stream))
     est = assemble_estimate(estimate_pw(stats, strengths), bases)
     assert np.max(np.abs(est.hermitized - (est.raw + est.raw.conj().T) / 2)) == 0.0

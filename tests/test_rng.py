@@ -1,5 +1,5 @@
-"""RandomStream.multinomial: its per-shot draw for rows with fewer shots than
-categories, against the law of a multinomial and numpy's own checks."""
+"""RandomStream: its key words, and the per-shot draw of `multinomial` for rows with fewer
+shots than categories, against the law of a multinomial and numpy's own checks."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,21 @@ class _FixedUniforms:
 
     def random(self, shape):
         return np.resize(self.values, shape)
+
+
+@pytest.mark.parametrize("seed, stream_id", [(2**64, 0), (-1, 0), (1, 2**64)],
+                         ids=["seed-two-to-64", "seed-minus-one", "stream-two-to-64"])
+def test_a_key_word_outside_64_bits_is_refused(seed, stream_id):
+    # masked to 64 bits, seed 2**64 + 1 would draw the numbers of seed 1
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        RandomStream(seed, stream_id)
+
+
+def test_the_largest_key_words_are_accepted():
+    top = 2**64 - 1
+    stream = RandomStream(top, top)
+    assert (stream.seed, stream.stream_id) == (top, top)
+    assert not np.array_equal(stream.uniforms(4), RandomStream(top - 1, top).uniforms(4))
 
 
 def test_per_shot_counts_follow_the_multinomial_law():
