@@ -101,7 +101,7 @@ def _check_writable(*paths) -> None:
         raise ConfigError("two outputs name the same file, stdout ('-')")
     files = [Path(p) for p in paths if p not in (None, "-")]
     for i, path in enumerate(files):
-        if path.is_dir() or not os.access(path.parent, os.W_OK):
+        if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
             raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
         if path.resolve() in [earlier.resolve() for earlier in files[:i]]:
             raise ConfigError(f"two outputs name the same file {path}")

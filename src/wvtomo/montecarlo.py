@@ -31,6 +31,7 @@ from .protocol import (
     MeasurementBases,
     _check_index,
     _features,
+    _pointer_parts,
     fourier_mub,
     pointer_observables,
     reconstruction_map,
@@ -106,21 +107,15 @@ class MseReport:
 
 
 def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """prob[n, j, k] = <v_k|M[n, j]|v_k> of the `pointer_blocks` M at strength g, normalised
-    per n, and the quadrature's eigenvalues lambda_k.  Each entry is a real linear form in
-    the `_features` of rho: alpha_k A_j + beta_k Re B_nj + gamma_k Im B_nj + delta_k C_nj,
-    with w = conj(v_0k) v_1k, c = cos g - 1, s = sin g, alpha = |v_0|^2, gamma = 2s Re w,
-    beta = 2c|v_0|^2 - 2s Im w and delta = c^2|v_0|^2 + s^2|v_1|^2 - 2sc Im w."""
+    """prob[n, j, k] = <v_k|M[n, j]|v_k> = |v_0|^2 M00 + |v_1|^2 M11 + 2 Re(conj(v_0) v_1 M01)
+    over the `_pointer_parts` of M at strength g, normalised per n, and the quadrature's
+    eigenvalues lambda_k.  Before the clamp each entry is linear in the features of rho."""
     if quadrature not in QUADRATURES:
         raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
     obs = pointer_observables(g)
     evals, (v0, v1) = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
-    a, b, c = (x[..., None] for x in features)  # [j, 1] and [n, j, 1] against [k]
-    w, alpha = v0.conj() * v1, np.abs(v0) ** 2
-    cm1, s = np.cos(g) - 1.0, np.sin(g)
-    beta, gamma = 2.0 * cm1 * alpha - 2.0 * s * w.imag, 2.0 * s * w.real
-    delta = cm1 * cm1 * alpha + s * s * np.abs(v1) ** 2 - 2.0 * s * cm1 * w.imag
-    probs = a * alpha + b.real * beta + b.imag * gamma + c * delta
+    m00, m01, m11 = (x[..., None] for x in _pointer_parts(features, g))  # [n, j, 1] against [k]
+    probs = np.abs(v0) ** 2 * m00 + np.abs(v1) ** 2 * m11 + (2.0 * v0.conj() * v1 * m01).real
     probs = np.maximum(probs, 0.0)  # rounding below zero on a vanishing branch
     probs /= probs.sum(axis=(1, 2), keepdims=True)
     return probs, evals
@@ -143,8 +138,9 @@ def outcome_distribution(
 ) -> OutcomeDistribution:
     """Enumerate prob(j,k) = P_j <v_k|rho_d^{nj}|v_k> and the drawn eigenvalues."""
     _check_index(n, rho.dim)
-    probs, values = _quadrature_law(_features(rho, bases), quadrature, g)
-    return OutcomeDistribution(n, quadrature, g, probs[n].ravel(), np.tile(values, rho.dim))
+    a, b, c = _features(rho, bases)
+    probs, values = _quadrature_law((a, b[n:n + 1], c[n:n + 1]), quadrature, g)  # row n only
+    return OutcomeDistribution(n, quadrature, g, probs[0].ravel(), np.tile(values, rho.dim))
 
 
 def _check_count(count: int, what: str) -> None:

@@ -214,27 +214,27 @@ def _features(rho: DensityMatrix, bases: MeasurementBases) -> tuple:
     return a, b, c
 
 
-def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.ndarray, np.ndarray]:
-    """Every unnormalised post-selected pointer state M[n, j] (2x2) at strength g,
-    and its post-selection probability P[n, j] = tr M[n, j].  Closed form of
-    couple_and_postselect, from the features A, B, C of `_features`:
+def _pointer_parts(features: tuple, g) -> tuple:
+    """(M00, M01, M11) of every unnormalised post-selected pointer state M[n, j] (M10 =
+    conj M01) at strength g, or a 1-D stack of g on a leading axis, from `_features`:
         M00 = A_j + 2(cos g - 1) Re B_nj + (cos g - 1)^2 C_nj
-        M01 = conj M10 = i sin g (conj B_nj + (cos g - 1) C_nj)
-        M11 = sin^2 g C_nj
-    g may be a 1-D array of strengths: A, B and C are then built once and both
-    outputs gain a leading strength axis.  The outcome table's reference.
-    """
-    a, b, c = _features(rho, bases)
+        M01 = i sin g (conj B_nj + (cos g - 1) C_nj)
+        M11 = sin^2 g C_nj"""
+    a, b, c = features
     g = np.asarray(g, dtype=float)
     finite = np.isfinite(g)
     if not finite.all():
         raise StrengthOutOfRange(f"g = {g[~finite][0]} is not finite")
-
     g = g[..., None, None]
     cm1, s = np.cos(g) - 1.0, np.sin(g)
-    m00 = a + 2.0 * cm1 * b.real + cm1 * cm1 * c
-    m01 = 1j * s * (b.conj() + cm1 * c)
-    m11 = s * s * c
+    return a + 2.0 * cm1 * b.real + cm1 * cm1 * c, 1j * s * (b.conj() + cm1 * c), s * s * c
+
+
+def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.ndarray, np.ndarray]:
+    """Every unnormalised post-selected pointer state M[n, j] (2x2) at strength g, or a
+    1-D stack of g on a leading axis, and P[n, j] = tr M[n, j]: the closed form of
+    couple_and_postselect, stacked from `_pointer_parts`."""
+    m00, m01, m11 = _pointer_parts(_features(rho, bases), g)
     blocks = np.stack([m00, m01, m01.conj(), m11], axis=-1).reshape(*m00.shape, 2, 2)
     probs = m00 + m11
     if probs.min() < -PROB_DEFINED_TOL:
@@ -243,11 +243,11 @@ def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.n
 
 
 def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g) -> WeakValueTable:
-    """Definitional weak values W_nj = <psi_j|a_n><a_n|rho|psi_j> / P_j(n),
+    """Definitional weak values W_nj = B_nj / P_j(n) = <psi_j|a_n><a_n|rho|psi_j> / P_j(n),
     with P_j(n) the physical post-selection probability under coupling g.
     A 1-D array g gives every array of the table a leading strength axis."""
     _, probs = pointer_blocks(rho, g, bases)
-    numer = bases.overlaps().T * ((bases.a_basis.conj().T @ rho.matrix) @ bases.psi_basis)
+    numer = _features(rho, bases)[1]
     defined = probs > PROB_DEFINED_TOL
     entries = np.divide(numer, probs, out=np.zeros(probs.shape, dtype=complex), where=defined)
     return WeakValueTable(dim=rho.dim, entries=entries, probs=probs, undefined=~defined)

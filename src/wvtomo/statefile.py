@@ -17,8 +17,10 @@ from .errors import StateFileError
 
 def write_state_file(path: str | Path, matrix: np.ndarray) -> None:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StateFileError(f"state file needs a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise StateFileError(f"state file needs a non-empty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise StateFileError("state file needs finite entries; the matrix has NaN or inf")
     d = m.shape[0]
     lines = [str(d)]
     for row in m:

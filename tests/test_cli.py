@@ -390,15 +390,19 @@ def test_reconstruct_physical_estimate_reads_back(tmp_path, capsys):
     ["compare", "--out", "{missing}/x.csv"],
     ["reconstruct", "--state-file", "{state}", "--out", "{missing}/rec"],
     ["reconstruct", "--state-file", "{state}", "--manifest", "{missing}/run.manifest"],
+    ["sweep", "--reps", "2", "--out", "{file}/x.csv"],
+    ["compare", "--manifest", "{file}/x.csv"],
+    ["reconstruct", "--state-file", "{state}", "--out", "{file}/x.csv"],
 ])
 def test_unwritable_output_rejected_before_computing(tmp_path, capsys, argv):
-    # the directory "missing" does not exist; nothing may be computed or written
+    # the directory "missing" does not exist and "in.state" is a regular file, not a
+    # directory; nothing may be computed or written
     state = tmp_path / "in.state"
     write_state_file(state, random_mixed(2, 2, RandomStream(SEED, 44)).matrix)
-    argv = [a.format(missing=tmp_path / "missing", state=state) for a in argv]
+    argv = [a.format(missing=tmp_path / "missing", file=state, state=state) for a in argv]
     rc, out, err = _run(capsys, argv)
     assert rc == 2
-    assert "config error" in err and "missing" in err
+    assert "config error" in err and ("missing" in err or "in.state" in err)
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
 
@@ -554,9 +558,9 @@ def test_selfcheck_passes(capsys):
 
 
 SELFCHECK_PINS = [
-    (1, "2601db726873738b30f2ca054783d2f8894d0a5fe460e9932962fead5f561241"),
-    (2, "9d1fd79ca4fa6146edab29466dfcd1518c7c9f0197567cf77bb061f78f024b33"),
-    (3, "bc2812a397cc9ed110bfa2aeb0b83270d3748935fc06c0acece4c7001c460413"),
+    (1, "2adff2ad20df1d144673b5a1b46eb4968dca480ee49bdd058ae576383d4f187b"),
+    (2, "7de41c8dbb993815c7c26b77f1529a02f9c37a7b680c131f8e94c6778f9ab3a9"),
+    (3, "0c815e1fc44088d1c1941cd8fca1214529813209fc0369a563b95b20437546d1"),
 ]
 
 

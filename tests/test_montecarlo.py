@@ -224,8 +224,8 @@ def test_stacked_draw_equals_per_configuration_draws(d):
         assert np.array_equal(got.hermitized, want.hermitized), f"N={n_shots}"
 
 
-def test_outcome_table_rows_are_the_per_configuration_laws():
-    d = 3
+@pytest.mark.parametrize("d", [2, 3, 5, 32])
+def test_outcome_table_rows_are_the_per_configuration_laws(d):
     rho = random_mixed(d, 2, RandomStream(SEED, 45))
     strengths = CouplingStrengths(0.8, 2.1)
     bases = fourier_mub(d)
@@ -257,7 +257,8 @@ def _quadrature_law_by_einsum(blocks, quadrature, g):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
 def test_quadrature_law_equals_the_einsum_over_pointer_blocks(d):
-    # the linear form in the features reads the same law as the block read, to rounding
+    # the Born rule over the pointer parts reads the same law as the einsum over the
+    # stacked blocks, to rounding
     bases = fourier_mub(d)
     states = [
         random_pure(d, RandomStream(SEED, 46 + d)),
@@ -278,21 +279,24 @@ def test_quadrature_law_equals_the_einsum_over_pointer_blocks(d):
                 assert np.array_equal(got[1], want[1])
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 16])
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
 def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
     # p[n, q, j, k] = P_nj <v_k|rho_d[n, j]|v_k>, the post-selected pointer states built
-    # from the full 2d x 2d unitary and joint state; a vanished outcome is exactly 0
+    # from the full 2d x 2d unitary and joint state; a vanished outcome is exactly 0.
+    # The one check of the table that shares no code with `_pointer_parts`.
     bases = fourier_mub(d)
-    states = [
-        random_pure(d, RandomStream(SEED, 166 + d)),
-        random_mixed(d, d, RandomStream(SEED, 206 + d)),
-        random_mixed(d, max(1, d // 2), RandomStream(SEED, 246 + d)),
-    ]
+    states = [random_mixed(d, d, RandomStream(SEED, 206 + d))]
+    strength_pairs = [optimal_strengths(d)]
+    if d < 32:  # d=32 builds 64 x 64 joint states: one full-rank state, optimal strengths
+        states += [
+            random_pure(d, RandomStream(SEED, 166 + d)),
+            random_mixed(d, max(1, d // 2), RandomStream(SEED, 246 + d)),
+        ]
+        strength_pairs += [CouplingStrengths(0.05, 3.0), CouplingStrengths(2.4, 0.6)]
     if d == 3:
         states.append(_singular_pure_state())
     for rho in states:
-        for strengths in (optimal_strengths(d), CouplingStrengths(0.05, 3.0),
-                          CouplingStrengths(2.4, 0.6)):
+        for strengths in strength_pairs:
             probs, _ = outcome_table(rho, strengths, bases)
             gs = (strengths.g_r, strengths.g_i)
             pointers, p_post = _postselected_pointers(rho, range(d), gs, bases)

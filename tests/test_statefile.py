@@ -24,6 +24,20 @@ def test_write_rejects_non_square(tmp_path):
         write_state_file(tmp_path / "bad.txt", np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("matrix", [
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [0.0, np.inf]]),
+    np.array([[1.0, complex(0.0, -np.inf)], [0.0, 0.0]]),
+    np.zeros((0, 0)),
+])
+def test_write_rejects_what_read_refuses(tmp_path, matrix):
+    # a NaN or inf entry, or dimension 0, would be written but not read back
+    path = tmp_path / "bad.txt"
+    with pytest.raises(StateFileError):
+        write_state_file(path, matrix)
+    assert not path.exists()
+
+
 def test_read_skips_blank_lines(tmp_path):
     path = tmp_path / "state.txt"
     path.write_text("2\n\n1,0 0,0\n\n0,0 0,0\n\n")
