@@ -224,8 +224,16 @@ def test_stacked_draw_equals_per_configuration_draws(d):
         assert np.array_equal(got.hermitized, want.hermitized), f"N={n_shots}"
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 32])
-def test_outcome_table_rows_are_the_per_configuration_laws(d):
+def test_outcome_table_rows_are_the_per_configuration_laws():
+    _check_rows_are_the_per_configuration_laws(3)
+
+
+@pytest.mark.parametrize("d", [2, 5, 32])
+def test_outcome_table_rows_are_the_per_configuration_laws_in_dimension(d):
+    _check_rows_are_the_per_configuration_laws(d)
+
+
+def _check_rows_are_the_per_configuration_laws(d):
     rho = random_mixed(d, 2, RandomStream(SEED, 45))
     strengths = CouplingStrengths(0.8, 2.1)
     bases = fourier_mub(d)
