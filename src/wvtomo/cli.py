@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import theory
 from .errors import StateFileError, TomographyError
-from .montecarlo import outcome_table, run_experiment, simulate_once
+from .montecarlo import outcome_table, run_sweep, simulate_once
 from .protocol import CouplingStrengths, fourier_mub
 from .qmath import (
     DensityMatrix, hs_distance_sq, project_to_density, purity_stats, random_mixed, random_pure,
@@ -236,10 +237,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rho, source = _load_state(cfg, dim, RandomStream(seed, STATE_STREAM))
     fixed = _fixed_strengths(cfg, dim)
 
-    rows = []
-    for value in np.linspace(lo, hi, steps):
-        report = run_experiment(rho, replace(fixed, **{axis: float(value)}), shots, reps, seed)
-        rows.append([value] + [getattr(report, name) for name in SWEEP_COLUMNS])
+    values = np.linspace(lo, hi, steps)
+    grid = [replace(fixed, **{axis: float(v)}) for v in values]
+    reports = run_sweep(rho, grid, shots, reps, seed)
+    rows = [[v] + [getattr(r, name) for name in SWEEP_COLUMNS] for v, r in zip(values, reports)]
     _write_csv(cfg["out"], [axis, *SWEEP_COLUMNS], rows)
     _write_manifest(
         cfg["manifest"],
@@ -344,22 +345,25 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 4 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every `main` call: it holds
+    no handler, so `main` finds `cmd_<command>` in this module when it runs."""
     parser = argparse.ArgumentParser(prog="wvtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     state = ("state_file", "pure", "mixed_rank")
     strengths = ("g_r", "g_i", "optimal")
     commands = (
-        ("sweep", cmd_sweep, "MSE vs coupling strength (CSV)",
+        ("sweep", "MSE vs coupling strength (CSV)",
          ("dim", "shots", "reps", "seed", *strengths,
           "sweep_axis", "sweep_min", "sweep_max", "sweep_steps", *state, "out", "manifest")),
-        ("compare", cmd_compare, "scaled-MSE table vs MUB/SIC (CSV)",
+        ("compare", "scaled-MSE table vs MUB/SIC (CSV)",
          ("dim_min", "dim_max", "seed", *state, "out", "manifest")),
-        ("reconstruct", cmd_reconstruct, "single-run estimate of a state file",
+        ("reconstruct", "single-run estimate of a state file",
          ("state_file", "shots", "seed", *strengths, "out", "manifest")),
-        ("selfcheck", cmd_selfcheck, "oracle-vs-theory consistency suite", ("seed",)),
+        ("selfcheck", "oracle-vs-theory consistency suite", ("seed",)),
     )
-    for name, func, help_text, keys in commands:
+    for name, help_text, keys in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with defaults; flags override", default=None)
         for key in keys:
@@ -370,15 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
                                help=key_help)
             else:
                 p.add_argument(flag, dest=key, type=kind, default=None, help=key_help)
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

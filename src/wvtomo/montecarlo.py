@@ -114,8 +114,10 @@ def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndar
         raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
     obs = pointer_observables(g)
     evals, (v0, v1) = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
-    m00, m01, m11 = (x[..., None] for x in _pointer_parts(features, g))  # [n, j, 1] against [k]
-    probs = np.abs(v0) ** 2 * m00 + np.abs(v1) ** 2 * m11 + (2.0 * v0.conj() * v1 * m01).real
+    m00, m01, m11 = _pointer_parts(features, g)
+    w0, w1, w01 = np.abs(v0) ** 2, np.abs(v1) ** 2, 2.0 * v0.conj() * v1
+    # One whole (n, j) plane per eigenvalue k: no length-2 inner loops over k.
+    probs = np.stack([w0[k] * m00 + w1[k] * m11 + (w01[k] * m01).real for k in range(2)], -1)
     probs = np.maximum(probs, 0.0)  # rounding below zero on a vanishing branch
     probs /= probs.sum(axis=(1, 2), keepdims=True)
     return probs, evals
@@ -128,9 +130,13 @@ def outcome_table(
     of post-selection outcome j and eigenvalue values[q, k] when coupling index n is read
     in quadrature q (0 = R at g_R, 1 = I at g_I).  Each (n, q) row sums to 1."""
     features = _features(rho, bases)
-    p_r, v_r = _quadrature_law(features, "R", strengths.g_r)
-    p_i, v_i = _quadrature_law(features, "I", strengths.g_i)
-    return np.stack([p_r, p_i], axis=1), np.stack([v_r, v_i])
+    return _table(_quadrature_law(features, "R", strengths.g_r),
+                  _quadrature_law(features, "I", strengths.g_i))
+
+
+def _table(law_r: tuple, law_i: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """`outcome_table`'s (probs, values) from the (probs, eigenvalues) of its two laws."""
+    return np.stack([law_r[0], law_i[0]], axis=1), np.stack([law_r[1], law_i[1]])
 
 
 def outcome_distribution(
@@ -189,7 +195,7 @@ def _sample_stats(table: tuple, n_shots: int, stream: RandomStream, count: int) 
     probs, values = table
     d = len(probs)
     rows = probs.reshape(2 * d, -1)
-    counts = stream.multinomial(n_shots, np.broadcast_to(rows, (count, *rows.shape)))
+    counts = stream.multinomial(n_shots, rows, size=(count, 2 * d))
     c = counts.reshape(count, *probs.shape)  # [rep, n, q, j, k]
     # The two k slices added directly: what a length-2 sum over k computes, without the
     # (rep, n, q, j, k) float temporary.
@@ -222,38 +228,54 @@ def run_experiment(
     """Repeat the full 2d-configuration experiment `reps` times, every repetition drawn
     in order from RandomStream(seed) and estimated a batch at a time, and report the
     empirical MSE of the raw and hermitized estimators, with theory and oracle attached."""
+    return run_sweep(rho, [strengths], n_shots, reps, seed)[0]
+
+
+def run_sweep(
+    rho: DensityMatrix, steps: list[CouplingStrengths], n_shots: int, reps: int, seed: int
+) -> list[MseReport]:
+    """`run_experiment` at each CouplingStrengths of `steps`, in order: each step draws
+    from a fresh RandomStream(seed) and reads its oracle off the table it sampled.  The
+    bases, overlaps, features and purity of rho are built once per sweep, and a quadrature's
+    law only when its strength moves; only the current two laws are held."""
     _check_count(reps, "repetition count")
     d = rho.dim
     bases = fourier_mub(d)
-    # Built before the table, not between the table and the first draw: a multinomial draw
-    # that directly follows a BLAS matmul ran 10x slower (OpenBLAS on an AVX-512 Xeon).
+    # The matmuls come before the first law, not between a law and a draw: a multinomial
+    # draw that directly follows a BLAS matmul ran 10x slower (OpenBLAS, AVX-512 Xeon).
     overlaps = bases.overlaps()
-    table = outcome_table(rho, strengths, bases)
-
-    err_raw = np.zeros(reps)
-    err_herm = np.zeros(reps)
+    features = _features(rho, bases)
+    purity = purity_stats(rho)
     batch = max(1, BATCH_ELEMENTS // d**2)
-    stream = RandomStream(seed)
-    for start in range(0, reps, batch):
-        stats = _sample_stats(table, n_shots, stream, min(batch, reps - start))
-        est = _assemble(estimate_pw(stats, strengths), overlaps)
-        err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
-        err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
+    laws = {}  # quadrature -> (its strength, its law at that strength)
+    reports = []
+    for strengths in steps:
+        for quadrature, g in zip(QUADRATURES, (strengths.g_r, strengths.g_i)):
+            if laws.get(quadrature, (None,))[0] != g:
+                laws[quadrature] = g, _quadrature_law(features, quadrature, g)
+        table = _table(laws["R"][1], laws["I"][1])
 
-    stats_input = theory.TheoryInput(
-        dim=d, strengths=strengths, shots=n_shots, purity=purity_stats(rho)
-    )
-    oracle_raw, oracle_herm = _oracle(table, overlaps, strengths, n_shots)
-    return MseReport(
-        mse_raw_mean=float(err_raw.mean()),
-        mse_raw_stderr=float(err_raw.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
-        mse_herm_mean=float(err_herm.mean()),
-        mse_herm_stderr=float(err_herm.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
-        reps=reps,
-        theory_raw=theory.mse_raw(stats_input),
-        theory_herm=theory.mse_hermitized(stats_input).total,
-        oracle_raw=oracle_raw, oracle_herm=oracle_herm,
-    )
+        err_raw, err_herm = np.zeros(reps), np.zeros(reps)
+        stream = RandomStream(seed)
+        for start in range(0, reps, batch):
+            stats = _sample_stats(table, n_shots, stream, min(batch, reps - start))
+            est = _assemble(estimate_pw(stats, strengths), overlaps)
+            err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
+            err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
+
+        stats_input = theory.TheoryInput(dim=d, strengths=strengths, shots=n_shots, purity=purity)
+        oracle_raw, oracle_herm = _oracle(table, overlaps, strengths, n_shots)
+        reports.append(MseReport(
+            mse_raw_mean=float(err_raw.mean()),
+            mse_raw_stderr=float(err_raw.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+            mse_herm_mean=float(err_herm.mean()),
+            mse_herm_stderr=float(err_herm.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+            reps=reps,
+            theory_raw=theory.mse_raw(stats_input),
+            theory_herm=theory.mse_hermitized(stats_input).total,
+            oracle_raw=oracle_raw, oracle_herm=oracle_herm,
+        ))
+    return reports
 
 
 def _oracle(table: tuple, overlaps: np.ndarray, strengths: CouplingStrengths, n_shots: int):

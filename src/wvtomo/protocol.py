@@ -234,20 +234,26 @@ def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.n
     """Every unnormalised post-selected pointer state M[n, j] (2x2) at strength g, or a
     1-D stack of g on a leading axis, and P[n, j] = tr M[n, j]: the closed form of
     couple_and_postselect, stacked from `_pointer_parts`."""
-    m00, m01, m11 = _pointer_parts(_features(rho, bases), g)
+    m00, m01, m11 = parts = _pointer_parts(_features(rho, bases), g)
     blocks = np.stack([m00, m01, m01.conj(), m11], axis=-1).reshape(*m00.shape, 2, 2)
-    probs = m00 + m11
+    return blocks, _postselection_probs(parts)
+
+
+def _postselection_probs(parts: tuple) -> np.ndarray:
+    """P[n, j] = tr M[n, j] = M00 + M11 of `_pointer_parts`, rounding below zero clamped."""
+    probs = parts[0] + parts[2]
     if probs.min() < -PROB_DEFINED_TOL:
         raise NotPositive(f"post-selection probability {probs.min():.3e} below -1e-12")
-    return blocks, np.where(probs < 0.0, 0.0, probs)
+    return np.where(probs < 0.0, 0.0, probs)
 
 
 def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g) -> WeakValueTable:
     """Definitional weak values W_nj = B_nj / P_j(n) = <psi_j|a_n><a_n|rho|psi_j> / P_j(n),
     with P_j(n) the physical post-selection probability under coupling g.
     A 1-D array g gives every array of the table a leading strength axis."""
-    _, probs = pointer_blocks(rho, g, bases)
-    numer = _features(rho, bases)[1]
+    features = _features(rho, bases)  # one pass: P and the numerator B share it
+    probs = _postselection_probs(_pointer_parts(features, g))
+    numer = features[1]
     defined = probs > PROB_DEFINED_TOL
     entries = np.divide(numer, probs, out=np.zeros(probs.shape, dtype=complex), where=defined)
     return WeakValueTable(dim=rho.dim, entries=entries, probs=probs, undefined=~defined)

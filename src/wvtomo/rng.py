@@ -36,32 +36,33 @@ class RandomStream:
         """n iid standard normals."""
         return self._gen.standard_normal(n)
 
-    def multinomial(self, n: int, pvals: np.ndarray) -> np.ndarray:
+    def multinomial(self, n: int, pvals: np.ndarray, size=None) -> np.ndarray:
         """Counts of n iid draws over the categories with probabilities pvals, one row of
-        counts per row of pvals (its last axis), as numpy's ``Generator.multinomial``.
+        counts per row of pvals (its last axis), as numpy's ``Generator.multinomial``:
+        ``size``, if given, is the shape of the rows drawn, which pvals' rows broadcast to.
 
         Two exact draws, picked by the input.  With n at least the number of categories K,
         numpy's multinomial, which fills a row with one conditional binomial per category
         (work grows with K).  With fewer shots than categories, n uniforms per row, each
-        mapped to its category through the row's cumulative distribution (work grows with
-        n).  Both validate pvals alike, and neither holds an array more than twice the
-        size of the counts.  The per-shot draw takes its uniforms row by row, so rows
-        drawn in one call get the same counts as the same rows drawn one call after
-        another.
+        mapped to its category through its pvals row's cumulative distribution, built once
+        however many rows repeat it (work grows with n).  Both validate pvals alike, and
+        neither holds an array more than twice the size of the counts.  The per-shot draw
+        takes its uniforms row by row, so rows drawn in one call get the same counts as
+        the same rows drawn one call after another.
         """
         pvals = np.asarray(pvals, dtype=float)
         if pvals.ndim and 0 < n < pvals.shape[-1]:
-            return self._per_shot_counts(n, pvals)
-        return self._gen.multinomial(n, pvals)
+            return self._per_shot_counts(n, pvals, pvals.shape[:-1] if size is None else size)
+        return self._gen.multinomial(n, pvals, size)
 
-    def _per_shot_counts(self, n: int, pvals: np.ndarray) -> np.ndarray:
-        """multinomial(n, pvals) as n inverse-CDF draws per row and one bincount."""
+    def _per_shot_counts(self, n: int, pvals: np.ndarray, size) -> np.ndarray:
+        """multinomial(n, pvals, size) as n inverse-CDF draws per row and one bincount."""
         k = pvals.shape[-1]
         if not (pvals.min() >= 0.0 and pvals.max() <= 1.0):  # a NaN fails both
             raise ValueError("pvals < 0, pvals > 1 or pvals contains NaNs")
-        # Each row's cumulative distribution F, padded to a power-of-two width with edges
-        # above every uniform.  A shot with uniform u lands in category #{j : F_j <= u},
-        # so a zero-probability category (F_{c-1} == F_c) is never drawn.
+        # Each pvals row's cumulative distribution F, padded to a power-of-two width with
+        # edges above every uniform.  A shot with uniform u lands in category
+        # #{j : F_j <= u}, so a zero-probability category (F_{c-1} == F_c) is never drawn.
         width = 1 << (k - 1).bit_length()
         cdf = np.full(pvals.shape[:-1] + (width,), 2.0)
         np.cumsum(pvals, axis=-1, out=cdf[..., :k])
@@ -69,17 +70,21 @@ class RandomStream:
             raise ValueError("sum(pvals[:-1]) > 1.0")
         cdf[..., k - 1] = 1.0  # the last category takes the remainder, as in numpy
         edges = cdf.ravel()
-        u = self._gen.random((edges.size // width, n))
+        # Per drawn row, the offset of the edges of the pvals row it repeats.
+        offsets = np.broadcast_to(np.arange(0, edges.size, width).reshape(cdf.shape[:-1]), size)
+        u = self._gen.random((offsets.size, n))
         # Every shot's binary search in its own row at once, by halving steps.  Each step
         # compares u with an edge of its own row exactly, so no row's draw depends on
         # which other rows share the call.
-        pos = np.repeat(np.arange(0, edges.size, width)[:, None], n, axis=1)
+        pos = np.repeat(offsets.reshape(-1, 1), n, axis=1)
         step = width // 2
         while step:
             pos += (edges[pos + (step - 1)] <= u) * step
             step //= 2
-        counts = np.bincount(pos.ravel(), minlength=edges.size).reshape(-1, width)
-        return counts[:, :k].reshape(pvals.shape)
+        # From the edges searched to the drawn row's own bins.
+        pos += (np.arange(0, offsets.size * width, width) - offsets.ravel())[:, None]
+        counts = np.bincount(pos.ravel(), minlength=offsets.size * width).reshape(-1, width)
+        return counts[:, :k].reshape(offsets.shape + (k,))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"

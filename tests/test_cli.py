@@ -124,18 +124,28 @@ def test_sweep_rows_match_oracle(capsys):
 
 
 def test_each_sweep_step_builds_one_outcome_table(monkeypatch, capsys):
-    # the table a step samples also feeds that step's oracle columns
-    calls = []
-    build = montecarlo.outcome_table
+    # One features pass per sweep, the law of the unswept quadrature once, the swept one
+    # and one table at every step; the table a step samples also feeds that step's oracle
+    # columns, so they equal exact_mse_oracle at the step's strengths to the last bit.
+    calls = {name: [] for name in ("_features", "_quadrature_law", "_table", "run_sweep")}
+    for module, name in [(montecarlo, "_features"), (montecarlo, "_quadrature_law"),
+                         (montecarlo, "_table"), (cli, "run_sweep")]:
+        def counted(*args, real=getattr(module, name), log=calls[name]):
+            log.append((args, real(*args)))
+            return log[-1][1]
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(montecarlo, "outcome_table", counted)
+        monkeypatch.setattr(module, name, counted)
     rc, _, _ = _run(capsys, ["sweep", "--dim", "3", "--reps", "2", "--sweep-steps", "3"])
+    monkeypatch.undo()
     assert rc == 0
-    assert len(calls) == 3
+    assert len(calls["_features"]) == 1 and len(calls["_table"]) == 3
+    (rho, steps, shots, *_), reports = calls["run_sweep"][0]
+    assert [args[1:] for args, _ in calls["_quadrature_law"]] == (
+        [("R", steps[0].g_r), ("I", steps[0].g_i)] + [("R", s.g_r) for s in steps[1:]])
+    assert len({s.g_r for s in steps}) == 3 and len({s.g_i for s in steps}) == 1
+    for strengths, report in zip(steps, reports, strict=True):
+        assert report.oracle_raw == montecarlo.exact_mse_oracle(rho, strengths, shots)
+        assert report.oracle_herm == montecarlo.exact_mse_oracle(rho, strengths, shots, True)
 
 
 def test_sweep_theory_minimum_near_optimum(capsys):
@@ -629,3 +639,34 @@ def test_selfcheck_help_lists_only_the_seed(capsys):
     with pytest.raises(SystemExit):
         main(["selfcheck", "--help"])
     assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config", "--seed"}
+
+
+# `compare --dim-max 32` at the default seed, on numpy 2.4.6
+COMPARE_PIN = "0f583575b8be35bbee57900dc02bc41062b1a89999381fb9e3c046cf1c1d3fb3"
+
+
+def test_repeated_main_calls_in_one_process_share_one_parser(tmp_path, monkeypatch, capsys):
+    # The parser is built once per process: a usage error leaves it whole, each command
+    # after it prints the bytes its pin fixes, and a handler patched after the parser
+    # exists is the one that runs.
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dim"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "pin.csv"
+    assert main([
+        "sweep", "--dim", "3", "--shots", "20", "--reps", "5", "--sweep-steps", "3",
+        "--seed", "1", "--out", str(out),
+    ]) == 0
+    _assert_pinned(out.read_bytes(), "d665ac3392495010a5de7d5f06045837d3b4861dcd4c9e8af49723dea533ab62")
+    rc, table, _ = _run(capsys, ["compare", "--dim-max", "32"])
+    assert rc == 0
+    _assert_pinned(table.encode(), COMPARE_PIN)
+    rc, report, _ = _run(capsys, ["selfcheck", "--seed", "1"])
+    assert rc == 0
+    _assert_pinned(report.encode(), SELFCHECK_PINS[0][1])
+
+    monkeypatch.setattr(cli, "cmd_selfcheck", lambda args: 17 + args.seed)
+    assert main(["selfcheck", "--seed", "2"]) == 19
+    assert cli.build_parser.cache_info().misses == 1

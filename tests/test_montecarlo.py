@@ -37,7 +37,8 @@ from wvtomo import (
     validate_density,
 )
 from wvtomo.montecarlo import (
-    BATCH_ELEMENTS, QUADRATURES, _quadrature_law, _sample_stats, outcome_table, simulate_once,
+    BATCH_ELEMENTS, QUADRATURES, _quadrature_law, _sample_stats, outcome_table, run_sweep,
+    simulate_once,
 )
 from wvtomo.protocol import _features, _postselected_pointers, pointer_blocks
 
@@ -467,6 +468,45 @@ def test_run_experiment_memory_grows_only_by_the_errors(reps, n_shots):
     finally:
         tracemalloc.stop()
     assert peak - 16 * reps < 2**20, f"run_experiment peaked at {peak} B"
+
+
+@pytest.mark.parametrize("d", [2, 5, 32])
+@pytest.mark.parametrize("axis", ["g_r", "g_i"])
+@pytest.mark.parametrize("below", [False, True], ids=["N=2d", "N=2d-1"])
+def test_sweep_equals_one_experiment_per_step(d, axis, below):
+    # run_sweep builds the features once and keeps the unswept law across steps; each step
+    # must still report what run_experiment reports at its strengths, to the last bit, on
+    # either draw (numpy's multinomial at N = 2d, per shot at N = 2d - 1)
+    rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 49))
+    n_shots = 2 * d - below
+    reps = max(1, BATCH_ELEMENTS // d**2) + 1  # a full batch and a partial one
+    steps = [replace(optimal_strengths(d), **{axis: g}) for g in (0.6, 1.5, 1.5, 2.4)]
+    got = run_sweep(rho, steps, n_shots, reps, SEED)
+    assert got == [run_experiment(rho, s, n_shots, reps, SEED) for s in steps]
+
+
+def test_sweep_memory_does_not_grow_with_steps():
+    # Only the current two laws are held (16 KB each at d=32), so a 200-step sweep peaks
+    # no more than 64 KB above a 2-step one.  The peak is taken net of what the sweep
+    # returns: its reports, about 450 B a step, are the output and stay alive.
+    d = 32
+    rho = random_mixed(d, d, RandomStream(SEED, 50))
+    grid = np.linspace(0.6, 2.4, 200)
+
+    def peak_above_reports(n_steps):
+        steps = [replace(optimal_strengths(d), g_r=float(g)) for g in grid[:n_steps]]
+        tracemalloc.start()
+        try:
+            reports = run_sweep(rho, steps, 10, 2, SEED)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == n_steps
+        return peak - current
+
+    run_sweep(rho, [optimal_strengths(d)], 10, 2, SEED)  # warm caches outside the trace
+    growth = peak_above_reports(200) - peak_above_reports(2)
+    assert growth <= 64 * 1024, f"a 200-step sweep peaked {growth} B above a 2-step one"
 
 
 def test_run_experiment_matches_oracle_and_scales():

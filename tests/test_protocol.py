@@ -31,7 +31,9 @@ from wvtomo import (
     weak_value_from_device,
     weak_values_exact,
 )
-from wvtomo.protocol import _postselected_pointers, _read_weak_values, check_strength, pointer_blocks
+from wvtomo.protocol import (
+    _features, _postselected_pointers, _read_weak_values, check_strength, pointer_blocks,
+)
 
 SEED = 40823
 
@@ -544,6 +546,28 @@ def test_pointer_blocks_over_a_stack_of_strengths_equal_the_per_g_loop_bitwise(d
             assert np.array_equal(table.entries[k], one.entries)
             assert np.array_equal(table.probs[k], one.probs)
             assert np.array_equal(table.undefined[k], one.undefined)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
+def test_weak_values_read_the_probabilities_of_the_pointer_blocks_bitwise(d):
+    # weak_values_exact takes P and its numerator B from one features pass: P must be the
+    # clamped trace pointer_blocks returns, and each defined entry B / P, to the last bit
+    bases = fourier_mub(d)
+    states = [random_pure(d, RandomStream(SEED, 2300 + d)),
+              random_mixed(d, max(1, d // 2), RandomStream(SEED, 2400 + d))]
+    if d == 3:
+        states.append(_singular_pure_state())
+    for rho in states:
+        numer = _features(rho, bases)[1]
+        for g in (0.7, STACKED_STRENGTHS):
+            table = weak_values_exact(rho, bases, g)
+            probs = pointer_blocks(rho, g, bases)[1]
+            assert np.array_equal(table.probs, probs)
+            assert np.array_equal(table.undefined, probs <= 1e-12)
+            defined = ~table.undefined
+            want = np.broadcast_to(numer, probs.shape)[defined] / probs[defined]
+            assert np.array_equal(table.entries[defined], want)
+            assert not table.entries[table.undefined].any()
 
 
 def test_reconstruct_a_stack_of_tables_equals_one_at_a_time_bitwise():

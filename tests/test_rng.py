@@ -86,3 +86,25 @@ def test_per_shot_draw_is_exact_at_the_edges():
     stream._gen = _FixedUniforms([0.25, np.nextafter(0.25, 0.0), 1.0 - 2.0**-53])
     counts = stream.multinomial(3, np.broadcast_to([0.25, 0.75, 0.0, 0.0], (rows, 4)))
     assert np.array_equal(counts, np.broadcast_to([1, 2, 0, 0], (rows, 4)))
+
+
+@pytest.mark.parametrize("n", [1, 5, 40], ids=["one-shot", "per-shot", "multinomial"])
+def test_size_draws_the_bytes_of_the_broadcast_stack(n):
+    # multinomial(n, rows, size=(copies, R)) must draw what the broadcast stack of the rows
+    # draws, to the bit, on both paths: zero-probability categories, and a row whose whole
+    # mass sits in its last category, included
+    rows = np.array([
+        [0.1, 0.0, 0.25, 0.3, 0.0, 0.05, 0.3, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        np.full(8, 0.125),
+    ])
+    copies = 7
+    stack = RandomStream(SEED, 5).multinomial(n, np.broadcast_to(rows, (copies, *rows.shape)))
+    sized = RandomStream(SEED, 5).multinomial(n, rows, size=(copies, len(rows)))
+    assert sized.shape == (copies, *rows.shape) and sized.dtype == stack.dtype
+    assert np.array_equal(sized, stack)
+    assert np.array_equal(sized[:, 1], np.broadcast_to([0] * 7 + [n], (copies, 8)))
+    one = RandomStream(SEED, 6).multinomial(n, rows[0], size=(copies,))
+    assert np.array_equal(one, RandomStream(SEED, 6).multinomial(
+        n, np.broadcast_to(rows[0], (copies, 8))))
