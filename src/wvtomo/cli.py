@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -345,25 +344,22 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 4 if failed else 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process and shared by every `main` call: it holds
-    no handler, so `main` finds `cmd_<command>` in this module when it runs."""
     parser = argparse.ArgumentParser(prog="wvtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     state = ("state_file", "pure", "mixed_rank")
     strengths = ("g_r", "g_i", "optimal")
     commands = (
-        ("sweep", "MSE vs coupling strength (CSV)",
+        ("sweep", cmd_sweep, "MSE vs coupling strength (CSV)",
          ("dim", "shots", "reps", "seed", *strengths,
           "sweep_axis", "sweep_min", "sweep_max", "sweep_steps", *state, "out", "manifest")),
-        ("compare", "scaled-MSE table vs MUB/SIC (CSV)",
+        ("compare", cmd_compare, "scaled-MSE table vs MUB/SIC (CSV)",
          ("dim_min", "dim_max", "seed", *state, "out", "manifest")),
-        ("reconstruct", "single-run estimate of a state file",
+        ("reconstruct", cmd_reconstruct, "single-run estimate of a state file",
          ("state_file", "shots", "seed", *strengths, "out", "manifest")),
-        ("selfcheck", "oracle-vs-theory consistency suite", ("seed",)),
+        ("selfcheck", cmd_selfcheck, "oracle-vs-theory consistency suite", ("seed",)),
     )
-    for name, help_text, keys in commands:
+    for name, func, help_text, keys in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with defaults; flags override", default=None)
         for key in keys:
@@ -374,13 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
                                help=key_help)
             else:
                 p.add_argument(flag, dest=key, type=kind, default=None, help=key_help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

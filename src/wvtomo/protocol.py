@@ -253,9 +253,8 @@ def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g) -> WeakVal
     A 1-D array g gives every array of the table a leading strength axis."""
     features = _features(rho, bases)  # one pass: P and the numerator B share it
     probs = _postselection_probs(_pointer_parts(features, g))
-    numer = features[1]
     defined = probs > PROB_DEFINED_TOL
-    entries = np.divide(numer, probs, out=np.zeros(probs.shape, dtype=complex), where=defined)
+    entries = np.divide(features[1], probs, out=np.zeros(probs.shape, dtype=complex), where=defined)
     return WeakValueTable(dim=rho.dim, entries=entries, probs=probs, undefined=~defined)
 
 

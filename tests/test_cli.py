@@ -640,33 +640,3 @@ def test_selfcheck_help_lists_only_the_seed(capsys):
         main(["selfcheck", "--help"])
     assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config", "--seed"}
 
-
-# `compare --dim-max 32` at the default seed, on numpy 2.4.6
-COMPARE_PIN = "0f583575b8be35bbee57900dc02bc41062b1a89999381fb9e3c046cf1c1d3fb3"
-
-
-def test_repeated_main_calls_in_one_process_share_one_parser(tmp_path, monkeypatch, capsys):
-    # The parser is built once per process: a usage error leaves it whole, each command
-    # after it prints the bytes its pin fixes, and a handler patched after the parser
-    # exists is the one that runs.
-    cli.build_parser.cache_clear()
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--dim"])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
-    out = tmp_path / "pin.csv"
-    assert main([
-        "sweep", "--dim", "3", "--shots", "20", "--reps", "5", "--sweep-steps", "3",
-        "--seed", "1", "--out", str(out),
-    ]) == 0
-    _assert_pinned(out.read_bytes(), "d665ac3392495010a5de7d5f06045837d3b4861dcd4c9e8af49723dea533ab62")
-    rc, table, _ = _run(capsys, ["compare", "--dim-max", "32"])
-    assert rc == 0
-    _assert_pinned(table.encode(), COMPARE_PIN)
-    rc, report, _ = _run(capsys, ["selfcheck", "--seed", "1"])
-    assert rc == 0
-    _assert_pinned(report.encode(), SELFCHECK_PINS[0][1])
-
-    monkeypatch.setattr(cli, "cmd_selfcheck", lambda args: 17 + args.seed)
-    assert main(["selfcheck", "--seed", "2"]) == 19
-    assert cli.build_parser.cache_info().misses == 1

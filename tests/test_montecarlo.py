@@ -37,8 +37,8 @@ from wvtomo import (
     validate_density,
 )
 from wvtomo.montecarlo import (
-    BATCH_ELEMENTS, QUADRATURES, _quadrature_law, _sample_stats, outcome_table, run_sweep,
-    simulate_once,
+    BATCH_ELEMENTS, QUADRATURES, MseReport, _assemble, _oracle, _quadrature_law, _sample_stats,
+    outcome_table, run_sweep, simulate_once,
 )
 from wvtomo.protocol import _features, _postselected_pointers, pointer_blocks
 
@@ -475,14 +475,42 @@ def test_run_experiment_memory_grows_only_by_the_errors(reps, n_shots):
 @pytest.mark.parametrize("below", [False, True], ids=["N=2d", "N=2d-1"])
 def test_sweep_equals_one_experiment_per_step(d, axis, below):
     # run_sweep builds the features once and keeps the unswept law across steps; each step
-    # must still report what run_experiment reports at its strengths, to the last bit, on
-    # either draw (numpy's multinomial at N = 2d, per shot at N = 2d - 1)
+    # must still report, to the last bit, what a whole experiment built from scratch at its
+    # strengths reports, on either draw (numpy's multinomial at N = 2d, per shot at
+    # N = 2d - 1).  The reference below rebuilds the bases, the table and the purity at
+    # every step and shares no code path with run_sweep above the sampler; the sampler's
+    # sized draw is checked against a broadcast stack in test_rng.py.
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 49))
     n_shots = 2 * d - below
     reps = max(1, BATCH_ELEMENTS // d**2) + 1  # a full batch and a partial one
     steps = [replace(optimal_strengths(d), **{axis: g}) for g in (0.6, 1.5, 1.5, 2.4)]
-    got = run_sweep(rho, steps, n_shots, reps, SEED)
-    assert got == [run_experiment(rho, s, n_shots, reps, SEED) for s in steps]
+
+    def one_step(strengths):
+        bases = fourier_mub(d)
+        overlaps = bases.overlaps()
+        table = outcome_table(rho, strengths, bases)
+        err_raw, err_herm = np.zeros(reps), np.zeros(reps)
+        batch = max(1, BATCH_ELEMENTS // d**2)
+        stream = RandomStream(SEED)
+        for start in range(0, reps, batch):
+            stats = _sample_stats(table, n_shots, stream, min(batch, reps - start))
+            est = _assemble(estimate_pw(stats, strengths), overlaps)
+            err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
+            err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
+        inp = TheoryInput(dim=d, strengths=strengths, shots=n_shots, purity=purity_stats(rho))
+        oracle_raw, oracle_herm = _oracle(table, overlaps, strengths, n_shots)
+        return MseReport(
+            mse_raw_mean=float(err_raw.mean()),
+            mse_raw_stderr=float(err_raw.std(ddof=1) / np.sqrt(reps)),
+            mse_herm_mean=float(err_herm.mean()),
+            mse_herm_stderr=float(err_herm.std(ddof=1) / np.sqrt(reps)),
+            reps=reps, theory_raw=mse_raw(inp), theory_herm=mse_hermitized(inp).total,
+            oracle_raw=oracle_raw, oracle_herm=oracle_herm,
+        )
+
+    expected = [one_step(s) for s in steps]
+    assert run_sweep(rho, steps, n_shots, reps, SEED) == expected
+    assert [run_experiment(rho, s, n_shots, reps, SEED) for s in steps] == expected
 
 
 def test_sweep_memory_does_not_grow_with_steps():
