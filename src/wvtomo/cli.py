@@ -3,8 +3,8 @@ single-shot reconstruction, and an internal consistency selfcheck.
 
 Output is CSV (12 significant digits, deterministic for a fixed seed),
 plus an optional manifest recording every resolved setting and the drawn
-state.  Exit codes: 0 ok, 2 bad config, 3 bad input file, 4 internal
-consistency failure.
+state.  Exit codes: 0 ok, 1 stdout closed before the output was written,
+2 bad config, 3 bad input file, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -95,14 +95,19 @@ def _write_manifest(path, entries: list) -> None:
             fh.write("".join(f"{k} = {_fmt(v)}\n" for k, v in entries))
 
 
-def _check_writable(*paths) -> None:
-    """Fail before any work if an output cannot be written or two outputs name one file."""
+def _check_writable(cfg: dict, *paths) -> None:
+    """Fail before any work if an output cannot be written, would overwrite an input of
+    the run (--config or --state-file), or shares its file with another output."""
     if paths.count("-") > 1:
         raise ConfigError("two outputs name the same file, stdout ('-')")
+    inputs = {Path(cfg[key]).resolve(): "--" + key.replace("_", "-")
+              for key in ("config", "state_file") if cfg[key] is not None}
     files = [Path(p) for p in paths if p not in (None, "-")]
     for i, path in enumerate(files):
         if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
             raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
+        if path.resolve() in inputs:
+            raise ConfigError(f"output {path} would overwrite the {inputs[path.resolve()]} input")
         if path.resolve() in [earlier.resolve() for earlier in files[:i]]:
             raise ConfigError(f"two outputs name the same file {path}")
 
@@ -142,6 +147,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             cfg[key] = flag_val
+    cfg["config"] = config_path  # not an option: kept so that no output overwrites it
     return cfg
 
 
@@ -153,13 +159,11 @@ def _positive(cfg: dict, key: str, minimum: int) -> int:
     return val
 
 
-def _seed(cfg: dict) -> int:
-    """The seed, one 64-bit word of every stream's Philox key: outside [0, 2**64) two seeds
-    would draw the same numbers."""
-    seed = cfg["seed"]
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
-    return seed
+def _seed(cfg: dict) -> None:
+    """Refuse a seed outside [0, 2**64): it is one 64-bit word of every stream's Philox key,
+    so two seeds out there would draw the same numbers."""
+    if not 0 <= cfg["seed"] < 2**64:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {cfg['seed']}")
 
 
 def _allocatable(key: str, *shape: int, dtype=float) -> None:
@@ -210,9 +214,7 @@ def _state_manifest(rho: DensityMatrix, source: str) -> list:
     ]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    seed = _seed(cfg)
+def cmd_sweep(cfg: dict) -> int:
     dim = _positive(cfg, "dim", 2)
     shots = _positive(cfg, "shots", 1)
     reps = _positive(cfg, "reps", 1)
@@ -231,14 +233,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _allocatable("dim", dim, dim, dtype=complex)
     _allocatable("sweep_steps", steps)
     _allocatable("reps", 2, reps)
-    _check_writable(cfg["out"], cfg["manifest"])
+    _check_writable(cfg, cfg["out"], cfg["manifest"])
 
-    rho, source = _load_state(cfg, dim, RandomStream(seed, STATE_STREAM))
+    rho, source = _load_state(cfg, dim, RandomStream(cfg["seed"], STATE_STREAM))
     fixed = _fixed_strengths(cfg, dim)
 
     values = np.linspace(lo, hi, steps)
     grid = [replace(fixed, **{axis: float(v)}) for v in values]
-    reports = run_sweep(rho, grid, shots, reps, seed)
+    reports = run_sweep(rho, grid, shots, reps, cfg["seed"])
     rows = [[v] + [getattr(r, name) for name in SWEEP_COLUMNS] for v, r in zip(values, reports)]
     _write_csv(cfg["out"], [axis, *SWEEP_COLUMNS], rows)
     _write_manifest(
@@ -258,9 +260,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    seed = _seed(cfg)
+def cmd_compare(cfg: dict) -> int:
     d_lo = _positive(cfg, "dim_min", 2)
     d_hi = _positive(cfg, "dim_max", 2)
     if d_lo > d_hi:
@@ -268,12 +268,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if cfg["state_file"] is not None and d_lo != d_hi:
         raise ConfigError("--state-file fixes one dimension; use --dim-min == --dim-max with it")
     _allocatable("dim_max", d_hi, d_hi, dtype=complex)
-    _check_writable(cfg["out"], cfg["manifest"])
+    _check_writable(cfg, cfg["out"], cfg["manifest"])
 
     rows = []
     manifest_states = []
     for d in range(d_lo, d_hi + 1):
-        rho, source = _load_state(cfg, d, RandomStream(seed, STATE_STREAM + d))
+        rho, source = _load_state(cfg, d, RandomStream(cfg["seed"], STATE_STREAM + d))
         pur = purity_stats(rho)
         menu = theory.scaled_mse_menu(d, pur.purity, pur.purity_re, pur.purity_im)
         rows.append([d] + [row.scaled_mse for row in menu])
@@ -281,21 +281,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write_csv(cfg["out"], ["dim"] + [row.scheme.replace("-", "_") for row in menu], rows)
     _write_manifest(
         cfg["manifest"],
-        [("command", "compare"), ("dim_min", d_lo), ("dim_max", d_hi), ("seed", seed)]
+        [("command", "compare"), ("dim_min", d_lo), ("dim_max", d_hi), ("seed", cfg["seed"])]
         + manifest_states,
     )
     return 0
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    seed = _seed(cfg)
+def cmd_reconstruct(cfg: dict) -> int:
     if cfg["state_file"] is None:
         raise ConfigError("reconstruct requires --state-file")
     shots = _positive(cfg, "shots", 1)
     out = cfg["out"] if cfg["out"] != "-" else "reconstruction"
     raw_path, herm_path, phys_path = (f"{out}_{kind}.state" for kind in ("raw", "herm", "phys"))
-    _check_writable(raw_path, herm_path, phys_path, cfg["manifest"])
+    _check_writable(cfg, raw_path, herm_path, phys_path, cfg["manifest"])
     rho = validate_density(read_state_file(cfg["state_file"]))
     dim = rho.dim
     strengths = _fixed_strengths(cfg, dim)
@@ -303,7 +301,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     # One full experiment repetition on its own stream.
     bases = fourier_mub(dim)
     est = simulate_once(outcome_table(rho, strengths, bases), bases, strengths, shots,
-                        RandomStream(seed, RECONSTRUCT_STREAM))
+                        RandomStream(cfg["seed"], RECONSTRUCT_STREAM))
     write_state_file(raw_path, est.raw)
     write_state_file(herm_path, est.hermitized)
     # The estimates need not have unit trace nor be positive; this one is a state.
@@ -321,16 +319,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     print(f"theory_mse_herm = {_fmt(theory.mse_hermitized(inp).total)}")
     _write_manifest(
         cfg["manifest"],
-        [("command", "reconstruct"), ("dim", dim), ("shots", shots), ("seed", seed),
+        [("command", "reconstruct"), ("dim", dim), ("shots", shots), ("seed", cfg["seed"]),
          ("g_r", strengths.g_r), ("g_i", strengths.g_i)]
         + _state_manifest(rho, f"file:{cfg['state_file']}"),
     )
     return 0
 
 
-def cmd_selfcheck(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    checks, probe_gap = probes(_seed(cfg))
+def cmd_selfcheck(cfg: dict) -> int:
+    checks, probe_gap = probes(cfg["seed"])
     failed = False
     for name, dev, tol in checks:
         ok = dev <= tol
@@ -375,10 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        _seed(cfg)
+        code = args.func(cfg)
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # The reader went away (`wvtomo sweep | head -1`): the unwritten rest goes nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -36,7 +36,9 @@ from .protocol import (
     pointer_observables,
     reconstruction_map,
 )
-from .qmath import DensityMatrix, eig_hermitian_2x2, hs_distance_sq, purity_stats
+from .qmath import (
+    DensityMatrix, check_count, check_dimension, eig_hermitian_2x2, hs_distance_sq, purity_stats,
+)
 from .rng import RandomStream
 
 QUADRATURES = ("R", "I")
@@ -69,14 +71,15 @@ class SufficientStats:
     sums_i: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        check_dimension(self.dim)
+        check_count(self.shots, "shot count")
         if self.sums_r is None:
             self.sums_r = np.full((self.dim, self.dim), np.nan)
         if self.sums_i is None:
             self.sums_i = np.full((self.dim, self.dim), np.nan)
 
     def record(self, n: int, quadrature: str, sums: np.ndarray) -> None:
-        if quadrature not in QUADRATURES:
-            raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
+        _check_quadrature(quadrature)
         _check_index(n, self.dim)
         if np.shape(sums) != (self.dim,):
             raise ShapeMismatch(f"sums must have shape ({self.dim},), got {np.shape(sums)}")
@@ -106,12 +109,16 @@ class MseReport:
     oracle_herm: float
 
 
+def _check_quadrature(quadrature: str) -> None:
+    if quadrature not in QUADRATURES:
+        raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
+
+
 def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndarray, np.ndarray]:
     """prob[n, j, k] = <v_k|M[n, j]|v_k> = |v_0|^2 M00 + |v_1|^2 M11 + 2 Re(conj(v_0) v_1 M01)
     over the `_pointer_parts` of M at strength g, normalised per n, and the quadrature's
     eigenvalues lambda_k.  Before the clamp each entry is linear in the features of rho."""
-    if quadrature not in QUADRATURES:
-        raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
+    _check_quadrature(quadrature)
     obs = pointer_observables(g)
     evals, (v0, v1) = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
     m00, m01, m11 = _pointer_parts(features, g)
@@ -149,18 +156,13 @@ def outcome_distribution(
     return OutcomeDistribution(n, quadrature, g, probs[0].ravel(), np.tile(values, rho.dim))
 
 
-def _check_count(count: int, what: str) -> None:
-    if count < 1:
-        raise ValueError(f"{what} must be >= 1, got {count}")
-
-
 def sample_shots(dist: OutcomeDistribution, n_shots: int, rng: RandomStream) -> np.ndarray:
     """Per-j sums of the eigenvalues observed in n_shots draws of `dist`, from one
     `RandomStream.multinomial` draw of its 2d outcome counts (a multinomial when N >= 2d,
     shot by shot when N < 2d, so time grows with min(N, 2d) and memory is O(d)): the
     per-configuration reference that `simulate_once`'s stacked draw is tested against.
     """
-    _check_count(n_shots, "shot count")
+    check_count(n_shots, "shot count")
     counts = rng.multinomial(n_shots, dist.probs)
     return (counts * dist.values).reshape(-1, 2).sum(axis=1)
 
@@ -191,7 +193,7 @@ def _sample_stats(table: tuple, n_shots: int, stream: RandomStream, count: int) 
     """`count` experiments in order from `stream`, their sums stacked on a leading axis; one
     `stream.multinomial` call draws all their rows of `table` (n ascending, R before I),
     n_shots each."""
-    _check_count(n_shots, "shot count")
+    check_count(n_shots, "shot count")
     probs, values = table
     d = len(probs)
     rows = probs.reshape(2 * d, -1)
@@ -238,7 +240,7 @@ def run_sweep(
     from a fresh RandomStream(seed) and reads its oracle off the table it sampled.  The
     bases, overlaps, features and purity of rho are built once per sweep, and a quadrature's
     law only when its strength moves; only the current two laws are held."""
-    _check_count(reps, "repetition count")
+    check_count(reps, "repetition count")
     d = rho.dim
     bases = fourier_mub(d)
     # The matmuls come before the first law, not between a law and a draw: a multinomial
@@ -308,7 +310,7 @@ def exact_mse_oracle(
     per-shot covariance over j is diag(s) - mu mu^T (one multinomial draw), so
     element (n, m) gets sum_j |c_jm|^2 s_j - |map(mu)[n, m]|^2 from each quadrature.
     """
-    _check_count(n_shots, "shot count")
+    check_count(n_shots, "shot count")
     bases = fourier_mub(rho.dim)
     raw, herm = _oracle(outcome_table(rho, strengths, bases), bases.overlaps(), strengths, n_shots)
     return herm if hermitized else raw

@@ -18,14 +18,13 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
-    InvalidDimension,
     NotPositive,
     ShapeMismatch,
     StrengthMismatch,
     StrengthOutOfRange,
     UndefinedWeakValue,
 )
-from .qmath import DensityMatrix
+from .qmath import DensityMatrix, check_dimension
 
 # Post-selection outcomes with probability at or below this are undefined-but-unused.
 PROB_DEFINED_TOL = 1e-12
@@ -104,8 +103,7 @@ class WeakValueTable:
 
 def fourier_mub(d: int) -> MeasurementBases:
     """Computational basis plus the Fourier basis with <psi_j|a_n> = e^{2pi i jn/d}/sqrt(d)."""
-    if d < 2:
-        raise InvalidDimension(f"system dimension must be >= 2, got {d}")
+    check_dimension(d)
     jn = np.outer(np.arange(d), np.arange(d))
     # Components <a_n|psi_j> are the conjugates of the defining overlaps.
     psi = np.exp(-2j * np.pi * jn / d) / np.sqrt(d)
@@ -115,6 +113,11 @@ def fourier_mub(d: int) -> MeasurementBases:
 def _check_index(n: int, d: int) -> None:
     if not 0 <= n < d:
         raise IndexOutOfRange(f"basis index {n} outside 0..{d - 1}")
+
+
+def _check_bases(bases: MeasurementBases, d: int, what: str = "state") -> None:
+    if bases.dim != d:
+        raise ShapeMismatch(f"bases built for d={bases.dim}, {what} has d={d}")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,8 +139,7 @@ def _coupling_unitaries(a_cols: np.ndarray, gs) -> np.ndarray:
 
 def coupling_unitary(n: int, g: float, d: int) -> np.ndarray:
     """The 2d x 2d system-pointer coupling unitary for coupling index n."""
-    if d < 2:
-        raise InvalidDimension(f"system dimension must be >= 2, got {d}")
+    check_dimension(d)
     _check_index(n, d)
     return _coupling_unitaries(np.eye(d, dtype=complex)[:, [n]], [g])[0, 0]
 
@@ -169,8 +171,7 @@ def _postselected_pointers(rho: DensityMatrix, ns, gs, bases: MeasurementBases) 
     the pointer states rho_d[g, n, j] (2x2, NaN where P <= 1e-12) and the probabilities
     P[g, n, j].  Each (g, n) still builds its full 2d x 2d unitary and joint state."""
     d = rho.dim
-    if bases.dim != d:
-        raise ShapeMismatch(f"bases built for d={bases.dim}, state has d={d}")
+    _check_bases(bases, d)
     for n in ns:
         _check_index(n, d)
 
@@ -181,10 +182,7 @@ def _postselected_pointers(rho: DensityMatrix, ns, gs, bases: MeasurementBases) 
     m = np.einsum("aj,gnaibk,bj->gnjik", bases.psi_basis.conj(), blocks, bases.psi_basis)
     m = (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0  # kill rounding asymmetry
 
-    probs = np.einsum("...ii->...", m).real
-    if probs.min() < -PROB_DEFINED_TOL:
-        raise NotPositive(f"post-selection probability {probs.min():.3e} below -1e-12")
-    probs = np.where(probs < 0.0, 0.0, probs)
+    probs = _clamp_probs(np.einsum("...ii->...", m).real)
     defined = (probs > PROB_DEFINED_TOL)[..., None, None]
     states = np.divide(m, probs[..., None, None], out=np.full_like(m, np.nan), where=defined)
     return states, probs
@@ -203,8 +201,7 @@ def couple_and_postselect(
 def _features(rho: DensityMatrix, bases: MeasurementBases) -> tuple:
     """The pointer features of rho, linear in rho: A[j] = <psi_j|rho|psi_j>,
     B[n, j] = <psi_j|a_n><a_n|rho|psi_j> and C[n, j] = |<psi_j|a_n>|^2 <a_n|rho|a_n>."""
-    if bases.dim != rho.dim:
-        raise ShapeMismatch(f"bases built for d={bases.dim}, state has d={rho.dim}")
+    _check_bases(bases, rho.dim)
     overlaps = bases.overlaps().T  # [n, j] = <psi_j|a_n>
     rho_psi = rho.matrix @ bases.psi_basis
     a = np.einsum("aj,aj->j", bases.psi_basis.conj(), rho_psi).real
@@ -234,14 +231,13 @@ def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.n
     """Every unnormalised post-selected pointer state M[n, j] (2x2) at strength g, or a
     1-D stack of g on a leading axis, and P[n, j] = tr M[n, j]: the closed form of
     couple_and_postselect, stacked from `_pointer_parts`."""
-    m00, m01, m11 = parts = _pointer_parts(_features(rho, bases), g)
+    m00, m01, m11 = _pointer_parts(_features(rho, bases), g)
     blocks = np.stack([m00, m01, m01.conj(), m11], axis=-1).reshape(*m00.shape, 2, 2)
-    return blocks, _postselection_probs(parts)
+    return blocks, _clamp_probs(m00 + m11)
 
 
-def _postselection_probs(parts: tuple) -> np.ndarray:
-    """P[n, j] = tr M[n, j] = M00 + M11 of `_pointer_parts`, rounding below zero clamped."""
-    probs = parts[0] + parts[2]
+def _clamp_probs(probs: np.ndarray) -> np.ndarray:
+    """Post-selection probabilities P = tr M with rounding below zero clamped to 0."""
     if probs.min() < -PROB_DEFINED_TOL:
         raise NotPositive(f"post-selection probability {probs.min():.3e} below -1e-12")
     return np.where(probs < 0.0, 0.0, probs)
@@ -252,7 +248,8 @@ def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g) -> WeakVal
     with P_j(n) the physical post-selection probability under coupling g.
     A 1-D array g gives every array of the table a leading strength axis."""
     features = _features(rho, bases)  # one pass: P and the numerator B share it
-    probs = _postselection_probs(_pointer_parts(features, g))
+    m00, _, m11 = _pointer_parts(features, g)
+    probs = _clamp_probs(m00 + m11)
     defined = probs > PROB_DEFINED_TOL
     entries = np.divide(features[1], probs, out=np.zeros(probs.shape, dtype=complex), where=defined)
     return WeakValueTable(dim=rho.dim, entries=entries, probs=probs, undefined=~defined)
@@ -288,8 +285,7 @@ def reconstruction_map(pw: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
 def reconstruct(table: WeakValueTable, bases: MeasurementBases) -> np.ndarray:
     """Assemble rho[n][m] = sum_j P_j(n) (<psi_j|a_m>/<psi_j|a_n>) W_nj, one state per
     table of a stack (see weak_values_exact)."""
-    if bases.dim != table.dim:
-        raise ShapeMismatch(f"bases built for d={bases.dim}, table has d={table.dim}")
+    _check_bases(bases, table.dim, "table")
     if table.undefined.any():
         *_, n, j = np.argwhere(table.undefined)[0]
         raise UndefinedWeakValue(

@@ -50,12 +50,32 @@ class PurityStats:
     purity_im: float
 
 
+def check_dimension(d: int) -> None:
+    """The one guard of the system dimension, for every entry that takes d."""
+    if d < 2:
+        raise InvalidDimension(f"system dimension must be >= 2, got {d}")
+
+
+def check_count(count: int, what: str) -> None:
+    """The one guard of a shot or repetition count."""
+    if count < 1:
+        raise ValueError(f"{what} must be >= 1, got {count}")
+
+
 def _check_finite(m: np.ndarray, what: str) -> None:
     """Raise NotFinite naming the first NaN or infinite entry of m: a tolerance test
     such as `deviation > tol` is False for NaN, so it must not see one."""
     if not np.isfinite(m).all():
         at = tuple(int(i) for i in np.argwhere(~np.isfinite(m))[0])
         raise NotFinite(f"{what} entry {list(at)} = {m[at]} is not finite")
+
+
+def _check_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise NotFinite, then NotHermitian if m deviates from m^dag beyond HERMITIAN_TOL."""
+    _check_finite(m, what)
+    herm_dev = np.max(np.abs(m - m.conj().T))
+    if herm_dev > HERMITIAN_TOL:
+        raise NotHermitian(f"max |m - m^dag| = {herm_dev:.3e} exceeds {HERMITIAN_TOL:.0e}")
 
 
 def validate_density(m: np.ndarray) -> DensityMatrix:
@@ -68,12 +88,8 @@ def validate_density(m: np.ndarray) -> DensityMatrix:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"density matrix must be square 2-D, got shape {m.shape}")
     d = m.shape[0]
-    if d < 2:
-        raise InvalidDimension(f"system dimension must be >= 2, got {d}")
-    _check_finite(m, "density matrix")
-    herm_dev = np.max(np.abs(m - m.conj().T))
-    if herm_dev > HERMITIAN_TOL:
-        raise NotHermitian(f"max |m - m^dag| = {herm_dev:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    check_dimension(d)
+    _check_hermitian(m, "density matrix")
     trace_dev = abs(np.trace(m) - 1.0)
     if trace_dev > TRACE_TOL:
         raise TraceNotOne(f"|tr(m) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
@@ -107,8 +123,7 @@ def purity_stats(rho: DensityMatrix) -> PurityStats:
 
 def random_pure(d: int, rng: RandomStream) -> DensityMatrix:
     """Haar-random pure state |v><v| from a normalized complex-normal vector."""
-    if d < 2:
-        raise InvalidDimension(f"system dimension must be >= 2, got {d}")
+    check_dimension(d)
     z = rng.normals(2 * d)
     v = z[:d] + 1j * z[d:]
     v /= np.linalg.norm(v)
@@ -117,8 +132,7 @@ def random_pure(d: int, rng: RandomStream) -> DensityMatrix:
 
 def random_mixed(d: int, rank: int, rng: RandomStream) -> DensityMatrix:
     """Random rank-`rank` mixed state G G^dag / tr(G G^dag), G complex Ginibre d x rank."""
-    if d < 2:
-        raise InvalidDimension(f"system dimension must be >= 2, got {d}")
+    check_dimension(d)
     if not 1 <= rank <= d:
         raise InvalidRank(f"rank must be in 1..{d}, got {rank}")
     z = rng.normals(2 * d * rank)
@@ -150,10 +164,7 @@ def eig_hermitian_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ShapeMismatch(f"expected a 2x2 matrix, got shape {m.shape}")
-    _check_finite(m, "2x2 matrix")
-    herm_dev = np.max(np.abs(m - m.conj().T))
-    if herm_dev > HERMITIAN_TOL:
-        raise NotHermitian(f"max |m - m^dag| = {herm_dev:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    _check_hermitian(m, "2x2 matrix")
 
     t = (m[0, 0].real + m[1, 1].real) / 2.0
     z = (m[0, 0].real - m[1, 1].real) / 2.0

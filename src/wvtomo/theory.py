@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension
 from .protocol import CouplingStrengths
-from .qmath import DensityMatrix, PurityStats, purity_stats
+from .qmath import DensityMatrix, PurityStats, check_count, check_dimension, purity_stats
 
 
 @dataclass(frozen=True)
@@ -21,8 +20,7 @@ class TheoryInput:
     purity: PurityStats
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shot count must be >= 1, got {self.shots}")
+        check_count(self.shots, "shot count")
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,7 @@ def mse_raw(inp: TheoryInput) -> float:
 
 def optimal_strengths(d: int) -> CouplingStrengths:
     """Minimizers of mse_raw: g_R = arccos(1 + d/4 - sqrt(d/2 + d^2/16)), g_I = pi/2."""
-    if d < 2:
-        raise InvalidDimension(f"system dimension must be >= 2, got {d}")
+    check_dimension(d)
     arg = 1.0 + d / 4.0 - _sqrt_term(d)  # in (0, 1) for every d >= 2
     return CouplingStrengths(g_r=float(np.arccos(arg)), g_i=float(np.pi / 2.0))
 
@@ -130,8 +127,7 @@ def scaled_mse_menu(
     raw bracket); the -exact row is mse_hermitized_optimal, the uniform-variance
     hermitized form at the optimum, not the exact hermitized MSE of a state.
     """
-    if d < 2:
-        raise InvalidDimension(f"system dimension must be >= 2, got {d}")
+    check_dimension(d)
     bracket = mse_raw_optimal(d, 1, purity)
     return [
         ComparisonRow(d, "raw-per-shot", float(bracket)),
@@ -166,9 +162,7 @@ def numeric_optimal_strengths(d: int) -> CouplingStrengths:
     """Independent check of optimal_strengths: coarse grid over (0.01, pi-0.01)
     then golden-section refinement of mse_raw in each strength, the other at pi/2.
     Each grid is one array evaluation of the raw bracket (N = 1, tr(rho^2) = 0)."""
-    if d < 2:
-        raise InvalidDimension(f"system dimension must be >= 2, got {d}")
-
+    check_dimension(d)
     lo, hi = 0.01, np.pi - 0.01
     grid = np.linspace(lo, hi, 201)
     found = []

@@ -435,6 +435,36 @@ def test_outputs_naming_the_same_file_rejected(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--state-file", "{state}", "--dim", "2", "--reps", "2", "--out", "{state}"],
+    ["sweep", "--state-file", "{state}", "--dim", "2", "--reps", "2", "--manifest", "{state}"],
+    ["sweep", "--config", "{config}", "--reps", "2", "--out", "{d}/../{name}/run.json"],
+    ["sweep", "--config", "{config}", "--reps", "2", "--manifest", "{config}"],
+    ["compare", "--state-file", "{state}", "--dim-max", "2", "--out", "{state}"],
+    ["compare", "--config", "{config}", "--manifest", "{config}"],
+    ["reconstruct", "--state-file", "{d}/e_raw.state", "--out", "{d}/e"],
+    ["reconstruct", "--state-file", "{state}", "--manifest", "{state}"],
+    ["reconstruct", "--state-file", "{state}", "--config", "{d}/e_phys.state", "--out", "{d}/e"],
+], ids=["sweep-out-state", "sweep-manifest-state", "sweep-out-config",
+        "sweep-manifest-config", "compare-out-state", "compare-manifest-config",
+        "reconstruct-out-state", "reconstruct-manifest-state", "reconstruct-out-config"])
+def test_an_output_naming_an_input_is_rejected_before_computing(tmp_path, capsys, argv):
+    # writing it would destroy the input; nothing may be computed or written
+    matrix = random_mixed(2, 2, RandomStream(SEED, 44)).matrix
+    for name in ("in.state", "e_raw.state"):
+        write_state_file(tmp_path / name, matrix)
+    for name in ("run.json", "e_phys.state"):
+        (tmp_path / name).write_text(json.dumps({"seed": 5}))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [a.format(d=tmp_path, name=tmp_path.name, state=tmp_path / "in.state",
+                     config=tmp_path / "run.json") for a in argv]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert "config error" in err and "would overwrite the --" in err
+    assert out == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_manifest_dash_is_stdout(tmp_path, monkeypatch, capsys):
     # '-' means stdout for the manifest as for --out; no file named '-' appears
     monkeypatch.chdir(tmp_path)
@@ -594,6 +624,22 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     _assert_pinned(done.stdout, SELFCHECK_PINS[0][1])
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the reader takes one line and goes away, as `wvtomo sweep | head -1` does; the CSV is
+    # several times a pipe's buffer, so the writer is still writing when the pipe closes
+    src = str(Path(wvtomo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    argv = ["sweep", "--dim", "2", "--shots", "1", "--reps", "1", "--sweep-steps", "2000"]
+    proc = subprocess.Popen([sys.executable, "-m", "wvtomo", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"g_r,mse_raw_mean,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 # (module, name the probe looks up there, the gate its value feeds)

@@ -11,6 +11,7 @@ from wvtomo import (
     CouplingStrengths,
     IncompleteStats,
     IndexOutOfRange,
+    InvalidDimension,
     OutcomeDistribution,
     RandomStream,
     StrengthOutOfRange,
@@ -367,6 +368,18 @@ def test_estimate_pw_requires_complete_stats():
     stats.record(0, "R", np.zeros(2))
     with pytest.raises(IncompleteStats):
         estimate_pw(stats, CouplingStrengths(1.0, 1.0))
+
+
+def test_sufficient_stats_refuses_no_shots():
+    # with N = 0 estimate_pw would divide by zero: NaN estimates and RuntimeWarnings
+    with pytest.raises(ValueError, match=r"^shot count must be >= 1, got 0$"):
+        SufficientStats(dim=2, shots=0)
+
+
+def test_sufficient_stats_refuses_a_dimension_below_two():
+    # d = 0 would give empty sums, which `complete` calls complete
+    with pytest.raises(InvalidDimension, match=r"^system dimension must be >= 2, got 0$"):
+        SufficientStats(dim=0, shots=10)
 
 
 def test_sufficient_stats_rejects_unknown_quadrature():

@@ -15,13 +15,19 @@ from wvtomo import (
     NotPositive,
     RandomStream,
     ShapeMismatch,
+    SufficientStats,
     TraceNotOne,
+    coupling_unitary,
     eig_hermitian_2x2,
+    fourier_mub,
     hs_distance_sq,
+    numeric_optimal_strengths,
+    optimal_strengths,
     project_to_density,
     purity_stats,
     random_mixed,
     random_pure,
+    scaled_mse_menu,
     validate_density,
 )
 
@@ -310,3 +316,26 @@ def test_density_matrix_is_frozen():
     rho = validate_density(np.eye(2) / 2)
     with pytest.raises(AttributeError):
         rho.dim = 3
+
+
+# Every library entry that takes the system dimension d, called at d.
+DIMENSION_ENTRIES = {
+    "fourier_mub": fourier_mub,
+    "coupling_unitary": lambda d: coupling_unitary(0, 1.0, d),
+    "validate_density": lambda d: validate_density(np.eye(d)),
+    "random_pure": lambda d: random_pure(d, RandomStream(SEED, 9)),
+    "random_mixed": lambda d: random_mixed(d, 1, RandomStream(SEED, 9)),
+    "optimal_strengths": optimal_strengths,
+    "numeric_optimal_strengths": numeric_optimal_strengths,
+    "scaled_mse_menu": lambda d: scaled_mse_menu(d, 1.0, 1.0, 0.0),
+    "SufficientStats": lambda d: SufficientStats(dim=d, shots=10),
+}
+# validate_density reads d off the matrix it is given, so its case is the 1x1 matrix.
+DIMENSION_CASES = [(name, d) for name in DIMENSION_ENTRIES for d in (1, 0, -1)
+                   if d == 1 or name != "validate_density"]
+
+
+@pytest.mark.parametrize("name, d", DIMENSION_CASES, ids=[f"{n}-{d}" for n, d in DIMENSION_CASES])
+def test_every_entry_refuses_a_dimension_below_two_in_the_same_words(name, d):
+    with pytest.raises(InvalidDimension, match=rf"^system dimension must be >= 2, got {d}$"):
+        DIMENSION_ENTRIES[name](d)
