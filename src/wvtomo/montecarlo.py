@@ -42,7 +42,9 @@ from .qmath import (
 from .rng import RandomStream
 
 QUADRATURES = ("R", "I")
-BATCH_ELEMENTS = 2**11  # estimate entries per batch of repetitions: a few hundred KB at any d
+# Estimate entries per batch of repetitions: 6 repetitions at d=32, 245 at d=5.  A batch
+# peaks below 1 MiB at d=32, whether drawn by numpy's multinomial or shot by shot.
+BATCH_ELEMENTS = 6 * 2**10
 
 
 @dataclass(frozen=True)
@@ -199,9 +201,10 @@ def _sample_stats(table: tuple, n_shots: int, stream: RandomStream, count: int) 
     rows = probs.reshape(2 * d, -1)
     counts = stream.multinomial(n_shots, rows, size=(count, 2 * d))
     c = counts.reshape(count, *probs.shape)  # [rep, n, q, j, k]
-    # The two k slices added directly: what a length-2 sum over k computes, without the
-    # (rep, n, q, j, k) float temporary.
-    sums = c[..., 0] * values[:, None, 0] + c[..., 1] * values[:, None, 1]  # [rep, n, q, j]
+    # The two k slices added in place: what a length-2 sum over k computes, without the
+    # (rep, n, q, j, k) float temporary or a third float array.
+    sums = c[..., 0] * values[:, None, 0]  # [rep, n, q, j]
+    sums += c[..., 1] * values[:, None, 1]
     return SufficientStats(d, n_shots, sums_r=sums[:, :, 0], sums_i=sums[:, :, 1])
 
 
@@ -260,10 +263,9 @@ def run_sweep(
         err_raw, err_herm = np.zeros(reps), np.zeros(reps)
         stream = RandomStream(seed)
         for start in range(0, reps, batch):
-            stats = _sample_stats(table, n_shots, stream, min(batch, reps - start))
-            est = _assemble(estimate_pw(stats, strengths), overlaps)
-            err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
-            err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
+            count = min(batch, reps - start)
+            err_raw[start:start + count], err_herm[start:start + count] = _batch_errors(
+                table, strengths, overlaps, rho.matrix, n_shots, stream, count)
 
         stats_input = theory.TheoryInput(dim=d, strengths=strengths, shots=n_shots, purity=purity)
         oracle_raw, oracle_herm = _oracle(table, overlaps, strengths, n_shots)
@@ -278,6 +280,18 @@ def run_sweep(
             oracle_raw=oracle_raw, oracle_herm=oracle_herm,
         ))
     return reports
+
+
+def _batch_errors(
+    table: tuple, strengths: CouplingStrengths, overlaps: np.ndarray, matrix: np.ndarray,
+    n_shots: int, stream: RandomStream, count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared raw and hermitized errors against `matrix` of the next `count` experiments
+    drawn from `stream`.  A batch's counts, sums and estimates live only in this call, so
+    none of them is still held while the next batch draws."""
+    est = _assemble(estimate_pw(_sample_stats(table, n_shots, stream, count), strengths),
+                    overlaps)
+    return hs_distance_sq(est.raw, matrix), hs_distance_sq(est.hermitized, matrix)
 
 
 def _oracle(table: tuple, overlaps: np.ndarray, strengths: CouplingStrengths, n_shots: int):

@@ -75,11 +75,12 @@ class RandomStream:
         u = self._gen.random((offsets.size, n))
         # Every shot's binary search in its own row at once, by halving steps.  Each step
         # compares u with an edge of its own row exactly, so no row's draw depends on
-        # which other rows share the call.
+        # which other rows share the call.  Reading the edges through a view shifted by
+        # step - 1 gives edges[pos + step - 1] without a (rows, n) index temporary.
         pos = np.repeat(offsets.reshape(-1, 1), n, axis=1)
         step = width // 2
         while step:
-            pos += (edges[pos + (step - 1)] <= u) * step
+            pos += (edges[step - 1:].take(pos) <= u) * step
             step //= 2
         # From the edges searched to the drawn row's own bins.
         pos += (np.arange(0, offsets.size * width, width) - offsets.ravel())[:, None]

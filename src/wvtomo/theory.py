@@ -71,6 +71,8 @@ def optimal_strengths(d: int) -> CouplingStrengths:
 def mse_raw_optimal(d: int, shots: int, purity: float) -> float:
     """mse_raw at the optimal strengths:
     (1/N)[3d^2/8 + (d/2)(sqrt(d/2 + d^2/16) + 1) - tr(rho^2)]."""
+    check_dimension(d)
+    check_count(shots, "shot count")
     return float((3.0 * d * d / 8.0 + d / 2.0 * (_sqrt_term(d) + 1.0) - purity) / shots)
 
 
@@ -90,6 +92,8 @@ def mse_hermitized_optimal(d: int, shots: int, purity_re: float, purity_im: floa
     """mse_hermitized at the optimal strengths:
     ((d+1)/2dN)[d^2/8 + (d/2)(sqrt(d/2+d^2/16)+1) - tr((Re rho)^2)]
     + ((d-1)/2dN)[d^2/4 - tr((Im rho)^2)]."""
+    check_dimension(d)
+    check_count(shots, "shot count")
     s = _sqrt_term(d)
     term_re = (d + 1.0) / (2.0 * d * shots) * (d * d / 8.0 + d / 2.0 * (s + 1.0) - purity_re)
     term_im = (d - 1.0) / (2.0 * d * shots) * (d * d / 4.0 - purity_im)
@@ -104,6 +108,7 @@ def mse_hermitized_exact(rho: DensityMatrix, strengths: CouplingStrengths, shots
     which vanishes only for special states; the enumeration oracle matches
     this form to machine precision.
     """
+    check_count(shots, "shot count")
     d = rho.dim
     inv_sr2, inv_si2, inv_cr2 = _strength_terms(strengths.g_r, strengths.g_i)
     pur = purity_stats(rho)
@@ -127,8 +132,7 @@ def scaled_mse_menu(
     raw bracket); the -exact row is mse_hermitized_optimal, the uniform-variance
     hermitized form at the optimum, not the exact hermitized MSE of a state.
     """
-    check_dimension(d)
-    bracket = mse_raw_optimal(d, 1, purity)
+    bracket = mse_raw_optimal(d, 1, purity)  # guards d
     return [
         ComparisonRow(d, "raw-per-shot", float(bracket)),
         ComparisonRow(d, "hermitized-per-shot-approx", float(bracket / 2.0)),

@@ -95,16 +95,30 @@ def test_sweep_bytes_are_pinned(tmp_path):
 
 
 def test_sweep_bytes_across_batches_are_pinned(tmp_path):
-    # At d=32 run_experiment draws and estimates two repetitions at a time, so
-    # five repetitions span two full batches and a partial one; the digest is that
-    # of the same sweep with every repetition drawn and estimated on its own.  N=10 is
-    # below the 64 categories of a row, so the rows are drawn shot by shot.
+    # At d=32 a batch holds six repetitions, so these five fit in one; the digest is that
+    # of the same sweep with every repetition drawn and estimated on its own, and
+    # test_sweep_bytes_do_not_depend_on_the_batch_size checks the split across batches.
+    # N=10 is below the 64 categories of a row, so the rows are drawn shot by shot.
     out = tmp_path / "pin.csv"
     assert main([
         "sweep", "--dim", "32", "--shots", "10", "--reps", "5", "--sweep-steps", "2",
         "--seed", "1", "--out", str(out),
     ]) == 0
     _assert_pinned(out.read_bytes(), "6edf61d8b960dd455700e3f0e626a7532bdb685558dadaf561fa2db44dddc04d")
+
+
+@pytest.mark.parametrize("d, n_shots", [(32, 10), (5, 100)], ids=["per-shot", "multinomial"])
+def test_sweep_bytes_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, d, n_shots):
+    # Two full batches and a partial one, against one repetition per batch: the same
+    # stream is drawn in the same order, so every byte of the CSV must agree.
+    reps = 2 * (montecarlo.BATCH_ELEMENTS // d**2) + 3
+    args = ["sweep", "--dim", str(d), "--shots", str(n_shots), "--reps", str(reps),
+            "--sweep-steps", "2", "--seed", "1", "--out"]
+    batched, single = tmp_path / "batched.csv", tmp_path / "single.csv"
+    assert main(args + [str(batched)]) == 0
+    monkeypatch.setattr(montecarlo, "BATCH_ELEMENTS", d**2)
+    assert main(args + [str(single)]) == 0
+    assert batched.read_bytes() == single.read_bytes()
 
 
 def test_sweep_rows_match_oracle(capsys):

@@ -526,6 +526,23 @@ def test_sweep_equals_one_experiment_per_step(d, axis, below):
     assert [run_experiment(rho, s, n_shots, reps, SEED) for s in steps] == expected
 
 
+@pytest.mark.parametrize("n_shots", [10**4, 63], ids=["multinomial", "per-shot"])
+def test_sweep_memory_holds_one_batch(n_shots):
+    # The bound of test_run_experiment_memory_grows_only_by_the_errors over three steps of
+    # several batches each: a batch or a step still held while the next one draws fails.
+    d = 32
+    rho = random_mixed(d, d, RandomStream(SEED, 47))
+    reps = 3 * max(1, BATCH_ELEMENTS // d**2) + 1
+    steps = [replace(optimal_strengths(d), g_r=g) for g in (0.6, 1.5, 2.4)]
+    tracemalloc.start()
+    try:
+        run_sweep(rho, steps, n_shots, reps, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 16 * reps < 2**20, f"run_sweep peaked at {peak} B"
+
+
 def test_sweep_memory_does_not_grow_with_steps():
     # Only the current two laws are held (16 KB each at d=32), so a 200-step sweep peaks
     # no more than 64 KB above a 2-step one.  The peak is taken net of what the sweep

@@ -21,6 +21,8 @@ from wvtomo import (
     eig_hermitian_2x2,
     fourier_mub,
     hs_distance_sq,
+    mse_hermitized_optimal,
+    mse_raw_optimal,
     numeric_optimal_strengths,
     optimal_strengths,
     project_to_density,
@@ -328,6 +330,8 @@ DIMENSION_ENTRIES = {
     "optimal_strengths": optimal_strengths,
     "numeric_optimal_strengths": numeric_optimal_strengths,
     "scaled_mse_menu": lambda d: scaled_mse_menu(d, 1.0, 1.0, 0.0),
+    "mse_raw_optimal": lambda d: mse_raw_optimal(d, 10, 1.0),
+    "mse_hermitized_optimal": lambda d: mse_hermitized_optimal(d, 1, 1.0, 0.0),
     "SufficientStats": lambda d: SufficientStats(dim=d, shots=10),
 }
 # validate_density reads d off the matrix it is given, so its case is the 1x1 matrix.

@@ -167,6 +167,18 @@ def test_mse_raw_optimal_is_substitution():
         assert abs(mse_raw_optimal(d, 13, 1.0) - direct) < 1e-12
 
 
+@pytest.mark.parametrize("closed_form", [
+    lambda shots: mse_raw_optimal(5, shots, 1.0),
+    lambda shots: mse_hermitized_optimal(5, shots, 1.0, 0.0),
+    lambda shots: mse_hermitized_exact(
+        random_mixed(3, 2, RandomStream(SEED, 8)), CouplingStrengths(1.0, 1.5), shots),
+], ids=["mse_raw_optimal", "mse_hermitized_optimal", "mse_hermitized_exact"])
+def test_closed_forms_refuse_no_shots(closed_form):
+    # with N = 0 each would divide by zero: a ZeroDivisionError, or inf and a RuntimeWarning
+    with pytest.raises(ValueError, match=r"^shot count must be >= 1, got 0$"):
+        closed_form(0)
+
+
 def test_mse_raw_optimal_reference_values():
     assert abs(mse_raw_optimal(5, 100, 1.0) - 0.15914) < 1e-5
     p = 0.43
