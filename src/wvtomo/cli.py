@@ -89,23 +89,29 @@ def _write_csv(out: str, header: list, rows: list) -> None:
         w.writerows([[_fmt(x) for x in row] for row in rows])
 
 
-def _write_manifest(path, entries: list) -> None:
-    if path is not None:
-        with _open_output(path) as fh:
+def _write_manifest(cfg: dict, entries: list) -> None:
+    if cfg["manifest"] is not None:
+        with _open_output(cfg["manifest"]) as fh:
             fh.write("".join(f"{k} = {_fmt(v)}\n" for k, v in entries))
 
 
-def _check_writable(cfg: dict, *paths) -> None:
-    """Fail before any work if an output cannot be written, would overwrite an input of
-    the run (--config or --state-file), or shares its file with another output."""
+def _check_writable(cfg: dict, *outputs) -> None:
+    """Fail before any work if an output or the --manifest cannot be written, would overwrite
+    an input of the run (--config or --state-file), or shares its file with another output."""
+    paths = (*outputs, cfg["manifest"])
     if paths.count("-") > 1:
         raise ConfigError("two outputs name the same file, stdout ('-')")
     inputs = {Path(cfg[key]).resolve(): "--" + key.replace("_", "-")
               for key in ("config", "state_file") if cfg[key] is not None}
     files = [Path(p) for p in paths if p not in (None, "-")]
     for i, path in enumerate(files):
-        if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
-            raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
+        try:  # a name longer than the filesystem allows fails these probes with OSError
+            if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
+                raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
+            if path.exists() and not os.access(path, os.W_OK):
+                raise ConfigError(f"cannot write {path}: the file is not writable")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}")
         if path.resolve() in inputs:
             raise ConfigError(f"output {path} would overwrite the {inputs[path.resolve()]} input")
         if path.resolve() in [earlier.resolve() for earlier in files[:i]]:
@@ -233,7 +239,7 @@ def cmd_sweep(cfg: dict) -> int:
     _allocatable("dim", dim, dim, dtype=complex)
     _allocatable("sweep_steps", steps)
     _allocatable("reps", 2, reps)
-    _check_writable(cfg, cfg["out"], cfg["manifest"])
+    _check_writable(cfg, cfg["out"])
 
     rho, source = _load_state(cfg, dim, RandomStream(cfg["seed"], STATE_STREAM))
     fixed = _fixed_strengths(cfg, dim)
@@ -244,7 +250,7 @@ def cmd_sweep(cfg: dict) -> int:
     rows = [[v] + [getattr(r, name) for name in SWEEP_COLUMNS] for v, r in zip(values, reports)]
     _write_csv(cfg["out"], [axis, *SWEEP_COLUMNS], rows)
     _write_manifest(
-        cfg["manifest"],
+        cfg,
         [("command", "sweep")]
         + [(k, cfg[k]) for k in ("dim", "shots", "reps", "seed")]
         + [
@@ -268,7 +274,7 @@ def cmd_compare(cfg: dict) -> int:
     if cfg["state_file"] is not None and d_lo != d_hi:
         raise ConfigError("--state-file fixes one dimension; use --dim-min == --dim-max with it")
     _allocatable("dim_max", d_hi, d_hi, dtype=complex)
-    _check_writable(cfg, cfg["out"], cfg["manifest"])
+    _check_writable(cfg, cfg["out"])
 
     rows = []
     manifest_states = []
@@ -280,7 +286,7 @@ def cmd_compare(cfg: dict) -> int:
         manifest_states.append((f"purity_d{d}", pur.purity))
     _write_csv(cfg["out"], ["dim"] + [row.scheme.replace("-", "_") for row in menu], rows)
     _write_manifest(
-        cfg["manifest"],
+        cfg,
         [("command", "compare"), ("dim_min", d_lo), ("dim_max", d_hi), ("seed", cfg["seed"])]
         + manifest_states,
     )
@@ -293,7 +299,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     shots = _positive(cfg, "shots", 1)
     out = cfg["out"] if cfg["out"] != "-" else "reconstruction"
     raw_path, herm_path, phys_path = (f"{out}_{kind}.state" for kind in ("raw", "herm", "phys"))
-    _check_writable(cfg, raw_path, herm_path, phys_path, cfg["manifest"])
+    _check_writable(cfg, raw_path, herm_path, phys_path)
     rho = validate_density(read_state_file(cfg["state_file"]))
     dim = rho.dim
     strengths = _fixed_strengths(cfg, dim)
@@ -318,7 +324,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     print(f"theory_mse_raw = {_fmt(theory.mse_raw(inp))}")
     print(f"theory_mse_herm = {_fmt(theory.mse_hermitized(inp).total)}")
     _write_manifest(
-        cfg["manifest"],
+        cfg,
         [("command", "reconstruct"), ("dim", dim), ("shots", shots), ("seed", cfg["seed"]),
          ("g_r", strengths.g_r), ("g_i", strengths.g_i)]
         + _state_manifest(rho, f"file:{cfg['state_file']}"),

@@ -298,7 +298,6 @@ def marginal_device_state(rho: DensityMatrix, n: int, g: float) -> np.ndarray:
     """Pointer state after coupling to |a_n>, before post-selection
     (partial trace over the system)."""
     d = rho.dim
-    _check_index(n, d)
     u = coupling_unitary(n, g, d)
     joint = u @ _kron(rho.matrix, DEVICE_ZERO) @ u.conj().T
     return np.einsum("aiak->ik", joint.reshape(d, 2, d, 2))

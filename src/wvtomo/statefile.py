@@ -45,14 +45,12 @@ def read_state_file(path: str | Path) -> np.ndarray:
         raise StateFileError(f"{path}: line 1: expected an integer dimension, got {lines[0].strip()!r}")
     if d < 1:
         raise StateFileError(f"{path}: line 1: dimension must be positive, got {d}")
-    if len([ln for ln in lines[1:] if ln.strip()]) < d:
+    rows = [(idx, line) for idx, line in enumerate(lines[1:], start=2) if line.strip()]
+    if len(rows) < d:
         raise StateFileError(f"{path}: expected {d} matrix rows after line 1")
 
     m = np.zeros((d, d), dtype=complex)
-    row = 0
-    for idx, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for row, (idx, line) in enumerate(rows):
         if row >= d:
             raise StateFileError(f"{path}: line {idx}: more than {d} matrix rows")
         tokens = line.split()
@@ -69,7 +67,4 @@ def read_state_file(path: str | Path) -> np.ndarray:
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise StateFileError(f"{path}: line {idx}: entry {col + 1} is not finite: {tok!r}")
             m[row, col] = complex(re, im)
-        row += 1
-    if row != d:
-        raise StateFileError(f"{path}: expected {d} matrix rows, found {row}")
     return m

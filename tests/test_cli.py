@@ -259,6 +259,25 @@ def test_the_largest_seed_is_accepted(capsys, argv):
     assert len(_rows(out)[1]) == 2
 
 
+@pytest.mark.parametrize("text, argv, code, message", [
+    (None, ["--config", "{cfg}"], 3, "input error: cannot read config file {cfg}"),
+    ("{", ["--config", "{cfg}"], 3, "input error: config file {cfg} is not valid JSON"),
+    ("[]", ["--config", "{cfg}"], 2, "config error: config file {cfg} must hold a JSON object"),
+    ('{"dim": null}', ["--config", "{cfg}"], 2,
+     "config error: config file {cfg}: 'dim' has the wrong type: None"),
+    (None, ["--sweep-axis", "g_x"], 2, "config error: --sweep-axis must be g_r or g_i, got 'g_x'"),
+], ids=["config-missing", "config-not-json", "config-array", "config-null-dim", "axis"])
+def test_config_and_axis_errors_exit_without_a_traceback(tmp_path, capsys, text, argv, code,
+                                                         message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    argv = ["sweep", "--reps", "2", "--sweep-steps", "2", *(a.format(cfg=cfg) for a in argv)]
+    rc, out, err = _run(capsys, argv)
+    assert rc == code and out == ""
+    assert message.format(cfg=cfg) in err and "Traceback" not in err
+
+
 def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"shotz": 5}))
@@ -429,6 +448,36 @@ def test_unwritable_output_rejected_before_computing(tmp_path, capsys, argv):
     assert "config error" in err and ("missing" in err or "in.state" in err)
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--reps", "2", "--sweep-steps", "2", "--out", "{long}.csv"],
+    ["compare", "--manifest", "{long}.manifest"],
+    ["reconstruct", "--state-file", "{state}", "--out", "{long}"],
+], ids=["sweep-out", "compare-manifest", "reconstruct-out"])
+def test_an_over_long_output_name_is_a_config_error(tmp_path, capsys, argv):
+    # a name past the filesystem's limit fails the CLI's path probes with OSError;
+    # the CLI reports it before any work and writes nothing
+    state = tmp_path / "in.state"
+    write_state_file(state, random_mixed(2, 2, RandomStream(SEED, 44)).matrix)
+    long = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+    rc, out, err = _run(capsys, [a.format(long=long, state=state) for a in argv])
+    assert rc == 2 and out == ""
+    assert "config error: cannot write" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
+
+
+def test_a_read_only_output_file_is_rejected_before_computing(tmp_path, monkeypatch, capsys):
+    # root ignores file modes, so the access probe is stubbed to call the file read-only
+    target = tmp_path / "o.csv"
+    target.write_text("kept\n")
+    access = os.access
+    monkeypatch.setattr(cli.os, "access", lambda p, mode: Path(p) != target and access(p, mode))
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("the sweep ran"))
+    rc, out, err = _run(capsys, ["sweep", "--reps", "2", "--sweep-steps", "2", "--out", str(target)])
+    assert rc == 2 and out == ""
+    assert f"config error: cannot write {target}: the file is not writable" in err
+    assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("argv", [

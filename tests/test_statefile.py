@@ -121,3 +121,28 @@ def test_read_rejects_non_finite(tmp_path):
     path.write_text("2\n1,0 nan,0\n0,0 0,0\n")
     with pytest.raises(StateFileError, match="not finite"):
         read_state_file(path)
+
+
+def test_read_counts_surplus_rows_past_blank_lines(tmp_path):
+    # the blank line is skipped, so the surplus row is the one on line 5, not line 4
+    path = tmp_path / "state.txt"
+    path.write_text("2\n1,0 0,0\n\n0,0 0,0\n0,0 0,0\n")
+    with pytest.raises(StateFileError, match="line 5: more than 2 matrix rows"):
+        read_state_file(path)
+
+
+def test_read_reports_a_bad_entry_before_surplus_rows(tmp_path):
+    # rows are checked in file order: row 1's entry fails before the surplus row is reached
+    path = tmp_path / "state.txt"
+    path.write_text("2\n1,0 0\n0,0 0,0\n0,0 0,0\n")
+    with pytest.raises(StateFileError, match="line 2: entry 2 is not 're,im'"):
+        read_state_file(path)
+
+
+def test_read_counts_rows_before_allocating(tmp_path):
+    # a d x d complex array at d = 10**9 cannot be allocated: numpy would raise ValueError,
+    # so only a row count made first reports the short file
+    path = tmp_path / "state.txt"
+    path.write_text("1000000000\n1,0\n")
+    with pytest.raises(StateFileError, match="expected 1000000000 matrix rows after line 1"):
+        read_state_file(path)
