@@ -3,8 +3,8 @@ single-shot reconstruction, and an internal consistency selfcheck.
 
 Output is CSV (12 significant digits, deterministic for a fixed seed),
 plus an optional manifest recording every resolved setting and the drawn
-state.  Exit codes: 0 ok, 1 stdout closed before the output was written,
-2 bad config, 3 bad input file, 4 internal consistency failure.
+state.  Exit codes: 0 ok, 1 an output could not be written, 2 bad config,
+3 bad input file, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -89,8 +89,12 @@ def _write_csv(out: str, header: list, rows: list) -> None:
         w.writerows([[_fmt(x) for x in row] for row in rows])
 
 
-def _write_manifest(cfg: dict, entries: list) -> None:
+def _write_manifest(cfg: dict, derived: list) -> None:
+    """The command, the --config file, every option the subcommand takes as resolved (in
+    build_parser's order), then the values the run derived, one `key = value` a line."""
     if cfg["manifest"] is not None:
+        entries = [("command", cfg["command"]), ("config", cfg["config"]),
+                   *((key, cfg[key]) for key in cfg["keys"]), *derived]
         with _open_output(cfg["manifest"]) as fh:
             fh.write("".join(f"{k} = {_fmt(v)}\n" for k, v in entries))
 
@@ -154,6 +158,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         if flag_val is not None:
             cfg[key] = flag_val
     cfg["config"] = config_path  # not an option: kept so that no output overwrites it
+    cfg["command"], cfg["keys"] = args.command, args.keys  # what the manifest lists
     return cfg
 
 
@@ -210,14 +215,11 @@ def _fixed_strengths(cfg: dict, dim: int) -> CouplingStrengths:
         raise ConfigError(str(exc))
 
 
-def _state_manifest(rho: DensityMatrix, source: str) -> list:
+def _derived(strengths: CouplingStrengths, rho: DensityMatrix, source: str) -> list:
+    """The manifest's derived values of a one-state run: the strengths it held and its state."""
     pur = purity_stats(rho)
-    return [
-        ("state_source", source),
-        ("purity", pur.purity),
-        ("purity_re", pur.purity_re),
-        ("purity_im", pur.purity_im),
-    ]
+    return [("fixed_g_r", strengths.g_r), ("fixed_g_i", strengths.g_i), ("state_source", source),
+            ("purity", pur.purity), ("purity_re", pur.purity_re), ("purity_im", pur.purity_im)]
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -249,20 +251,7 @@ def cmd_sweep(cfg: dict) -> int:
     reports = run_sweep(rho, grid, shots, reps, cfg["seed"])
     rows = [[v] + [getattr(r, name) for name in SWEEP_COLUMNS] for v, r in zip(values, reports)]
     _write_csv(cfg["out"], [axis, *SWEEP_COLUMNS], rows)
-    _write_manifest(
-        cfg,
-        [("command", "sweep")]
-        + [(k, cfg[k]) for k in ("dim", "shots", "reps", "seed")]
-        + [
-            ("sweep_axis", axis),
-            ("sweep_min", lo),
-            ("sweep_max", hi),
-            ("sweep_steps", steps),
-            ("fixed_g_r", fixed.g_r),
-            ("fixed_g_i", fixed.g_i),
-        ]
-        + _state_manifest(rho, source),
-    )
+    _write_manifest(cfg, _derived(fixed, rho, source))
     return 0
 
 
@@ -277,19 +266,15 @@ def cmd_compare(cfg: dict) -> int:
     _check_writable(cfg, cfg["out"])
 
     rows = []
-    manifest_states = []
+    purities = []
     for d in range(d_lo, d_hi + 1):
         rho, source = _load_state(cfg, d, RandomStream(cfg["seed"], STATE_STREAM + d))
         pur = purity_stats(rho)
         menu = theory.scaled_mse_menu(d, pur.purity, pur.purity_re, pur.purity_im)
         rows.append([d] + [row.scaled_mse for row in menu])
-        manifest_states.append((f"purity_d{d}", pur.purity))
+        purities.append((f"purity_d{d}", pur.purity))
     _write_csv(cfg["out"], ["dim"] + [row.scheme.replace("-", "_") for row in menu], rows)
-    _write_manifest(
-        cfg,
-        [("command", "compare"), ("dim_min", d_lo), ("dim_max", d_hi), ("seed", cfg["seed"])]
-        + manifest_states,
-    )
+    _write_manifest(cfg, purities)
     return 0
 
 
@@ -323,12 +308,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     print(f"hs_sq_phys = {_fmt(hs_distance_sq(phys, rho.matrix))}")
     print(f"theory_mse_raw = {_fmt(theory.mse_raw(inp))}")
     print(f"theory_mse_herm = {_fmt(theory.mse_hermitized(inp).total)}")
-    _write_manifest(
-        cfg,
-        [("command", "reconstruct"), ("dim", dim), ("shots", shots), ("seed", cfg["seed"]),
-         ("g_r", strengths.g_r), ("g_i", strengths.g_i)]
-        + _state_manifest(rho, f"file:{cfg['state_file']}"),
-    )
+    _write_manifest(cfg, [("dim", dim), *_derived(strengths, rho, f"file:{cfg['state_file']}")])
     return 0
 
 
@@ -373,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help=key_help)
             else:
                 p.add_argument(flag, dest=key, type=kind, default=None, help=key_help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, keys=keys)
     return parser
 
 
@@ -385,11 +365,16 @@ def main(argv=None) -> int:
         code = args.func(cfg)
         sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's exit flush
         return code
-    except BrokenPipeError:
-        # The reader went away (`wvtomo sweep | head -1`): the unwritten rest goes nowhere.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except OSError as exc:  # input reads turn theirs into config or input errors
+        # A write failed.  A reader that went away (`wvtomo sweep | head -1`) needs no message.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"output error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout is the output that failed: what it still holds goes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -397,7 +382,3 @@ def main(argv=None) -> int:
     except TomographyError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -260,20 +260,19 @@ def run_sweep(
                 laws[quadrature] = g, _quadrature_law(features, quadrature, g)
         table = _table(laws["R"][1], laws["I"][1])
 
-        err_raw, err_herm = np.zeros(reps), np.zeros(reps)
+        errors = np.zeros((2, reps))  # squared raw and hermitized error of each repetition
         stream = RandomStream(seed)
         for start in range(0, reps, batch):
-            count = min(batch, reps - start)
-            err_raw[start:start + count], err_herm[start:start + count] = _batch_errors(
-                table, strengths, overlaps, rho.matrix, n_shots, stream, count)
+            _batch_errors(table, strengths, overlaps, rho.matrix, n_shots, stream,
+                          errors[:, start:start + batch])
+        mean = errors.mean(axis=1)
+        stderr = errors.std(ddof=1, axis=1) / np.sqrt(reps) if reps > 1 else np.zeros(2)
 
         stats_input = theory.TheoryInput(dim=d, strengths=strengths, shots=n_shots, purity=purity)
         oracle_raw, oracle_herm = _oracle(table, overlaps, strengths, n_shots)
         reports.append(MseReport(
-            mse_raw_mean=float(err_raw.mean()),
-            mse_raw_stderr=float(err_raw.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
-            mse_herm_mean=float(err_herm.mean()),
-            mse_herm_stderr=float(err_herm.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+            mse_raw_mean=float(mean[0]), mse_raw_stderr=float(stderr[0]),
+            mse_herm_mean=float(mean[1]), mse_herm_stderr=float(stderr[1]),
             reps=reps,
             theory_raw=theory.mse_raw(stats_input),
             theory_herm=theory.mse_hermitized(stats_input).total,
@@ -284,14 +283,14 @@ def run_sweep(
 
 def _batch_errors(
     table: tuple, strengths: CouplingStrengths, overlaps: np.ndarray, matrix: np.ndarray,
-    n_shots: int, stream: RandomStream, count: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared raw and hermitized errors against `matrix` of the next `count` experiments
-    drawn from `stream`.  A batch's counts, sums and estimates live only in this call, so
-    none of them is still held while the next batch draws."""
-    est = _assemble(estimate_pw(_sample_stats(table, n_shots, stream, count), strengths),
+    n_shots: int, stream: RandomStream, out: np.ndarray,
+) -> None:
+    """Fill the two rows of `out` with the squared raw and hermitized errors against `matrix`
+    of the next experiments drawn from `stream`, one a column.  A batch's counts, sums and
+    estimates live only in this call, so none of them is still held while the next batch draws."""
+    est = _assemble(estimate_pw(_sample_stats(table, n_shots, stream, out.shape[1]), strengths),
                     overlaps)
-    return hs_distance_sq(est.raw, matrix), hs_distance_sq(est.hermitized, matrix)
+    out[:] = hs_distance_sq(est.raw, matrix), hs_distance_sq(est.hermitized, matrix)
 
 
 def _oracle(table: tuple, overlaps: np.ndarray, strengths: CouplingStrengths, n_shots: int):

@@ -1,7 +1,9 @@
 """Command-line harness: CSV outputs, config resolution, exit codes,
 determinism, and the statistical agreement of simulated sweeps."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -191,6 +193,47 @@ def test_sweep_manifest_and_config_precedence(tmp_path, capsys):
     assert "dim = 3\n" in text          # config beats built-in default
     assert "state_source = pure-random\n" in text
     assert "purity = " in text
+
+
+ONE_STATE = ["fixed_g_r", "fixed_g_i", "state_source", "purity", "purity_re", "purity_im"]
+# (subcommand, its flags, the config file, the derived keys that close its manifest)
+MANIFEST_RUNS = [
+    ("sweep", {"shots": 9, "g_r": 1.0, "sweep_axis": "g_i", "out": "o.csv"},
+     {"dim": 3, "reps": 2, "sweep_steps": 2, "seed": 5, "mixed_rank": 2, "shots": 4}, ONE_STATE),
+    ("compare", {"mixed_rank": 2, "dim_max": 3}, {"seed": 3}, ["purity_d2", "purity_d3"]),
+    ("compare", {"pure": True, "out": "o.csv"}, {"dim_max": 3}, ["purity_d2", "purity_d3"]),
+    ("compare", {"state_file": "in.state"}, {"dim_max": 2}, ["purity_d2"]),
+    ("reconstruct", {"state_file": "in.state", "shots": 20, "optimal": True, "out": "est"},
+     {"seed": 4, "dim": 7}, ["dim", *ONE_STATE]),
+]
+
+
+@pytest.mark.parametrize("command, flags, config, derived", MANIFEST_RUNS,
+                         ids=["sweep", "compare-mixed", "compare-pure", "compare-file",
+                              "reconstruct"])
+def test_a_manifest_lists_every_option_of_its_subcommand(tmp_path, monkeypatch, capsys, command,
+                                                         flags, config, derived):
+    # command and config, then each option the subcommand takes as resolved, in build_parser's
+    # order, then what the run derived; no key twice
+    monkeypatch.chdir(tmp_path)
+    write_state_file("in.state", random_mixed(2, 2, RandomStream(SEED, 61)).matrix)
+    Path("cfg.json").write_text(json.dumps(config))
+    flags = {**flags, "manifest": "run.manifest"}
+    argv = [command, "--config", "cfg.json"]
+    for key, val in flags.items():
+        argv += ["--" + key.replace("_", "-")] + ([] if val is True else [str(val)])
+    rc, _, err = _run(capsys, argv)
+    assert rc == 0, err
+    entries = [line.split(" = ", 1) for line in Path("run.manifest").read_text().splitlines()]
+    keys = [key for key, _ in entries]
+    options = list(cli.build_parser().parse_args([command]).keys)
+    assert keys == ["command", "config", *options, *derived]
+    resolved = {**cli.DEFAULTS, **config, **flags, "command": command, "config": "cfg.json"}
+    head = keys[:-len(derived)]
+    assert entries[:len(head)] == [[key, cli._fmt(resolved[key])] for key in head]
+    # each source shows: a flag, a config value no flag overrides, and a default
+    assert set(config) & set(options) - set(flags)
+    assert set(options) - set(flags) - set(config)
 
 
 @pytest.mark.parametrize("lo, hi", [("1.5", "3.5"), ("2", "1"), ("-1", "1"), ("0.6", "inf")])
@@ -703,6 +746,57 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""
+
+
+FULL_DISK = f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+def _full_disk(*_args, **_kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["compare", "--dim-max", "3"], ["selfcheck", "--seed", "1"]],
+                         ids=["compare", "selfcheck"])
+def test_a_full_stdout_exits_1_with_one_line(argv):
+    src = str(Path(wvtomo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "wvtomo", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.decode() == FULL_DISK
+
+
+class _FullFile(io.StringIO):
+    write = staticmethod(_full_disk)
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["sweep", "--reps", "2", "--sweep-steps", "2", "--out", "o.csv"], ""),
+    (["compare", "--dim-max", "3", "--out", "o.csv", "--manifest", "m"], ""),
+    # the CSV went to stdout before the manifest write failed, and still arrives
+    (["sweep", "--reps", "2", "--sweep-steps", "2", "--manifest", "m"], "g_r,mse_raw_mean,"),
+], ids=["sweep-out", "compare-out", "sweep-manifest"])
+def test_a_failed_file_write_exits_1_with_one_line(tmp_path, monkeypatch, capsys, argv, stdout):
+    # a disk that fills after the up-front checks pass; root may write /dev/full, but the
+    # checks refuse it to anyone else, so the write itself is stubbed
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullFile(), raising=False)
+    rc, out, err = _run(capsys, argv)
+    assert (rc, err) == (1, FULL_DISK)
+    assert out.startswith(stdout) and bool(out) == bool(stdout)
+
+
+def test_a_failed_state_file_write_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_state_file("in.state", random_mixed(2, 1, RandomStream(SEED, 60)).matrix)
+    real = cli.write_state_file
+    monkeypatch.setattr(cli, "write_state_file", lambda path, matrix: (
+        _full_disk() if path.endswith("_herm.state") else real(path, matrix)))
+    rc, out, err = _run(capsys, ["reconstruct", "--state-file", "in.state", "--out", "est"])
+    assert (rc, out, err) == (1, "", FULL_DISK)
 
 
 # (module, name the probe looks up there, the gate its value feeds)
