@@ -282,7 +282,8 @@ def cmd_reconstruct(cfg: dict) -> int:
     if cfg["state_file"] is None:
         raise ConfigError("reconstruct requires --state-file")
     shots = _positive(cfg, "shots", 1)
-    out = cfg["out"] if cfg["out"] != "-" else "reconstruction"
+    # Files only: '-' stands for their default prefix, which the manifest then records.
+    out = cfg["out"] = "reconstruction" if cfg["out"] == "-" else cfg["out"]
     raw_path, herm_path, phys_path = (f"{out}_{kind}.state" for kind in ("raw", "herm", "phys"))
     _check_writable(cfg, raw_path, herm_path, phys_path)
     rho = validate_density(read_state_file(cfg["state_file"]))

@@ -7,10 +7,8 @@ means 2dN state copies.  The estimator reads each configuration only
 through its per-j sums of pointer eigenvalues, so one repetition is one
 draw of the outcome counts of every configuration's N shots over
 `outcome_table`, the joint law of (n, quadrature, post-selection j, pointer
-eigenvalue k).  `RandomStream.multinomial` picks the draw: numpy's
-multinomial, whose work grows with the 2d outcomes of a row, when N >= 2d,
-and one inverse-CDF draw per shot, whose work grows with N, when N < 2d.
-Either way memory is bounded by the count array, not by N.
+eigenvalue k), by `RandomStream.multinomial` (its docstring gives its two
+draws); memory is bounded by the count array, not by N.
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -30,6 +28,7 @@ from .protocol import (
     CouplingStrengths,
     MeasurementBases,
     _check_index,
+    _clamp_probs,
     _features,
     _pointer_parts,
     fourier_mub,
@@ -127,7 +126,7 @@ def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndar
     w0, w1, w01 = np.abs(v0) ** 2, np.abs(v1) ** 2, 2.0 * v0.conj() * v1
     # One whole (n, j) plane per eigenvalue k: no length-2 inner loops over k.
     probs = np.stack([w0[k] * m00 + w1[k] * m11 + (w01[k] * m01).real for k in range(2)], -1)
-    probs = np.maximum(probs, 0.0)  # rounding below zero on a vanishing branch
+    probs = _clamp_probs(probs, len(features[0]))
     probs /= probs.sum(axis=(1, 2), keepdims=True)
     return probs, evals
 
@@ -160,10 +159,8 @@ def outcome_distribution(
 
 def sample_shots(dist: OutcomeDistribution, n_shots: int, rng: RandomStream) -> np.ndarray:
     """Per-j sums of the eigenvalues observed in n_shots draws of `dist`, from one
-    `RandomStream.multinomial` draw of its 2d outcome counts (a multinomial when N >= 2d,
-    shot by shot when N < 2d, so time grows with min(N, 2d) and memory is O(d)): the
-    per-configuration reference that `simulate_once`'s stacked draw is tested against.
-    """
+    `RandomStream.multinomial` draw of its 2d outcome counts (memory O(d)): the
+    per-configuration reference that `simulate_once`'s stacked draw is tested against."""
     check_count(n_shots, "shot count")
     counts = rng.multinomial(n_shots, dist.probs)
     return (counts * dist.values).reshape(-1, 2).sum(axis=1)
@@ -216,8 +213,7 @@ def simulate_once(
     stream: RandomStream,
 ) -> TomographyEstimate:
     """One experiment: n_shots of every configuration of `table` (from
-    `outcome_table`), drawn as one `RandomStream.multinomial` call over its 2d rows
-    (numpy's multinomial when N >= 2d, one inverse-CDF draw per shot when N < 2d)."""
+    `outcome_table`), drawn as one `RandomStream.multinomial` call over its 2d rows."""
     stats = _sample_stats(table, n_shots, stream, 1)
     est = assemble_estimate(estimate_pw(stats, strengths), bases)  # overlaps after the draw
     return TomographyEstimate(raw=est.raw[0], hermitized=est.hermitized[0])
@@ -314,7 +310,7 @@ def _oracle(table: tuple, overlaps: np.ndarray, strengths: CouplingStrengths, n_
 def exact_mse_oracle(
     rho: DensityMatrix, strengths: CouplingStrengths, n_shots: int, hermitized: bool = False
 ) -> float:
-    """Exact MSE of the estimator, by enumeration instead of sampling.
+    """Exact MSE of the estimator, with no sampling and no enumeration of outcomes.
 
     Propagates the per-shot covariances through the reconstruction row
     rho[n][m] = sum_j c_jm (X_j + i Y_j), c_jm = <psi_j|a_m>/<psi_j|a_n>,

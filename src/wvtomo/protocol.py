@@ -24,7 +24,7 @@ from .errors import (
     StrengthOutOfRange,
     UndefinedWeakValue,
 )
-from .qmath import DensityMatrix, check_dimension
+from .qmath import EIGENVALUE_TOL, DensityMatrix, check_dimension
 
 # Post-selection outcomes with probability at or below this are undefined-but-unused.
 PROB_DEFINED_TOL = 1e-12
@@ -182,7 +182,7 @@ def _postselected_pointers(rho: DensityMatrix, ns, gs, bases: MeasurementBases) 
     m = np.einsum("aj,gnaibk,bj->gnjik", bases.psi_basis.conj(), blocks, bases.psi_basis)
     m = (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0  # kill rounding asymmetry
 
-    probs = _clamp_probs(np.einsum("...ii->...", m).real)
+    probs = _clamp_probs(np.einsum("...ii->...", m).real, d)
     defined = (probs > PROB_DEFINED_TOL)[..., None, None]
     states = np.divide(m, probs[..., None, None], out=np.full_like(m, np.nan), where=defined)
     return states, probs
@@ -233,13 +233,14 @@ def pointer_blocks(rho: DensityMatrix, g, bases: MeasurementBases) -> tuple[np.n
     couple_and_postselect, stacked from `_pointer_parts`."""
     m00, m01, m11 = _pointer_parts(_features(rho, bases), g)
     blocks = np.stack([m00, m01, m01.conj(), m11], axis=-1).reshape(*m00.shape, 2, 2)
-    return blocks, _clamp_probs(m00 + m11)
+    return blocks, _clamp_probs(m00 + m11, rho.dim)
 
 
-def _clamp_probs(probs: np.ndarray) -> np.ndarray:
-    """Post-selection probabilities P = tr M with rounding below zero clamped to 0."""
-    if probs.min() < -PROB_DEFINED_TOL:
-        raise NotPositive(f"post-selection probability {probs.min():.3e} below -1e-12")
+def _clamp_probs(probs: np.ndarray, d: int) -> np.ndarray:
+    """Probabilities tr(rho E), 0 <= E <= I, rounding below zero clamped to 0: the one floor
+    of the forward model's readers, -d EIGENVALUE_TOL, which no validate_density state crosses."""
+    if probs.min() < -d * EIGENVALUE_TOL:
+        raise NotPositive(f"outcome probability {probs.min():.3e} below {-d * EIGENVALUE_TOL:.0e}")
     return np.where(probs < 0.0, 0.0, probs)
 
 
@@ -249,7 +250,7 @@ def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g) -> WeakVal
     A 1-D array g gives every array of the table a leading strength axis."""
     features = _features(rho, bases)  # one pass: P and the numerator B share it
     m00, _, m11 = _pointer_parts(features, g)
-    probs = _clamp_probs(m00 + m11)
+    probs = _clamp_probs(m00 + m11, rho.dim)
     defined = probs > PROB_DEFINED_TOL
     entries = np.divide(features[1], probs, out=np.zeros(probs.shape, dtype=complex), where=defined)
     return WeakValueTable(dim=rho.dim, entries=entries, probs=probs, undefined=~defined)

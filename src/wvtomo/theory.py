@@ -37,17 +37,17 @@ class ComparisonRow:
     scaled_mse: float
 
 
-def _strength_terms(g_r, g_i):
-    """1/sin^2 g_R, 1/sin^2 g_I and 1/cos^2(g_R/2), of floats or arrays; finite for
-    any CouplingStrengths, because the type guards them."""
+def _quadrature_terms(d: int, g_r, g_i):
+    """T_R = (d^2/4)/sin^2 g_R + (d/2)/cos^2(g_R/2) and T_I = (d^2/4)/sin^2 g_I, the strength
+    terms of every MSE closed form, of floats or arrays; finite for any CouplingStrengths."""
     sr, si, cr = np.sin(g_r), np.sin(g_i), np.cos(g_r / 2.0)
-    return 1.0 / sr**2, 1.0 / si**2, 1.0 / cr**2
+    return d * d / 4.0 / (sr * sr) + d / 2.0 / (cr * cr), d * d / 4.0 / (si * si)
 
 
 def _raw_bracket(d: int, g_r, g_i, purity: float):
-    """N times mse_raw, the one copy of its formula, for floats or arrays of strengths."""
-    inv_sr2, inv_si2, inv_cr2 = _strength_terms(g_r, g_i)
-    return d * d / 4.0 * (inv_sr2 + inv_si2) + d / 2.0 * inv_cr2 - purity
+    """N times mse_raw, T_R + T_I - tr(rho^2), for floats or arrays of strengths."""
+    t_r, t_i = _quadrature_terms(d, g_r, g_i)
+    return t_r + t_i - purity
 
 
 def _sqrt_term(d: int) -> float:
@@ -82,9 +82,9 @@ def mse_hermitized(inp: TheoryInput) -> HermitizedMse:
     terms; the state-dependent term spreads tr(rho^2) uniformly over
     elements).  See mse_hermitized_exact for the exact bookkeeping."""
     d, n = inp.dim, inp.shots
-    inv_sr2, _, inv_cr2 = _strength_terms(inp.strengths.g_r, inp.strengths.g_i)
+    t_r, _ = _quadrature_terms(d, inp.strengths.g_r, inp.strengths.g_i)
     off = (d - 1.0) / (2.0 * d) * mse_raw(inp)  # the raw bracket, over the off-diagonal pairs
-    dia = (d * d / 4.0 * inv_sr2 + d / 2.0 * inv_cr2 - inp.purity.purity_re) / (d * n)
+    dia = (t_r - inp.purity.purity_re) / (d * n)
     return HermitizedMse(total=float(off + dia), off_diagonal=float(off), diagonal=float(dia))
 
 
@@ -105,21 +105,15 @@ def mse_hermitized_exact(rho: DensityMatrix, strengths: CouplingStrengths, shots
 
     Differs from mse_hermitized by
         [sum_n rho_nn^2 / 2 - (tr((Re rho)^2) - tr((Im rho)^2)) / (2d)] / N,
-    which vanishes only for special states; the enumeration oracle matches
-    this form to machine precision.
+    which vanishes only for special states; exact_mse_oracle, which propagates the exact
+    per-shot covariances, matches this form to machine precision.
     """
     check_count(shots, "shot count")
     d = rho.dim
-    inv_sr2, inv_si2, inv_cr2 = _strength_terms(strengths.g_r, strengths.g_i)
-    pur = purity_stats(rho)
+    t_r, t_i = _quadrature_terms(d, strengths.g_r, strengths.g_i)
     diag_sq = float(np.sum(rho.matrix.diagonal().real ** 2))
-    bracket = (
-        (d * d + d) / 8.0 * inv_sr2
-        + (d * d - d) / 8.0 * inv_si2
-        + (d + 1.0) / 4.0 * inv_cr2
-        - (pur.purity + diag_sq) / 2.0
-    )
-    return float(bracket / shots)
+    return float((((d + 1.0) * t_r + (d - 1.0) * t_i) / (2.0 * d)
+                  - (purity_stats(rho).purity + diag_sq) / 2.0) / shots)
 
 
 def scaled_mse_menu(

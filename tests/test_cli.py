@@ -704,9 +704,9 @@ def test_selfcheck_passes(capsys):
 
 
 SELFCHECK_PINS = [
-    (1, "2adff2ad20df1d144673b5a1b46eb4968dca480ee49bdd058ae576383d4f187b"),
-    (2, "7de41c8dbb993815c7c26b77f1529a02f9c37a7b680c131f8e94c6778f9ab3a9"),
-    (3, "0c815e1fc44088d1c1941cd8fca1214529813209fc0369a563b95b20437546d1"),
+    (1, "f87f3600548b4ea1208af565f37ce7ac691ae94ea855057c9ccee9a29ea757cf"),
+    (2, "a2704d7117260bf97e4928c8b0861ebe166b2c4555774740c4718523df04a599"),
+    (3, "4e420726350a4f103ec6d8c05fe11ef00ec7c5a68b960e9698120a2f3aa6ae10"),
 ]
 
 
@@ -787,6 +787,18 @@ def test_a_failed_file_write_exits_1_with_one_line(tmp_path, monkeypatch, capsys
     rc, out, err = _run(capsys, argv)
     assert (rc, err) == (1, FULL_DISK)
     assert out.startswith(stdout) and bool(out) == bool(stdout)
+
+
+def test_reconstruct_manifest_records_the_prefix_of_the_files_it_wrote(tmp_path, monkeypatch,
+                                                                       capsys):
+    # with no --out the files are reconstruction_*.state, and the manifest's out says so
+    monkeypatch.chdir(tmp_path)
+    write_state_file("s.state", random_mixed(2, 2, RandomStream(SEED, 62)).matrix)
+    rc, out, err = _run(capsys, ["reconstruct", "--state-file", "s.state", "--manifest", "m"])
+    assert rc == 0, err
+    assert out.startswith("wrote reconstruction_raw.state and reconstruction_herm.state\n")
+    assert all(Path(f"reconstruction_{kind}.state").is_file() for kind in ("raw", "herm", "phys"))
+    assert "\nout = reconstruction\n" in Path("m").read_text()
 
 
 def test_a_failed_state_file_write_exits_1_with_one_line(tmp_path, monkeypatch, capsys):

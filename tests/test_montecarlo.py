@@ -9,9 +9,11 @@ import pytest
 
 from wvtomo import (
     CouplingStrengths,
+    DensityMatrix,
     IncompleteStats,
     IndexOutOfRange,
     InvalidDimension,
+    NotPositive,
     OutcomeDistribution,
     RandomStream,
     StrengthOutOfRange,
@@ -116,6 +118,24 @@ def test_outcome_distribution_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------- sampling
+
+
+def test_a_non_state_is_refused_on_the_sampler_path():
+    # 1.5|psi_0><psi_0| - 0.5|psi_1><psi_1|, the non-state the exact readers refuse: the
+    # sampler's laws, the oracle and the experiment refuse it too instead of clamping it
+    bases = fourier_mub(2)
+    psi = bases.psi_basis
+    rho = DensityMatrix(2, 1.5 * np.outer(psi[:, 0], psi[:, 0].conj())
+                        - 0.5 * np.outer(psi[:, 1], psi[:, 1].conj()))
+    strengths = CouplingStrengths(0.05, 1.0)
+    for build in (
+        lambda: outcome_table(rho, strengths, bases),
+        lambda: outcome_distribution(rho, 0, "R", strengths.g_r, bases),
+        lambda: exact_mse_oracle(rho, strengths, 10),
+        lambda: run_experiment(rho, strengths, 10, 2, SEED),
+    ):
+        with pytest.raises(NotPositive):
+            build()
 
 
 def test_sample_shots_concentrated_distribution():

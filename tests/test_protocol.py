@@ -519,6 +519,20 @@ def test_non_state_is_refused_as_not_positive():
             build()
 
 
+def test_every_reader_takes_a_state_that_validate_density_accepts():
+    # eigenvalues -eps, 0 and 1 + eps with eps = 5e-11, inside validate_density's tolerance:
+    # at g = pi/2 one probability rounds to -3.3e-11, which every reader clamps to 0
+    eps = 5e-11
+    off = -1.0 - 2.0 * eps
+    rho = validate_density(0.5 * np.array([[0, 0, 0], [0, 1, off], [0, off, 1]], dtype=complex))
+    assert np.linalg.eigvalsh(rho.matrix)[0] < -0.9 * eps
+    bases, g = fourier_mub(3), np.pi / 2
+    assert pointer_blocks(rho, g, bases)[1].min() == 0.0
+    assert weak_values_exact(rho, bases, g).probs.min() == 0.0
+    for n in range(3):
+        assert couple_and_postselect(rho, n, g, bases).probs.min() >= 0.0
+
+
 STACKED_STRENGTHS = np.array([0.05, 0.6, 1.0, np.pi / 2, 2.4, 3.0])
 
 

@@ -70,6 +70,28 @@ def test_both_draws_reject_what_numpy_rejects(n, pvals):
         RandomStream(SEED, 2).multinomial(n, np.array([[0.2, 0.3, 0.5], pvals]))
 
 
+@pytest.mark.parametrize("stack", [False, True], ids=["row", "stack"])
+def test_both_draws_accept_what_numpy_accepts(stack):
+    # a plain cumsum puts this head above 1 + 1e-12, numpy's own sum does not: the per-shot
+    # draw (N < 8) must accept it as numpy's multinomial (N >= 8) does
+    p = np.array([(1 + 1e-12) / 7] * 7 + [0.0])
+    pvals = np.array([p, p]) if stack else p
+    for n in range(1, 10):
+        counts = RandomStream(SEED, 7).multinomial(n, pvals)
+        assert np.array_equal(counts.sum(axis=-1), np.full(pvals.shape[:-1], n))
+
+
+@pytest.mark.parametrize("n", [1, 4], ids=["per-shot", "multinomial"])
+@pytest.mark.parametrize("stack", [False, True], ids=["row", "stack"])
+def test_both_draws_reject_what_numpy_sums_over_the_limit(n, stack):
+    # a plain cumsum puts this head at 1 + 1e-12 exactly, numpy's own sum one ulp above it
+    p = np.array([0.37372314295002756, 0.5509841524944409, 0.07529270455653174, 0.0])
+    assert np.cumsum(p[:-1])[-1] == 1 + 1e-12
+    pvals = np.array([[0.25] * 4, p]) if stack else p
+    with pytest.raises(ValueError, match="> 1.0"):
+        RandomStream(SEED, 7).multinomial(n, pvals)
+
+
 def test_per_shot_last_category_takes_the_remainder():
     # numpy's multinomial gives the last category 1 - sum(pvals[:-1]) whatever pvals[-1] says
     stream = RandomStream(SEED, 3)
