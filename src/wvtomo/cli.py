@@ -13,8 +13,9 @@ import argparse
 import csv
 import json
 import os
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -77,13 +78,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _open_output(path: str):
+def _begin_output(cfg: dict, path: str) -> None:
+    """Record an output file just before the run writes it; main removes what is recorded if a
+    write fails.  Only a new path or a regular file is recorded: a device, FIFO or symlink stays."""
+    if not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode):
+        cfg["opened"].append(path)
+
+
+def _open_output(cfg: dict, path: str):
     """The file at path, or stdout for '-'."""
-    return nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
+    if path == "-":
+        return nullcontext(sys.stdout)
+    _begin_output(cfg, path)
+    return open(path, "w", newline="")
 
 
-def _write_csv(out: str, header: list, rows: list) -> None:
-    with _open_output(out) as fh:
+def _write_csv(cfg: dict, header: list, rows: list) -> None:
+    with _open_output(cfg, cfg["out"]) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows([[_fmt(x) for x in row] for row in rows])
@@ -95,7 +106,7 @@ def _write_manifest(cfg: dict, derived: list) -> None:
     if cfg["manifest"] is not None:
         entries = [("command", cfg["command"]), ("config", cfg["config"]),
                    *((key, cfg[key]) for key in cfg["keys"]), *derived]
-        with _open_output(cfg["manifest"]) as fh:
+        with _open_output(cfg, cfg["manifest"]) as fh:
             fh.write("".join(f"{k} = {_fmt(v)}\n" for k, v in entries))
 
 
@@ -159,6 +170,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = flag_val
     cfg["config"] = config_path  # not an option: kept so that no output overwrites it
     cfg["command"], cfg["keys"] = args.command, args.keys  # what the manifest lists
+    cfg["opened"] = []  # the output files the run has begun to write
     return cfg
 
 
@@ -250,7 +262,7 @@ def cmd_sweep(cfg: dict) -> int:
     grid = [replace(fixed, **{axis: float(v)}) for v in values]
     reports = run_sweep(rho, grid, shots, reps, cfg["seed"])
     rows = [[v] + [getattr(r, name) for name in SWEEP_COLUMNS] for v, r in zip(values, reports)]
-    _write_csv(cfg["out"], [axis, *SWEEP_COLUMNS], rows)
+    _write_csv(cfg, [axis, *SWEEP_COLUMNS], rows)
     _write_manifest(cfg, _derived(fixed, rho, source))
     return 0
 
@@ -273,7 +285,7 @@ def cmd_compare(cfg: dict) -> int:
         menu = theory.scaled_mse_menu(d, pur.purity, pur.purity_re, pur.purity_im)
         rows.append([d] + [row.scaled_mse for row in menu])
         purities.append((f"purity_d{d}", pur.purity))
-    _write_csv(cfg["out"], ["dim"] + [row.scheme.replace("-", "_") for row in menu], rows)
+    _write_csv(cfg, ["dim"] + [row.scheme.replace("-", "_") for row in menu], rows)
     _write_manifest(cfg, purities)
     return 0
 
@@ -294,11 +306,11 @@ def cmd_reconstruct(cfg: dict) -> int:
     bases = fourier_mub(dim)
     est = simulate_once(outcome_table(rho, strengths, bases), bases, strengths, shots,
                         RandomStream(cfg["seed"], RECONSTRUCT_STREAM))
-    write_state_file(raw_path, est.raw)
-    write_state_file(herm_path, est.hermitized)
     # The estimates need not have unit trace nor be positive; this one is a state.
     phys = project_to_density(est.hermitized).matrix
-    write_state_file(phys_path, phys)
+    for path, matrix in ((raw_path, est.raw), (herm_path, est.hermitized), (phys_path, phys)):
+        _begin_output(cfg, path)
+        write_state_file(path, matrix)
 
     pur = purity_stats(rho)
     inp = theory.TheoryInput(dim=dim, strengths=strengths, shots=shots, purity=pur)
@@ -370,6 +382,9 @@ def main(argv=None) -> int:
         # A write failed.  A reader that went away (`wvtomo sweep | head -1`) needs no message.
         if not isinstance(exc, BrokenPipeError):
             print(f"output error: {exc}", file=sys.stderr)
+            for path in cfg["opened"]:  # the run failed: no file it recorded stays
+                with suppress(OSError):
+                    os.remove(path)
         try:
             sys.stdout.flush()
         except OSError:  # stdout is the output that failed: what it still holds goes nowhere

@@ -126,7 +126,7 @@ def _variance_probe_cases():
 
 
 def test_04a_raw_variance_closed_form():
-    """Enumeration oracle equals the raw-MSE closed form within 1e-9."""
+    """The exact MSE oracle equals the raw-MSE closed form within 1e-9."""
     t0 = time.monotonic()
     worst = 0.0
     for d, rho, strengths in _variance_probe_cases():
@@ -137,7 +137,7 @@ def test_04a_raw_variance_closed_form():
 
 
 def test_04b_hermitized_variance_closed_form():
-    """Enumeration oracle vs the hermitized closed forms within 1e-9.
+    """The exact MSE oracle vs the hermitized closed forms within 1e-9.
 
     The exact-bookkeeping form (mse_hermitized_exact) must match the oracle
     directly.  The uniform-variance form (mse_hermitized) is an approximation

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -809,6 +810,50 @@ def test_a_failed_state_file_write_exits_1_with_one_line(tmp_path, monkeypatch, 
         _full_disk() if path.endswith("_herm.state") else real(path, matrix)))
     rc, out, err = _run(capsys, ["reconstruct", "--state-file", "in.state", "--out", "est"])
     assert (rc, out, err) == (1, "", FULL_DISK)
+    # est_raw.state was written whole before the failure; the run leaves none, and its input
+    assert sorted(p.name for p in Path().iterdir()) == ["in.state"]
+
+
+def test_a_failed_write_keeps_the_outputs_it_never_opened(tmp_path, monkeypatch, capsys):
+    # the raw file fails first, so the herm and phys files already there stay as they were
+    monkeypatch.chdir(tmp_path)
+    write_state_file("in.state", random_mixed(2, 1, RandomStream(SEED, 60)).matrix)
+    for kind in ("herm", "phys"):
+        Path(f"est_{kind}.state").write_text("kept\n")
+    monkeypatch.setattr(cli, "write_state_file", lambda path, matrix: _full_disk())
+    rc, out, err = _run(capsys, ["reconstruct", "--state-file", "in.state", "--out", "est"])
+    assert (rc, out, err) == (1, "", FULL_DISK)
+    assert sorted(p.name for p in Path().iterdir()) == ["est_herm.state", "est_phys.state",
+                                                        "in.state"]
+    assert all(Path(f"est_{kind}.state").read_text() == "kept\n" for kind in ("herm", "phys"))
+
+
+@pytest.mark.parametrize("kind", ["new", "symlink", "fifo"])
+def test_a_failed_manifest_write_removes_only_the_csv_the_run_made(tmp_path, monkeypatch,
+                                                                   capsys, kind):
+    # the CSV is written whole, then the manifest write alone fails; the run removes a CSV it
+    # created, but not a symlink or FIFO named as its --out, which it did not make
+    monkeypatch.chdir(tmp_path)
+    if kind == "symlink":
+        Path("target.csv").write_text("")
+        os.symlink("target.csv", "o.csv")
+    elif kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs os.mkfifo")
+        os.mkfifo("o.csv")
+    # the FIFO is never really opened: with no reader, the open would block
+    monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: (
+        _FullFile() if path == "m" else io.StringIO() if kind == "fifo"
+        else open(path, *args, **kwargs)), raising=False)
+    argv = ["sweep", "--reps", "2", "--sweep-steps", "2", "--out", "o.csv", "--manifest", "m"]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out, err) == (1, "", FULL_DISK)
+    assert not Path("m").exists()
+    if kind == "new":
+        assert not os.path.lexists("o.csv")
+    else:
+        mode = os.lstat("o.csv").st_mode
+        assert stat.S_ISLNK(mode) if kind == "symlink" else stat.S_ISFIFO(mode)
 
 
 # (module, name the probe looks up there, the gate its value feeds)
@@ -829,6 +874,16 @@ def test_selfcheck_fails_on_a_nan_deviation(monkeypatch, capsys, module, name, g
     rc, out, _ = _run(capsys, ["selfcheck", "--seed", "1"])
     assert rc == 4
     assert any(line.startswith(f"FAIL {gate} ") for line in out.splitlines())
+
+
+def test_selfcheck_draws_only_the_states_its_gates_read(monkeypatch):
+    # 4 reconstruction, 3 readout and 9 oracle states; the substitution identities read none
+    dims = []
+    real = selfcheck.random_mixed
+    monkeypatch.setattr(selfcheck, "random_mixed",
+                        lambda d, rank, stream: dims.append(d) or real(d, rank, stream))
+    selfcheck.probes(1)
+    assert dims == [2, 3, 4, 5, 2, 3, 5, 2, 2, 2, 3, 3, 3, 4, 4, 4]
 
 
 def test_missing_subcommand_exits():

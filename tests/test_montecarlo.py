@@ -1,5 +1,5 @@
 """Shot-level sampling, sufficient statistics, the end-to-end experiment
-driver, and the exact enumeration MSE oracle."""
+driver, and the exact MSE oracle, which propagates exact per-shot covariances."""
 
 import tracemalloc
 from dataclasses import replace
@@ -588,7 +588,7 @@ def test_sweep_memory_does_not_grow_with_steps():
 
 
 def test_run_experiment_matches_oracle_and_scales():
-    """Empirical MSE tracks the enumeration oracle and scales as 1/N.
+    """Empirical MSE tracks the exact MSE oracle and scales as 1/N.
 
     Config rehearsed once at this seed: the N-scaled raw means differ by
     at most 0.7 stderr across N in {50, 100, 200}, and the hermitized mean
@@ -662,7 +662,7 @@ def test_run_experiment_single_rep_has_zero_stderr():
     assert rep.mse_herm_stderr == 0.0
 
 
-# ---------------------------------------------------------------- enumeration oracle
+# ---------------------------------------------------------------- exact MSE oracle
 
 
 def test_oracle_matches_closed_form_raw():
@@ -697,7 +697,7 @@ def test_oracle_hermitized_below_raw():
 
 
 def _per_row_oracle(rho, strengths, n_shots, hermitized):
-    """The enumeration oracle as first written: per-row covariance matrices
+    """The exact MSE oracle as first written: per-row covariance matrices
     propagated through coefficient vectors, with each row's outcome law built
     from couple_and_postselect and eig_hermitian_2x2."""
     d = rho.dim

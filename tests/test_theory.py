@@ -159,12 +159,21 @@ def test_optimal_strengths_rejects_small_dimension():
         numeric_optimal_strengths(1)
 
 
+# Purity triples (tr rho^2, tr((Re rho)^2), tr((Im rho)^2)), exact in binary, for which the
+# substitution identities must hold too: their purity terms cancel, so they hold for any triple.
+PURITY_TRIPLES = [PurityStats(0.0, 0.0, 0.0), PurityStats(1.0, 1.0, 0.0),
+                  PurityStats(1.0, 0.75, 0.25)]
+
+
 def test_mse_raw_optimal_is_substitution():
     # the closed form must equal mse_raw evaluated at the optimal strengths
     for d in range(2, 33):
         opt = optimal_strengths(d)
         direct = mse_raw(_inp(d, opt.g_r, opt.g_i, shots=13))
         assert abs(mse_raw_optimal(d, 13, 1.0) - direct) < 1e-12
+        for pur in PURITY_TRIPLES:
+            direct = mse_raw(_inp(d, opt.g_r, opt.g_i, shots=13, purity=pur))
+            assert abs(mse_raw_optimal(d, 13, pur.purity) - direct) < 1e-12
 
 
 @pytest.mark.parametrize("closed_form", [
@@ -218,6 +227,11 @@ def test_mse_hermitized_optimal_is_substitution():
         opt = optimal_strengths(d)
         direct = mse_hermitized(_inp(d, opt.g_r, opt.g_i, shots=6, purity=pur)).total
         assert abs(mse_hermitized_optimal(d, 6, pur.purity_re, pur.purity_im) - direct) < 1e-12
+    for d in range(2, 33):
+        opt = optimal_strengths(d)
+        for pur in PURITY_TRIPLES:
+            direct = mse_hermitized(_inp(d, opt.g_r, opt.g_i, shots=6, purity=pur)).total
+            assert abs(mse_hermitized_optimal(d, 6, pur.purity_re, pur.purity_im) - direct) < 1e-12
 
 
 def test_mse_hermitized_scales_inversely_with_shots():
