@@ -31,7 +31,7 @@ from .qmath import (
 )
 from .rng import RandomStream
 from .selfcheck import probes
-from .statefile import read_state_file, write_state_file
+from .statefile import read_state_file, read_text, write_state_file
 
 # Stream ids: run_experiment draws every repetition from stream 0; state draws
 # and one-off simulations live far away so they never collide.
@@ -116,21 +116,30 @@ def _check_writable(cfg: dict, *outputs) -> None:
     paths = (*outputs, cfg["manifest"])
     if paths.count("-") > 1:
         raise ConfigError("two outputs name the same file, stdout ('-')")
-    inputs = {Path(cfg[key]).resolve(): "--" + key.replace("_", "-")
-              for key in ("config", "state_file") if cfg[key] is not None}
+    # An input named with a NUL byte is no file an output could overwrite; its read fails.
+    inputs = {os.path.realpath(cfg[key]): "--" + key.replace("_", "-")
+              for key in ("config", "state_file")
+              if cfg[key] is not None and "\0" not in cfg[key]}
     files = [Path(p) for p in paths if p not in (None, "-")]
-    for i, path in enumerate(files):
-        try:  # a name longer than the filesystem allows fails these probes with OSError
+    reals = []
+    for path in files:
+        try:  # the OS refuses a name too long or a symlink loop (OSError), or a NUL (ValueError)
             if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
                 raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
-            if path.exists() and not os.access(path, os.W_OK):
-                raise ConfigError(f"cannot write {path}: the file is not writable")
+            with suppress(FileNotFoundError):  # a new file, or a symlink to one
+                os.stat(path)  # unlike Path.exists, refuses a symlink loop
+                if not os.access(path, os.W_OK):
+                    raise ConfigError(f"cannot write {path}: the file is not writable")
+            real = os.path.realpath(path)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror}")
-        if path.resolve() in inputs:
-            raise ConfigError(f"output {path} would overwrite the {inputs[path.resolve()]} input")
-        if path.resolve() in [earlier.resolve() for earlier in files[:i]]:
+        except ValueError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}")
+        if real in inputs:
+            raise ConfigError(f"output {path} would overwrite the {inputs[real]} input")
+        if real in reals:
             raise ConfigError(f"two outputs name the same file {path}")
+        reals.append(real)
 
 
 def _type_ok(key: str, val) -> bool:
@@ -149,12 +158,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path is not None:
         try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise StateFileError(f"cannot read config file {config_path}: {exc}")
-        except UnicodeDecodeError as exc:
-            raise StateFileError(f"config file {config_path} is not UTF-8 text: {exc}")
-        except json.JSONDecodeError as exc:
+            loaded = json.loads(read_text(config_path, "config file "))
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise StateFileError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")

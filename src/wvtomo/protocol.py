@@ -131,7 +131,7 @@ def _coupling_unitaries(a_cols: np.ndarray, gs) -> np.ndarray:
     # exp(-i g P (x) sigma_x) = (I-P) (x) I + P (x) (cos g I - i sin g sigma_x)
     # exactly, because P (x) sigma_x squares to P (x) I.
     proj = a_cols.T[:, :, None] * a_cols.T.conj()[:, None, :]  # np.outer's product, per column
-    g = np.asarray(gs, dtype=float)[:, None, None, None]
+    g = _finite_strengths(gs)[:, None, None, None]
     v = np.cos(g) * np.eye(2, dtype=complex) - 1j * np.sin(g) * SIGMA_X
     eye = np.eye(len(a_cols), dtype=complex)
     return _kron(eye - proj, np.eye(2, dtype=complex)) + _kron(proj, v)
@@ -142,6 +142,15 @@ def coupling_unitary(n: int, g: float, d: int) -> np.ndarray:
     check_dimension(d)
     _check_index(n, d)
     return _coupling_unitaries(np.eye(d, dtype=complex)[:, [n]], [g])[0, 0]
+
+
+def _finite_strengths(g) -> np.ndarray:
+    """A strength or an array of them as floats; a NaN or inf is refused before it can warn."""
+    g = np.asarray(g, dtype=float)
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise StrengthOutOfRange(f"g = {g[~finite][0]} is not finite")
+    return g
 
 
 def check_strength(g: float, name: str = "g") -> None:
@@ -218,11 +227,7 @@ def _pointer_parts(features: tuple, g) -> tuple:
         M01 = i sin g (conj B_nj + (cos g - 1) C_nj)
         M11 = sin^2 g C_nj"""
     a, b, c = features
-    g = np.asarray(g, dtype=float)
-    finite = np.isfinite(g)
-    if not finite.all():
-        raise StrengthOutOfRange(f"g = {g[~finite][0]} is not finite")
-    g = g[..., None, None]
+    g = _finite_strengths(g)[..., None, None]
     cm1, s = np.cos(g) - 1.0, np.sin(g)
     return a + 2.0 * cm1 * b.real + cm1 * cm1 * c, 1j * s * (b.conj() + cm1 * c), s * s * c
 

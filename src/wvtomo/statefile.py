@@ -28,15 +28,20 @@ def write_state_file(path: str | Path, matrix: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path: str | Path, kind: str = "") -> str:
+    """The UTF-8 text of a run's input file; StateFileError, naming it `kind` (such as "config
+    file ") then path, if it cannot be opened or decoded or its name holds a NUL byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # first: it is a ValueError too
+        raise StateFileError(f"{kind}{path} is not UTF-8 text: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise StateFileError(f"cannot read {kind}{path}: {exc}") from exc
+
+
 def read_state_file(path: str | Path) -> np.ndarray:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise StateFileError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise StateFileError(f"{path} is not UTF-8 text: {exc}") from exc
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].strip():
         raise StateFileError(f"{path}: line 1: expected the dimension, found nothing")
     try:

@@ -139,35 +139,18 @@ def scaled_mse_menu(
     ]
 
 
-def _golden_section(f, a: float, b: float, tol: float = 1e-10) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = f(c), f(e)
-    while b - a > tol:
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = f(e)
-    return (a + b) / 2.0
-
-
 def numeric_optimal_strengths(d: int) -> CouplingStrengths:
-    """Independent check of optimal_strengths: coarse grid over (0.01, pi-0.01)
-    then golden-section refinement of mse_raw in each strength, the other at pi/2.
-    Each grid is one array evaluation of the raw bracket (N = 1, tr(rho^2) = 0)."""
+    """Independent check of optimal_strengths: mse_raw in each strength, the other at pi/2, on
+    a 201-point grid over (0.01, pi-0.01) narrowed to one step either side of its argmin until
+    under 1e-7 wide.  Each grid is one array call of the raw bracket (N = 1, tr(rho^2) = 0)."""
     check_dimension(d)
-    lo, hi = 0.01, np.pi - 0.01
-    grid = np.linspace(lo, hi, 201)
     found = []
     for f in (lambda g: _raw_bracket(d, g, np.pi / 2.0, 0.0),
               lambda g: _raw_bracket(d, np.pi / 2.0, g, 0.0)):
-        k = int(np.argmin(f(grid)))
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, len(grid) - 1)]
-        found.append(_golden_section(f, a, b))
+        lo, hi = 0.01, np.pi - 0.01
+        while hi - lo >= 1e-7:
+            grid = np.linspace(lo, hi, 201)
+            k = int(np.argmin(f(grid)))
+            lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 200)]
+        found.append((lo + hi) / 2.0)
     return CouplingStrengths(g_r=found[0], g_i=found[1])

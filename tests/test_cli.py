@@ -306,11 +306,14 @@ def test_the_largest_seed_is_accepted(capsys, argv):
 @pytest.mark.parametrize("text, argv, code, message", [
     (None, ["--config", "{cfg}"], 3, "input error: cannot read config file {cfg}"),
     ("{", ["--config", "{cfg}"], 3, "input error: config file {cfg} is not valid JSON"),
+    ("[" * 10**4 + "]" * 10**4, ["--config", "{cfg}"], 3,
+     "input error: config file {cfg} is not valid JSON: maximum recursion depth exceeded"),
     ("[]", ["--config", "{cfg}"], 2, "config error: config file {cfg} must hold a JSON object"),
     ('{"dim": null}', ["--config", "{cfg}"], 2,
      "config error: config file {cfg}: 'dim' has the wrong type: None"),
     (None, ["--sweep-axis", "g_x"], 2, "config error: --sweep-axis must be g_r or g_i, got 'g_x'"),
-], ids=["config-missing", "config-not-json", "config-array", "config-null-dim", "axis"])
+], ids=["config-missing", "config-not-json", "config-too-deep", "config-array",
+        "config-null-dim", "axis"])
 def test_config_and_axis_errors_exit_without_a_traceback(tmp_path, capsys, text, argv, code,
                                                          message):
     cfg = tmp_path / "cfg.json"
@@ -511,6 +514,32 @@ def test_an_over_long_output_name_is_a_config_error(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.state"]
 
 
+@pytest.mark.parametrize("how", ["symlink-loop", "nul-in-config"])
+@pytest.mark.parametrize("key, code, message", [
+    ("out", 2, "config error: cannot write "),
+    ("manifest", 2, "config error: cannot write "),
+    ("state_file", 3, "input error: cannot read "),
+], ids=["out", "manifest", "state-file"])
+def test_a_path_the_os_cannot_resolve_exits_with_its_code(tmp_path, monkeypatch, capsys, how,
+                                                          key, code, message):
+    # a symlink loop makes Path.resolve raise RuntimeError, a NUL byte makes os calls raise
+    # ValueError; either is an unusable output or input file, reported before any work
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--reps", "2", "--sweep-steps", "2"]
+    if how == "symlink-loop":
+        os.symlink("loop", "loop")
+        argv += ["--" + key.replace("_", "-"), "loop"]
+    else:
+        Path("cfg.json").write_text(json.dumps({key: "a\x00b"}))
+        argv += ["--config", "cfg.json"]
+    before = sorted(os.listdir())
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("the sweep ran"))
+    rc, out, err = _run(capsys, argv)
+    assert rc == code and out == ""
+    assert err.startswith(message) and "Traceback" not in err
+    assert sorted(os.listdir()) == before
+
+
 def test_a_read_only_output_file_is_rejected_before_computing(tmp_path, monkeypatch, capsys):
     # root ignores file modes, so the access probe is stubbed to call the file read-only
     target = tmp_path / "o.csv"
@@ -705,9 +734,9 @@ def test_selfcheck_passes(capsys):
 
 
 SELFCHECK_PINS = [
-    (1, "f87f3600548b4ea1208af565f37ce7ac691ae94ea855057c9ccee9a29ea757cf"),
-    (2, "a2704d7117260bf97e4928c8b0861ebe166b2c4555774740c4718523df04a599"),
-    (3, "4e420726350a4f103ec6d8c05fe11ef00ec7c5a68b960e9698120a2f3aa6ae10"),
+    (1, "ce3f7beb493e85bf2a2b9f7bd45b146d45005b10ce6b93c737bb232e5217500a"),
+    (2, "3933fa1a5187b8ab67b0a2de13c6d30711ca5cf0a6b355fc2c7bfa5b6f71f7d4"),
+    (3, "21948c55fe94585154ec0bc38bb5dfc9e358dc4d2f67e8fceb2bba6aa5e68c8b"),
 ]
 
 

@@ -409,6 +409,13 @@ def test_non_finite_strengths_are_rejected_by_value(bad):
     for g in (bad, np.array([1.0, bad])):
         with pytest.raises(StrengthOutOfRange, match=named):
             pointer_blocks(rho, g, fourier_mub(3))
+    # the Kronecker reference path, through the one coupling formula under all three
+    with pytest.raises(StrengthOutOfRange, match=named):
+        coupling_unitary(0, bad, 2)
+    with pytest.raises(StrengthOutOfRange, match=named):
+        couple_and_postselect(rho, 0, bad, fourier_mub(3))
+    with pytest.raises(StrengthOutOfRange, match=named):
+        marginal_device_state(rho, 0, bad)
     with pytest.raises(StrengthOutOfRange):
         CouplingStrengths(1.0, bad)
 

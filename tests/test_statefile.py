@@ -50,6 +50,12 @@ def test_read_missing_file():
         read_state_file("/nonexistent/state.txt")
 
 
+def test_read_a_name_with_a_nul_byte():
+    # open raises ValueError, not OSError, for such a name
+    with pytest.raises(StateFileError, match="cannot read a\x00b: embedded null byte"):
+        read_state_file("a\x00b")
+
+
 def test_read_empty_file(tmp_path):
     path = tmp_path / "state.txt"
     path.write_text("")

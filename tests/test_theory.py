@@ -147,9 +147,15 @@ def test_optimum_grid_is_mse_raw_elementwise(monkeypatch, d):
     bracket, calls = theory._raw_bracket, []
     monkeypatch.setattr(theory, "_raw_bracket", lambda *args: calls.append(args) or bracket(*args))
     numeric_optimal_strengths(d)
-    grids = [(np.shape(g_r), np.shape(g_i)) for _, g_r, g_i, _ in calls
-             if np.ndim(g_r) + np.ndim(g_i)]
-    assert grids == [((201,), ()), ((), (201,))]
+    # every call is one 201-point grid: first all on g_R with g_I = pi/2, then all on g_I
+    # with g_R = pi/2, each axis starting from the full grid; no call is a scalar one
+    n_r = sum(np.ndim(g_r) == 1 for _, g_r, _, _ in calls)
+    shapes = [(np.shape(g_r), np.shape(g_i)) for _, g_r, g_i, _ in calls]
+    assert 0 < n_r < len(calls)
+    assert shapes == [((201,), ())] * n_r + [((), (201,))] * (len(calls) - n_r)
+    assert all(c[2] == np.pi / 2 for c in calls[:n_r])
+    assert all(c[1] == np.pi / 2 for c in calls[n_r:])
+    assert np.array_equal(calls[0][1], grid) and np.array_equal(calls[n_r][2], grid)
 
 
 def test_optimal_strengths_rejects_small_dimension():
