@@ -31,7 +31,7 @@ from .qmath import (
 )
 from .rng import RandomStream
 from .selfcheck import probes
-from .statefile import read_state_file, read_text, write_state_file
+from .statefile import read_state_file, read_text, shown_path, write_state_file
 
 # Stream ids: run_experiment draws every repetition from stream 0; state draws
 # and one-off simulations live far away so they never collide.
@@ -123,22 +123,23 @@ def _check_writable(cfg: dict, *outputs) -> None:
     files = [Path(p) for p in paths if p not in (None, "-")]
     reals = []
     for path in files:
+        shown = shown_path(path)
         try:  # the OS refuses a name too long or a symlink loop (OSError), or a NUL (ValueError)
             if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
-                raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
+                raise ConfigError(f"cannot write {shown}: its directory is missing or not writable")
             with suppress(FileNotFoundError):  # a new file, or a symlink to one
                 os.stat(path)  # unlike Path.exists, refuses a symlink loop
                 if not os.access(path, os.W_OK):
-                    raise ConfigError(f"cannot write {path}: the file is not writable")
+                    raise ConfigError(f"cannot write {shown}: the file is not writable")
             real = os.path.realpath(path)
         except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror}")
+            raise ConfigError(f"cannot write {shown}: {exc.strerror}")
         except ValueError as exc:
-            raise ConfigError(f"cannot write {path}: {exc}")
+            raise ConfigError(f"cannot write {shown}: {exc}")
         if real in inputs:
-            raise ConfigError(f"output {path} would overwrite the {inputs[real]} input")
+            raise ConfigError(f"output {shown} would overwrite the {inputs[real]} input")
         if real in reals:
-            raise ConfigError(f"two outputs name the same file {path}")
+            raise ConfigError(f"two outputs name the same file {shown}")
         reals.append(real)
 
 
@@ -157,17 +158,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path is not None:
+        shown = shown_path(config_path)
         try:
             loaded = json.loads(read_text(config_path, "config file "))
         except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
-            raise StateFileError(f"config file {config_path} is not valid JSON: {exc}")
+            raise StateFileError(f"config file {shown} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {config_path} must hold a JSON object")
+            raise ConfigError(f"config file {shown} must hold a JSON object")
         for key, val in loaded.items():
             if key not in cfg:
-                raise ConfigError(f"config file {config_path}: unknown key {key!r}")
+                raise ConfigError(f"config file {shown}: unknown key {key!r}")
             if not _type_ok(key, val):
-                raise ConfigError(f"config file {config_path}: {key!r} has the wrong type: {val!r}")
+                raise ConfigError(f"config file {shown}: {key!r} has the wrong type: {val!r}")
             cfg[key] = val
     for key in cfg:
         flag_val = getattr(args, key, None)
@@ -319,8 +321,8 @@ def cmd_reconstruct(cfg: dict) -> int:
 
     pur = purity_stats(rho)
     inp = theory.TheoryInput(dim=dim, strengths=strengths, shots=shots, purity=pur)
-    print(f"wrote {raw_path} and {herm_path}")
-    print(f"wrote {phys_path}")
+    print(f"wrote {shown_path(raw_path)} and {shown_path(herm_path)}")
+    print(f"wrote {shown_path(phys_path)}")
     print(f"hs_sq_raw = {_fmt(hs_distance_sq(est.raw, rho.matrix))}")
     print(f"hs_sq_herm = {_fmt(hs_distance_sq(est.hermitized, rho.matrix))}")
     print(f"hs_sq_phys = {_fmt(hs_distance_sq(phys, rho.matrix))}")

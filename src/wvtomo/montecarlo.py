@@ -41,8 +41,10 @@ from .qmath import (
 from .rng import RandomStream
 
 QUADRATURES = ("R", "I")
-# Estimate entries per batch of repetitions: 6 repetitions at d=32, 245 at d=5.  A batch
-# peaks below 1 MiB at d=32, whether drawn by numpy's multinomial or shot by shot.
+# Estimate entries per batch of repetitions: 6 repetitions at d=32, 245 at d=5.  At d=32,
+# run_experiment over three batches and one more peaks (tracemalloc) at about 655 KiB at
+# N=10^4 and 830 KiB at N=63, under the 1 MiB its tests allow.  8 repetitions peak at 1027
+# KiB at N=63: at N = 2d - 1 the per-shot draw holds several (rows, N) arrays.
 BATCH_ELEMENTS = 6 * 2**10
 
 
@@ -168,18 +170,29 @@ def sample_shots(dist: OutcomeDistribution, n_shots: int, rng: RandomStream) -> 
 
 def estimate_pw(stats: SufficientStats, strengths: CouplingStrengths) -> np.ndarray:
     """Unbiased estimates of P_j W_nj: (1/2)[-avg_R(j)/g_R + i avg_I(j)/g_I],
-    where each average divides by the full shot count N."""
+    where each average divides by the full shot count N.  Each half is written once, in
+    place, into the one complex result; the sums are not written."""
     if not stats.complete:
         raise IncompleteStats("sufficient statistics missing one or more (n, quadrature) configs")
-    avg_r = stats.sums_r / stats.shots
-    avg_i = stats.sums_i / stats.shots
-    return -avg_r / (2.0 * strengths.g_r) + 1j * avg_i / (2.0 * strengths.g_i)
+    pw = np.empty(np.shape(stats.sums_r), dtype=complex)
+    re, im = pw.real, pw.imag
+    np.divide(stats.sums_r, stats.shots, out=re)
+    re /= -2.0 * strengths.g_r
+    np.divide(stats.sums_i, stats.shots, out=im)
+    # Times the reciprocal, as numpy's division of a complex array by a real scalar computes
+    # it: a division by 2 g_I would move some values by one ulp.
+    im *= 1.0 / (2.0 * strengths.g_i)
+    return pw
 
 
 def _assemble(pw_table: np.ndarray, overlaps: np.ndarray) -> TomographyEstimate:
-    """assemble_estimate from overlaps = bases.overlaps(), built once by the caller."""
+    """assemble_estimate from overlaps = bases.overlaps(), built once by the caller.  The
+    hermitized part is one new C-contiguous array, written in place; pw_table is not written."""
     raw = reconstruction_map(pw_table, overlaps)
-    return TomographyEstimate(raw=raw, hermitized=(raw + raw.conj().swapaxes(-1, -2)) / 2.0)
+    herm = np.conjugate(raw.swapaxes(-1, -2), order="C")  # not in the swapped layout
+    herm += raw
+    herm /= 2.0
+    return TomographyEstimate(raw=raw, hermitized=herm)
 
 
 def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> TomographyEstimate:

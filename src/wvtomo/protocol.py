@@ -284,8 +284,11 @@ def weak_value_from_device(
 
 def reconstruction_map(pw: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """out[n][m] = sum_j pw[n][j] overlaps[j][m] / overlaps[j][n] for every row n at once;
-    with overlaps = bases.overlaps() this is the linear map from P_j W_nj to rho."""
-    return (pw / overlaps.T) @ overlaps
+    with overlaps = bases.overlaps() this is the linear map from P_j W_nj to rho.  A stack
+    of tables is one 2-D matmul over all its rows (a stacked matmul calls BLAS once per
+    table), with the same bits per table; pw is not written."""
+    scaled = pw / overlaps.T
+    return (scaled.reshape(-1, len(overlaps)) @ overlaps).reshape(scaled.shape)
 
 
 def reconstruct(table: WeakValueTable, bases: MeasurementBases) -> np.ndarray:

@@ -144,13 +144,18 @@ def random_mixed(d: int, rank: int, rng: RandomStream) -> DensityMatrix:
 
 
 def hs_distance_sq(a: np.ndarray, b: np.ndarray):
-    """Squared Hilbert-Schmidt distance sum |a_nm - b_nm|^2, one per matrix of a stack."""
+    """Squared Hilbert-Schmidt distance sum |a_nm - b_nm|^2, one per matrix of a stack.
+    The squares go into one float array and the difference's own imaginary half; neither
+    operand is written."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape[-2:] != b.shape[-2:]:
         raise ShapeMismatch(f"operands differ in shape: {a.shape} vs {b.shape}")
     diff = a - b
-    return np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
+    sq = np.square(diff.real)
+    im = diff.imag
+    sq += np.square(im, out=im)
+    return np.sum(sq, axis=(-2, -1))
 
 
 def eig_hermitian_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

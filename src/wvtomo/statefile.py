@@ -28,48 +28,56 @@ def write_state_file(path: str | Path, matrix: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def shown_path(path: str | Path) -> str:
+    """path as a message prints it: as it is, or as its repr if it holds a character that a
+    terminal does not show, such as a NUL byte or a newline."""
+    text = str(path)
+    return text if text.isprintable() else repr(text)
+
+
 def read_text(path: str | Path, kind: str = "") -> str:
     """The UTF-8 text of a run's input file; StateFileError, naming it `kind` (such as "config
     file ") then path, if it cannot be opened or decoded or its name holds a NUL byte."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:  # first: it is a ValueError too
-        raise StateFileError(f"{kind}{path} is not UTF-8 text: {exc}") from exc
+        raise StateFileError(f"{kind}{shown_path(path)} is not UTF-8 text: {exc}") from exc
     except (OSError, ValueError) as exc:
-        raise StateFileError(f"cannot read {kind}{path}: {exc}") from exc
+        raise StateFileError(f"cannot read {kind}{shown_path(path)}: {exc}") from exc
 
 
 def read_state_file(path: str | Path) -> np.ndarray:
     path = Path(path)
     lines = read_text(path).splitlines()
+    name = shown_path(path)
     if not lines or not lines[0].strip():
-        raise StateFileError(f"{path}: line 1: expected the dimension, found nothing")
+        raise StateFileError(f"{name}: line 1: expected the dimension, found nothing")
     try:
         d = int(lines[0].strip())
     except ValueError:
-        raise StateFileError(f"{path}: line 1: expected an integer dimension, got {lines[0].strip()!r}")
+        raise StateFileError(f"{name}: line 1: expected an integer dimension, got {lines[0].strip()!r}")
     if d < 1:
-        raise StateFileError(f"{path}: line 1: dimension must be positive, got {d}")
+        raise StateFileError(f"{name}: line 1: dimension must be positive, got {d}")
     rows = [(idx, line) for idx, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(rows) < d:
-        raise StateFileError(f"{path}: expected {d} matrix rows after line 1")
+        raise StateFileError(f"{name}: expected {d} matrix rows after line 1")
 
     m = np.zeros((d, d), dtype=complex)
     for row, (idx, line) in enumerate(rows):
         if row >= d:
-            raise StateFileError(f"{path}: line {idx}: more than {d} matrix rows")
+            raise StateFileError(f"{name}: line {idx}: more than {d} matrix rows")
         tokens = line.split()
         if len(tokens) != d:
-            raise StateFileError(f"{path}: line {idx}: expected {d} entries, got {len(tokens)}")
+            raise StateFileError(f"{name}: line {idx}: expected {d} entries, got {len(tokens)}")
         for col, tok in enumerate(tokens):
             parts = tok.split(",")
             if len(parts) != 2:
-                raise StateFileError(f"{path}: line {idx}: entry {col + 1} is not 're,im': {tok!r}")
+                raise StateFileError(f"{name}: line {idx}: entry {col + 1} is not 're,im': {tok!r}")
             try:
                 re, im = float(parts[0]), float(parts[1])
             except ValueError:
-                raise StateFileError(f"{path}: line {idx}: entry {col + 1} is not numeric: {tok!r}")
+                raise StateFileError(f"{name}: line {idx}: entry {col + 1} is not numeric: {tok!r}")
             if not (math.isfinite(re) and math.isfinite(im)):
-                raise StateFileError(f"{path}: line {idx}: entry {col + 1} is not finite: {tok!r}")
+                raise StateFileError(f"{name}: line {idx}: entry {col + 1} is not finite: {tok!r}")
             m[row, col] = complex(re, im)
     return m

@@ -537,6 +537,8 @@ def test_a_path_the_os_cannot_resolve_exits_with_its_code(tmp_path, monkeypatch,
     rc, out, err = _run(capsys, argv)
     assert rc == code and out == ""
     assert err.startswith(message) and "Traceback" not in err
+    if how == "nul-in-config":
+        assert "\x00" not in err  # the name is shown as its repr
     assert sorted(os.listdir()) == before
 
 

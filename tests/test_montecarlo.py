@@ -43,7 +43,7 @@ from wvtomo.montecarlo import (
     BATCH_ELEMENTS, QUADRATURES, MseReport, _assemble, _oracle, _quadrature_law, _sample_stats,
     outcome_table, run_sweep, simulate_once,
 )
-from wvtomo.protocol import _features, _postselected_pointers, pointer_blocks
+from wvtomo.protocol import _features, _postselected_pointers, pointer_blocks, reconstruction_map
 
 SEED = 20240814  # shared with the acceptance suite; statistical bounds rehearsed once
 
@@ -445,6 +445,47 @@ def test_assemble_estimate_hermitized_properties():
     assert np.max(np.abs(est.hermitized - (est.raw + est.raw.conj().T) / 2)) == 0.0
     assert np.max(np.abs(est.hermitized.diagonal().imag)) == 0.0
     assert np.max(np.abs(est.hermitized - est.hermitized.conj().T)) == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
+def test_estimator_gives_the_bits_of_the_plain_expressions(d):
+    # estimate_pw, the hermitized part, hs_distance_sq and reconstruction_map write each
+    # result once, in place.  Each must give, to the last bit, the plain expression written
+    # out here, on one table or a stack of them, and leave every input as it was.  The
+    # g_I below are ones where dividing by 2 g_I, not multiplying by its reciprocal, moves
+    # some imaginary parts of estimate_pw by one ulp.
+    rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 51))
+    bases = fourier_mub(d)
+    overlaps = bases.overlaps()
+    matrix = rho.matrix.copy()
+    for count in (1, 2, 7, max(1, BATCH_ELEMENTS // d**2)):
+        for g_i in (np.pi / 2, 0.7, 2.9):
+            strengths = replace(optimal_strengths(d), g_i=g_i)
+            stats = _sample_stats(outcome_table(rho, strengths, bases), 20,
+                                  RandomStream(SEED, 52), count)
+            s_r, s_i, n = stats.sums_r.copy(), stats.sums_i.copy(), stats.shots
+            pw = estimate_pw(stats, strengths)
+            want = -(s_r / n) / (2.0 * strengths.g_r) + 1j * (s_i / n) / (2.0 * g_i)
+            assert np.array_equal(pw, want), f"estimate_pw, count={count}, g_I={g_i}"
+            assert np.array_equal(stats.sums_r, s_r) and np.array_equal(stats.sums_i, s_i)
+
+            pw_in = pw.copy()
+            raw = reconstruction_map(pw, overlaps)
+            loop = np.stack([(table / overlaps.T) @ overlaps for table in pw])
+            assert np.array_equal(raw, loop), f"reconstruction_map, count={count}"
+            est = _assemble(pw, overlaps)
+            assert np.array_equal(pw, pw_in)
+            assert np.array_equal(est.raw, raw)
+            herm = (raw + raw.conj().swapaxes(-1, -2)) / 2
+            assert np.array_equal(est.hermitized, herm), f"hermitized, count={count}"
+            assert est.hermitized.flags.c_contiguous
+
+            for a in (est.raw, est.hermitized):
+                a_in = a.copy()
+                diff = a - matrix
+                want_sq = np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
+                assert np.array_equal(hs_distance_sq(a, rho.matrix), want_sq), f"count={count}"
+                assert np.array_equal(a, a_in) and np.array_equal(rho.matrix, matrix)
 
 
 # ---------------------------------------------------------------- experiment driver

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,11 @@ def test_read_missing_file():
 
 
 def test_read_a_name_with_a_nul_byte():
-    # open raises ValueError, not OSError, for such a name
-    with pytest.raises(StateFileError, match="cannot read a\x00b: embedded null byte"):
+    # open raises ValueError, not OSError, for such a name; the message shows it as its repr
+    message = re.escape("cannot read 'a\\x00b': embedded null byte")
+    with pytest.raises(StateFileError, match=message) as exc:
         read_state_file("a\x00b")
+    assert "\x00" not in str(exc.value)
 
 
 def test_read_empty_file(tmp_path):
