@@ -58,8 +58,6 @@ from .qmath import (
 from .rng import RandomStream
 from .statefile import read_state_file, write_state_file
 from .theory import (
-    ComparisonRow,
-    HermitizedMse,
     TheoryInput,
     mse_hermitized,
     mse_hermitized_exact,

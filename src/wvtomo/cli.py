@@ -73,9 +73,10 @@ class ConfigError(Exception):
 
 
 def _fmt(x) -> str:
+    """A float to 12 significant digits, anything else as shown_path shows it: on one line."""
     if isinstance(x, float):
         return f"{x:.12g}"
-    return str(x)
+    return shown_path(x)
 
 
 def _begin_output(cfg: dict, path: str) -> None:
@@ -290,9 +291,9 @@ def cmd_compare(cfg: dict) -> int:
         rho, source = _load_state(cfg, d, RandomStream(cfg["seed"], STATE_STREAM + d))
         pur = purity_stats(rho)
         menu = theory.scaled_mse_menu(d, pur.purity, pur.purity_re, pur.purity_im)
-        rows.append([d] + [row.scaled_mse for row in menu])
+        rows.append([d, *menu.values()])
         purities.append((f"purity_d{d}", pur.purity))
-    _write_csv(cfg, ["dim"] + [row.scheme.replace("-", "_") for row in menu], rows)
+    _write_csv(cfg, ["dim", *menu], rows)
     _write_manifest(cfg, purities)
     return 0
 
@@ -327,7 +328,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     print(f"hs_sq_herm = {_fmt(hs_distance_sq(est.hermitized, rho.matrix))}")
     print(f"hs_sq_phys = {_fmt(hs_distance_sq(phys, rho.matrix))}")
     print(f"theory_mse_raw = {_fmt(theory.mse_raw(inp))}")
-    print(f"theory_mse_herm = {_fmt(theory.mse_hermitized(inp).total)}")
+    print(f"theory_mse_herm = {_fmt(theory.mse_hermitized(inp))}")
     _write_manifest(cfg, [("dim", dim), *_derived(strengths, rho, f"file:{cfg['state_file']}")])
     return 0
 

@@ -284,7 +284,7 @@ def run_sweep(
             mse_herm_mean=float(mean[1]), mse_herm_stderr=float(stderr[1]),
             reps=reps,
             theory_raw=theory.mse_raw(stats_input),
-            theory_herm=theory.mse_hermitized(stats_input).total,
+            theory_herm=theory.mse_hermitized(stats_input),
             oracle_raw=oracle_raw, oracle_herm=oracle_herm,
         ))
     return reports

@@ -55,9 +55,8 @@ class RandomStream:
     def _per_shot_counts(self, n: int, pvals: np.ndarray, size) -> np.ndarray:
         """multinomial(n, pvals, size) as n inverse-CDF draws per row and one bincount."""
         # numpy's zero-shot draw (no randomness drawn) judges pvals, so both draws refuse
-        # what numpy refuses, with its error; built here, its generator keeps numpy.random
-        # out of the package import.
-        np.random.default_rng(0).multinomial(0, pvals)
+        # what numpy refuses, with its error.
+        self._gen.multinomial(0, pvals)
         k = pvals.shape[-1]
         # Each pvals row's cumulative distribution F, padded to a power-of-two width with
         # edges above every uniform.  A shot with uniform u lands in category

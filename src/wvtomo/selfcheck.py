@@ -64,7 +64,7 @@ def probes(seed: int):
         opt = theory.optimal_strengths(d)
         inp = theory.TheoryInput(dim=d, strengths=opt, shots=7, purity=pur)
         devs.append(abs(theory.mse_raw(inp) - theory.mse_raw_optimal(d, 7, pur.purity)))
-        devs.append(abs(theory.mse_hermitized(inp).total
+        devs.append(abs(theory.mse_hermitized(inp)
                         - theory.mse_hermitized_optimal(d, 7, pur.purity_re, pur.purity_im)))
     checks.append(("substitution-identities", np.max(devs), 1e-12))
 
@@ -81,7 +81,7 @@ def probes(seed: int):
             devs_herm.append(abs(o_herm - theory.mse_hermitized_exact(rho, st, 25)))
             diag_sq = float(np.sum(rho.matrix.diagonal().real ** 2))
             predicted_gap = (diag_sq / 2.0 - (pur.purity_re - pur.purity_im) / (2.0 * d)) / 25.0
-            probe_gap = theory.mse_hermitized(inp).total - o_herm
+            probe_gap = theory.mse_hermitized(inp) - o_herm
             devs_gap.append(abs(probe_gap - predicted_gap))
     checks.append(("raw-variance-oracle", np.max(devs_raw), 1e-9))
     checks.append(("hermitized-variance-oracle-exact-form", np.max(devs_herm), 1e-9))

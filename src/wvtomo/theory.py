@@ -23,20 +23,6 @@ class TheoryInput:
         check_count(self.shots, "shot count")
 
 
-@dataclass(frozen=True)
-class HermitizedMse:
-    total: float
-    off_diagonal: float
-    diagonal: float
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    dim: int
-    scheme: str
-    scaled_mse: float
-
-
 def _quadrature_terms(d: int, g_r, g_i):
     """T_R = (d^2/4)/sin^2 g_R + (d/2)/cos^2(g_R/2) and T_I = (d^2/4)/sin^2 g_I, the strength
     terms of every MSE closed form, of floats or arrays; finite for any CouplingStrengths."""
@@ -76,16 +62,16 @@ def mse_raw_optimal(d: int, shots: int, purity: float) -> float:
     return float((3.0 * d * d / 8.0 + d / 2.0 * (_sqrt_term(d) + 1.0) - purity) / shots)
 
 
-def mse_hermitized(inp: TheoryInput) -> HermitizedMse:
-    """MSE of the hermitized estimator, split into off-diagonal and diagonal
-    parts under the uniform-variance approximation (exact in the strength
-    terms; the state-dependent term spreads tr(rho^2) uniformly over
-    elements).  See mse_hermitized_exact for the exact bookkeeping."""
+def mse_hermitized(inp: TheoryInput) -> float:
+    """MSE of the hermitized estimator, the off-diagonal plus the diagonal part under the
+    uniform-variance approximation (exact in the strength terms; the state-dependent term
+    spreads tr(rho^2) uniformly over elements).  See mse_hermitized_exact for the exact
+    bookkeeping."""
     d, n = inp.dim, inp.shots
     t_r, _ = _quadrature_terms(d, inp.strengths.g_r, inp.strengths.g_i)
     off = (d - 1.0) / (2.0 * d) * mse_raw(inp)  # the raw bracket, over the off-diagonal pairs
     dia = (t_r - inp.purity.purity_re) / (d * n)
-    return HermitizedMse(total=float(off + dia), off_diagonal=float(off), diagonal=float(dia))
+    return float(off + dia)
 
 
 def mse_hermitized_optimal(d: int, shots: int, purity_re: float, purity_im: float) -> float:
@@ -116,27 +102,23 @@ def mse_hermitized_exact(rho: DensityMatrix, strengths: CouplingStrengths, shots
                   - (purity_stats(rho).purity + diag_sq) / 2.0) / shots)
 
 
-def scaled_mse_menu(
-    d: int, purity: float, purity_re: float, purity_im: float
-) -> list[ComparisonRow]:
-    """Per-measurement (and per-copy) scaled MSEs of this scheme at its
-    optimum, next to the projective MUB and SIC baselines.
+def scaled_mse_menu(d: int, purity: float, purity_re: float, purity_im: float) -> dict[str, float]:
+    """Per-measurement (and per-copy) scaled MSEs of this scheme at its optimum, next to the
+    projective MUB and SIC baselines, keyed by their `compare` CSV column names.
 
-    The -approx and per-copy rows are the large-d forms (half of and d times the
-    raw bracket); the -exact row is mse_hermitized_optimal, the uniform-variance
-    hermitized form at the optimum, not the exact hermitized MSE of a state.
+    The *_approx columns are the large-d forms (half of and d times the raw bracket);
+    hermitized_per_shot_exact is mse_hermitized_optimal, the uniform-variance hermitized form
+    at the optimum, not the exact hermitized MSE of a state.
     """
     bracket = mse_raw_optimal(d, 1, purity)  # guards d
-    return [
-        ComparisonRow(d, "raw-per-shot", float(bracket)),
-        ComparisonRow(d, "hermitized-per-shot-approx", float(bracket / 2.0)),
-        ComparisonRow(
-            d, "hermitized-per-shot-exact", mse_hermitized_optimal(d, 1, purity_re, purity_im)
-        ),
-        ComparisonRow(d, "per-copy-approx", float(d * bracket)),
-        ComparisonRow(d, "mub", float((d + 1.0) * (d - purity))),
-        ComparisonRow(d, "sic", float(d * d + d - 1.0 - purity)),
-    ]
+    return {
+        "raw_per_shot": float(bracket),
+        "hermitized_per_shot_approx": float(bracket / 2.0),
+        "hermitized_per_shot_exact": mse_hermitized_optimal(d, 1, purity_re, purity_im),
+        "per_copy_approx": float(d * bracket),
+        "mub": float((d + 1.0) * (d - purity)),
+        "sic": float(d * d + d - 1.0 - purity),
+    }
 
 
 def numeric_optimal_strengths(d: int) -> CouplingStrengths:

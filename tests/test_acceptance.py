@@ -159,7 +159,7 @@ def test_04b_hermitized_variance_closed_form():
         gap = (diag_sq / 2 - (pur.purity_re - pur.purity_im) / (2 * d)) / 30
         worst_gap = max(worst_gap, abs(gap))
         inp = TheoryInput(dim=d, strengths=strengths, shots=30, purity=pur)
-        worst_uniform = max(worst_uniform, abs(oracle - (mse_hermitized(inp).total - gap)))
+        worst_uniform = max(worst_uniform, abs(oracle - (mse_hermitized(inp) - gap)))
     elapsed = time.monotonic() - t0
     assert worst_exact < 1e-9, f"worst exact-form deviation {worst_exact:.3e}"
     assert elapsed < 60.0
@@ -190,7 +190,7 @@ def test_06_hermitized_mse_reference_run():
     inp = TheoryInput(
         dim=5, strengths=shared["strengths"], shots=100, purity=purity_stats(shared["rho"])
     )
-    target = mse_hermitized(inp).total
+    target = mse_hermitized(inp)
     assert abs(report.mse_herm_mean - target) < 3.0 * report.mse_herm_stderr, (
         f"hermitized mean {report.mse_herm_mean:.6f} vs {target:.6f} "
         f"(stderr {report.mse_herm_stderr:.2e})"
@@ -202,12 +202,12 @@ def test_07_scaled_mse_comparison_table():
     """Per-shot hermitized row beats MUB/SIC, per-copy row loses, d=5 row exact."""
     t0 = time.monotonic()
     for d in range(2, 11):
-        menu = {r.scheme: r.scaled_mse for r in scaled_mse_menu(d, 1.0, 1.0, 0.0)}
-        assert menu["hermitized-per-shot-approx"] < menu["mub"], f"d={d}"
-        assert menu["hermitized-per-shot-approx"] < menu["sic"], f"d={d}"
-        assert menu["per-copy-approx"] > menu["mub"], f"d={d}"
-        assert menu["per-copy-approx"] > menu["sic"], f"d={d}"
-    d5 = {r.scheme: r.scaled_mse for r in scaled_mse_menu(5, 1.0, 1.0, 0.0)}
+        menu = scaled_mse_menu(d, 1.0, 1.0, 0.0)
+        assert menu["hermitized_per_shot_approx"] < menu["mub"], f"d={d}"
+        assert menu["hermitized_per_shot_approx"] < menu["sic"], f"d={d}"
+        assert menu["per_copy_approx"] > menu["mub"], f"d={d}"
+        assert menu["per_copy_approx"] > menu["sic"], f"d={d}"
+    d5 = scaled_mse_menu(5, 1.0, 1.0, 0.0)
     assert d5["mub"] == 24.0
     assert d5["sic"] == 28.0
     assert time.monotonic() - t0 < 1.0

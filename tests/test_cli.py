@@ -237,6 +237,20 @@ def test_a_manifest_lists_every_option_of_its_subcommand(tmp_path, monkeypatch, 
     assert set(options) - set(flags) - set(config)
 
 
+def test_a_manifest_value_holding_a_newline_stays_on_its_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    name = "a\nb.state"
+    write_state_file(name, random_mixed(2, 2, RandomStream(SEED, 61)).matrix)
+    rc, _, err = _run(capsys, ["reconstruct", "--state-file", name, "--out", "est",
+                               "--manifest", "run.manifest"])
+    assert rc == 0, err
+    entries = [line.split(" = ", 1) for line in Path("run.manifest").read_text().splitlines()]
+    assert all(len(entry) == 2 for entry in entries), entries
+    entries = dict(entries)
+    assert entries["state_file"] == repr(name)
+    assert entries["state_source"] == repr("file:" + name)
+
+
 @pytest.mark.parametrize("lo, hi", [("1.5", "3.5"), ("2", "1"), ("-1", "1"), ("0.6", "inf")])
 def test_sweep_rejects_bad_range(capsys, lo, hi):
     rc, _, err = _run(capsys, ["sweep", "--sweep-min", lo, "--sweep-max", hi])

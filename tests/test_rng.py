@@ -10,13 +10,17 @@ SEED = 51113  # statistical bounds rehearsed once at this seed
 
 
 class _FixedUniforms:
-    """Stands in for a stream's generator: every uniform drawn is one of `values`, in turn."""
+    """Stands in for a stream's generator: every uniform drawn is one of `values`, in turn,
+    and multinomial is a real generator's."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
     def random(self, shape):
         return np.resize(self.values, shape)
+
+    def multinomial(self, n, pvals):
+        return np.random.default_rng(0).multinomial(n, pvals)
 
 
 @pytest.mark.parametrize("seed, stream_id", [(2**64, 0), (-1, 0), (1, 2**64)],
@@ -54,6 +58,17 @@ def test_per_shot_counts_follow_the_multinomial_law():
         products.std(axis=0) / np.sqrt(rows))
     assert np.abs(mean_z).max() < 5.0, mean_z
     assert np.abs(cov_z).max() < 5.0, cov_z
+
+
+def test_per_shot_draw_takes_only_its_uniforms():
+    # the zero-shot check of pvals draws nothing: after R rows of n shots the stream stands
+    # where a fresh stream stands after drawing R x n uniforms
+    rows, n = 64, 5
+    p = np.broadcast_to([0.1, 0.25, 0.0, 0.3, 0.05, 0.3, 0.0, 0.0], (rows, 8))
+    drawn, fresh = RandomStream(SEED, 8), RandomStream(SEED, 8)
+    drawn.multinomial(n, p)
+    fresh.uniforms((rows, n))
+    np.testing.assert_equal(drawn._gen.bit_generator.state, fresh._gen.bit_generator.state)
 
 
 @pytest.mark.parametrize("n", [1, 3], ids=["per-shot", "multinomial"])
