@@ -162,7 +162,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         shown = shown_path(config_path)
         try:
             loaded = json.loads(read_text(config_path, "config file "))
-        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+        except (ValueError, RecursionError) as exc:  # bad JSON or too many digits; too deep
             raise StateFileError(f"config file {shown} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {shown} must hold a JSON object")

@@ -18,6 +18,7 @@ tested against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,20 +186,15 @@ def estimate_pw(stats: SufficientStats, strengths: CouplingStrengths) -> np.ndar
     return pw
 
 
-def _assemble(pw_table: np.ndarray, overlaps: np.ndarray) -> TomographyEstimate:
-    """assemble_estimate from overlaps = bases.overlaps(), built once by the caller.  The
-    hermitized part is one new C-contiguous array, written in place; pw_table is not written."""
-    raw = reconstruction_map(pw_table, overlaps)
+def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> TomographyEstimate:
+    """Linear reconstruction raw[n][m] = sum_j (<psi_j|a_m>/<psi_j|a_n>) pw[n][j],
+    plus the hermitized combination (raw + raw^dag)/2, for each table of a stack, from the
+    bases' own overlaps: one new C-contiguous hermitized array; pw_table is not written."""
+    raw = reconstruction_map(pw_table, bases.overlaps())
     herm = np.conjugate(raw.swapaxes(-1, -2), order="C")  # not in the swapped layout
     herm += raw
     herm /= 2.0
     return TomographyEstimate(raw=raw, hermitized=herm)
-
-
-def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> TomographyEstimate:
-    """Linear reconstruction raw[n][m] = sum_j (<psi_j|a_m>/<psi_j|a_n>) pw[n][j],
-    plus the hermitized combination (raw + raw^dag)/2, for each table of a stack."""
-    return _assemble(pw_table, bases.overlaps())
 
 
 def _sample_stats(table: tuple, n_shots: int, stream: RandomStream, count: int) -> SufficientStats:
@@ -228,7 +224,7 @@ def simulate_once(
     """One experiment: n_shots of every configuration of `table` (from
     `outcome_table`), drawn as one `RandomStream.multinomial` call over its 2d rows."""
     stats = _sample_stats(table, n_shots, stream, 1)
-    est = assemble_estimate(estimate_pw(stats, strengths), bases)  # overlaps after the draw
+    est = assemble_estimate(estimate_pw(stats, strengths), bases)
     return TomographyEstimate(raw=est.raw[0], hermitized=est.hermitized[0])
 
 
@@ -250,35 +246,30 @@ def run_sweep(
 ) -> list[MseReport]:
     """`run_experiment` at each CouplingStrengths of `steps`, in order: each step draws
     from a fresh RandomStream(seed) and reads its oracle off the table it sampled.  The
-    bases, overlaps, features and purity of rho are built once per sweep, and a quadrature's
-    law only when its strength moves; only the current two laws are held."""
+    bases, features and purity of rho are built once per sweep, and a quadrature's law only
+    when its strength moves: a step that moves one evicts that law, the least recently read
+    of the two the cache holds."""
     check_count(reps, "repetition count")
     d = rho.dim
     bases = fourier_mub(d)
-    # The matmuls come before the first law, not between a law and a draw: a multinomial
-    # draw that directly follows a BLAS matmul ran 10x slower (OpenBLAS, AVX-512 Xeon).
-    overlaps = bases.overlaps()
     features = _features(rho, bases)
     purity = purity_stats(rho)
     batch = max(1, BATCH_ELEMENTS // d**2)
-    laws = {}  # quadrature -> (its strength, its law at that strength)
+    law = functools.lru_cache(maxsize=2)(functools.partial(_quadrature_law, features))
     reports = []
     for strengths in steps:
-        for quadrature, g in zip(QUADRATURES, (strengths.g_r, strengths.g_i)):
-            if laws.get(quadrature, (None,))[0] != g:
-                laws[quadrature] = g, _quadrature_law(features, quadrature, g)
-        table = _table(laws["R"][1], laws["I"][1])
+        table = _table(law("R", strengths.g_r), law("I", strengths.g_i))
 
         errors = np.zeros((2, reps))  # squared raw and hermitized error of each repetition
         stream = RandomStream(seed)
         for start in range(0, reps, batch):
-            _batch_errors(table, strengths, overlaps, rho.matrix, n_shots, stream,
+            _batch_errors(table, strengths, bases, rho.matrix, n_shots, stream,
                           errors[:, start:start + batch])
         mean = errors.mean(axis=1)
         stderr = errors.std(ddof=1, axis=1) / np.sqrt(reps) if reps > 1 else np.zeros(2)
 
         stats_input = theory.TheoryInput(dim=d, strengths=strengths, shots=n_shots, purity=purity)
-        oracle_raw, oracle_herm = _oracle(table, overlaps, strengths, n_shots)
+        oracle_raw, oracle_herm = _oracle(table, bases, strengths, n_shots)
         reports.append(MseReport(
             mse_raw_mean=float(mean[0]), mse_raw_stderr=float(stderr[0]),
             mse_herm_mean=float(mean[1]), mse_herm_stderr=float(stderr[1]),
@@ -291,19 +282,20 @@ def run_sweep(
 
 
 def _batch_errors(
-    table: tuple, strengths: CouplingStrengths, overlaps: np.ndarray, matrix: np.ndarray,
+    table: tuple, strengths: CouplingStrengths, bases: MeasurementBases, matrix: np.ndarray,
     n_shots: int, stream: RandomStream, out: np.ndarray,
 ) -> None:
     """Fill the two rows of `out` with the squared raw and hermitized errors against `matrix`
     of the next experiments drawn from `stream`, one a column.  A batch's counts, sums and
     estimates live only in this call, so none of them is still held while the next batch draws."""
-    est = _assemble(estimate_pw(_sample_stats(table, n_shots, stream, out.shape[1]), strengths),
-                    overlaps)
+    est = assemble_estimate(
+        estimate_pw(_sample_stats(table, n_shots, stream, out.shape[1]), strengths), bases)
     out[:] = hs_distance_sq(est.raw, matrix), hs_distance_sq(est.hermitized, matrix)
 
 
-def _oracle(table: tuple, overlaps: np.ndarray, strengths: CouplingStrengths, n_shots: int):
+def _oracle(table: tuple, bases: MeasurementBases, strengths: CouplingStrengths, n_shots: int):
     """(raw, hermitized) exact MSE of `exact_mse_oracle`, from one variance pass over `table`."""
+    overlaps = bases.overlaps()
     weights = np.abs(overlaps) ** 2
     probs, values = table
     laws = zip(probs.swapaxes(0, 1), values, (strengths.g_r, strengths.g_i), (-1.0, 1.0))
@@ -334,5 +326,5 @@ def exact_mse_oracle(
     """
     check_count(n_shots, "shot count")
     bases = fourier_mub(rho.dim)
-    raw, herm = _oracle(outcome_table(rho, strengths, bases), bases.overlaps(), strengths, n_shots)
+    raw, herm = _oracle(outcome_table(rho, strengths, bases), bases, strengths, n_shots)
     return herm if hermitized else raw

@@ -45,9 +45,15 @@ class MeasurementBases:
     a_basis: np.ndarray    # column n is |a_n>
     psi_basis: np.ndarray  # column j is |psi_j>
 
+    def __post_init__(self):
+        # Here, not between a law and a draw: a draw right after a BLAS matmul ran 10x slower.
+        overlaps = self.psi_basis.conj().T @ self.a_basis
+        overlaps.flags.writeable = False
+        object.__setattr__(self, "_overlaps", overlaps)
+
     def overlaps(self) -> np.ndarray:
-        """Matrix O[j, n] = <psi_j|a_n>."""
-        return self.psi_basis.conj().T @ self.a_basis
+        """Matrix O[j, n] = <psi_j|a_n>, computed once when the bases are built; read-only."""
+        return self._overlaps
 
 
 @dataclass(frozen=True)

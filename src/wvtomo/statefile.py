@@ -62,7 +62,7 @@ def read_state_file(path: str | Path) -> np.ndarray:
     if len(rows) < d:
         raise StateFileError(f"{name}: expected {d} matrix rows after line 1")
 
-    m = np.zeros((d, d), dtype=complex)
+    entries = []  # the array is built only once every row has passed: d may be huge
     for row, (idx, line) in enumerate(rows):
         if row >= d:
             raise StateFileError(f"{name}: line {idx}: more than {d} matrix rows")
@@ -79,5 +79,5 @@ def read_state_file(path: str | Path) -> np.ndarray:
                 raise StateFileError(f"{name}: line {idx}: entry {col + 1} is not numeric: {tok!r}")
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise StateFileError(f"{name}: line {idx}: entry {col + 1} is not finite: {tok!r}")
-            m[row, col] = complex(re, im)
-    return m
+            entries.append(complex(re, im))
+    return np.array(entries, dtype=complex).reshape(d, d)

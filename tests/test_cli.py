@@ -326,8 +326,11 @@ def test_the_largest_seed_is_accepted(capsys, argv):
     ('{"dim": null}', ["--config", "{cfg}"], 2,
      "config error: config file {cfg}: 'dim' has the wrong type: None"),
     (None, ["--sweep-axis", "g_x"], 2, "config error: --sweep-axis must be g_r or g_i, got 'g_x'"),
+    # json.loads raises a plain ValueError for an integer past Python's 4,300-digit limit
+    ('{"dim": ' + "1" * 5000 + "}", ["--config", "{cfg}"], 3,
+     "input error: config file {cfg} is not valid JSON: Exceeds the limit (4300 digits)"),
 ], ids=["config-missing", "config-not-json", "config-too-deep", "config-array",
-        "config-null-dim", "axis"])
+        "config-null-dim", "axis", "config-too-many-digits"])
 def test_config_and_axis_errors_exit_without_a_traceback(tmp_path, capsys, text, argv, code,
                                                          message):
     cfg = tmp_path / "cfg.json"
@@ -337,6 +340,19 @@ def test_config_and_axis_errors_exit_without_a_traceback(tmp_path, capsys, text,
     rc, out, err = _run(capsys, argv)
     assert rc == code and out == ""
     assert message.format(cfg=cfg) in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["reconstruct"], ["sweep", "--reps", "2", "--sweep-steps", "2"]],
+                         ids=["reconstruct", "sweep"])
+def test_a_state_file_declaring_a_huge_dimension_exits_3(tmp_path, monkeypatch, capsys, argv):
+    # 10**5 rows of one entry each pass the row count; a 10**5 x 10**5 complex array would
+    # take 149 GiB, so the first short row must be reported before anything is allocated
+    monkeypatch.chdir(tmp_path)
+    Path("big.state").write_text("100000\n" + "1,0\n" * 100000)
+    rc, out, err = _run(capsys, [*argv, "--state-file", "big.state"])
+    assert rc == 3 and out == ""
+    assert err == "input error: big.state: line 2: expected 100000 entries, got 1\n"
 
 
 def test_sweep_rejects_unknown_config_key(tmp_path, capsys):

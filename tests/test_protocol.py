@@ -1,6 +1,8 @@
 """Forward model: bases, coupling unitary, pointer observables,
 post-selection, weak values, and the linear reconstruction map."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,21 @@ def test_fourier_mub_unbiased():
 def test_fourier_mub_orthonormal():
     psi = fourier_mub(3).psi_basis
     assert np.max(np.abs(psi.conj().T @ psi - np.eye(3))) < 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
+def test_overlaps_are_built_once_with_the_bases(d):
+    # one read-only array, made when the bases are built, with the bits of psi^dag a; bases
+    # made by dataclasses.replace build their own
+    bases = fourier_mub(d)
+    o = bases.overlaps()
+    assert o is bases.overlaps()
+    assert np.array_equal(o, bases.psi_basis.conj().T @ bases.a_basis)
+    with pytest.raises(ValueError, match="read-only"):
+        o[0, 0] = 0.0
+    moved = replace(bases, psi_basis=bases.psi_basis[:, ::-1])
+    assert np.array_equal(moved.overlaps(), moved.psi_basis.conj().T @ moved.a_basis)
+    assert not np.array_equal(moved.overlaps(), o)
 
 
 def test_fourier_mub_rejects_small_dimension():
