@@ -16,14 +16,14 @@ import os
 import stat
 import sys
 from contextlib import nullcontext, suppress
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import theory
 from .errors import StateFileError, TomographyError
-from .montecarlo import outcome_table, run_sweep, simulate_once
+from .montecarlo import MseReport, outcome_table, run_sweep, simulate_once
 from .protocol import CouplingStrengths, fourier_mub
 from .qmath import (
     DensityMatrix, hs_distance_sq, project_to_density, purity_stats, random_mixed, random_pure,
@@ -64,8 +64,7 @@ OPTIONS = {
 }
 DEFAULTS = {key: default for key, (_, default, _) in OPTIONS.items()}
 # The MseReport fields a sweep row carries after its swept strength, in CSV order.
-SWEEP_COLUMNS = ("mse_raw_mean", "mse_raw_stderr", "mse_herm_mean", "mse_herm_stderr",
-                 "theory_raw", "theory_herm", "oracle_raw", "oracle_herm")
+SWEEP_COLUMNS = tuple(f.name for f in fields(MseReport) if f.name != "reps")
 
 
 class ConfigError(Exception):
@@ -155,7 +154,7 @@ def _type_ok(key: str, val) -> bool:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge built-in defaults, --config file values, and explicit flags
-    (flags win)."""
+    (flags win), and refuse a seed that RandomStream refuses."""
     cfg = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path is not None:
@@ -179,6 +178,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg["config"] = config_path  # not an option: kept so that no output overwrites it
     cfg["command"], cfg["keys"] = args.command, args.keys  # what the manifest lists
     cfg["opened"] = []  # the output files the run has begun to write
+    try:  # the seed's range is RandomStream's rule
+        RandomStream(cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"--{exc}")
     return cfg
 
 
@@ -188,13 +191,6 @@ def _positive(cfg: dict, key: str, minimum: int) -> int:
         bound = f">= {minimum}" if val < minimum else f"<= {COUNT_MAX}"
         raise ConfigError(f"--{key.replace('_', '-')} must be {bound}, got {val}")
     return val
-
-
-def _seed(cfg: dict) -> None:
-    """Refuse a seed outside [0, 2**64): it is one 64-bit word of every stream's Philox key,
-    so two seeds out there would draw the same numbers."""
-    if not 0 <= cfg["seed"] < 2**64:
-        raise ConfigError(f"--seed must be in [0, 2**64), got {cfg['seed']}")
 
 
 def _allocatable(key: str, *shape: int, dtype=float) -> None:
@@ -253,9 +249,10 @@ def cmd_sweep(cfg: dict) -> int:
     lo, hi = float(cfg["sweep_min"]), float(cfg["sweep_max"])
     if not lo < hi:
         raise ConfigError(f"sweep range [{lo}, {hi}] must satisfy min < max")
+    fixed = _fixed_strengths(cfg, dim)
     try:  # on (0, pi) |sin g| and cos(g/2) have no interior minimum: the ends suffice
         for end in (lo, hi):
-            replace(theory.optimal_strengths(dim), **{axis: end})
+            replace(fixed, **{axis: end})
     except TomographyError as exc:
         raise ConfigError(f"sweep range [{lo}, {hi}]: {exc}")
     _allocatable("dim", dim, dim, dtype=complex)
@@ -264,7 +261,6 @@ def cmd_sweep(cfg: dict) -> int:
     _check_writable(cfg, cfg["out"])
 
     rho, source = _load_state(cfg, dim, RandomStream(cfg["seed"], STATE_STREAM))
-    fixed = _fixed_strengths(cfg, dim)
 
     values = np.linspace(lo, hi, steps)
     grid = [replace(fixed, **{axis: float(v)}) for v in values]
@@ -382,7 +378,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        _seed(cfg)
         code = args.func(cfg)
         sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's exit flush
         return code

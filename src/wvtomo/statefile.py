@@ -8,6 +8,7 @@ with 17 significant digits so a write/read cycle is bit-exact for float64.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +59,11 @@ def read_state_file(path: str | Path) -> np.ndarray:
         raise StateFileError(f"{name}: line 1: expected an integer dimension, got {lines[0].strip()!r}")
     if d < 1:
         raise StateFileError(f"{name}: line 1: dimension must be positive, got {d}")
-    rows = [(idx, line) for idx, line in enumerate(lines[1:], start=2) if line.strip()]
-    if len(rows) < d:
+    # Two walks over the lines: the row count first, then each row, so no list besides lines.
+    if sum(1 for line in islice(lines, 1, None) if line.strip()) < d:
         raise StateFileError(f"{name}: expected {d} matrix rows after line 1")
 
+    rows = ((idx, line) for idx, line in enumerate(islice(lines, 1, None), start=2) if line.strip())
     entries = []  # the array is built only once every row has passed: d may be huge
     for row, (idx, line) in enumerate(rows):
         if row >= d:

@@ -753,6 +753,26 @@ def test_explicit_strength_out_of_range(tmp_path, capsys, argv):
     assert "config error" in err
 
 
+def test_a_bad_sweep_strength_exits_before_the_state_file_is_read(tmp_path, capsys):
+    # the file holds one row of two: read first, it would exit 3 with its own error
+    state = tmp_path / "short.state"
+    state.write_text("2\n0.5,0 0.5,0\n")
+    rc, out, err = _run(capsys, ["sweep", "--dim", "2", "--state-file", str(state), "--g-i", "0"])
+    assert rc == 2 and out == ""
+    assert err.startswith("config error: g_i ") and err.count("\n") == 1
+
+
+def test_a_bad_fixed_strength_exits_before_a_state_is_drawn(monkeypatch, capsys):
+    def no_draw(*_args):
+        raise AssertionError("the sweep drew a state before it checked its strengths")
+
+    monkeypatch.setattr(cli, "random_pure", no_draw)
+    argv = ["sweep", "--sweep-axis", "g_i", "--g-r", "0", "--reps", "2", "--sweep-steps", "2"]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("config error: g_r ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- selfcheck / parser
 
 

@@ -1,6 +1,7 @@
 """Shot-level sampling, sufficient statistics, the end-to-end experiment
 driver, and the exact MSE oracle, which propagates exact per-shot covariances."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -42,8 +43,8 @@ from wvtomo import (
     validate_density,
 )
 from wvtomo.montecarlo import (
-    BATCH_ELEMENTS, QUADRATURES, MseReport, _oracle, _quadrature_law, _sample_stats,
-    outcome_table, run_sweep, simulate_once,
+    BATCH_ELEMENTS, QUADRATURES, MseReport, _batch_errors, _oracle, _quadrature_law,
+    _sample_stats, outcome_table, run_sweep, simulate_once,
 )
 from wvtomo.protocol import _features, _postselected_pointers, pointer_blocks, reconstruction_map
 
@@ -868,17 +869,104 @@ def _enumerated_errors(rho, strengths, bases, n_shots):
     return weights, hs_distance_sq(est.raw, rho.matrix), hs_distance_sq(est.hermitized, rho.matrix)
 
 
+D2_STRENGTHS = {"optimal": optimal_strengths(2), "weak-strong": CouplingStrengths(0.6, 2.4),
+                "strong-weak": CouplingStrengths(2.0, 1.0)}
+
+
+@functools.cache
+def _enumerated_d2(strengths, n_shots):
+    """The d=2 state the enumeration gates share, and its `_enumerated_errors` at these
+    strengths and shots, built once however many gates read them."""
+    rho = random_mixed(2, 2, RandomStream(SEED, 2**32 + 10))
+    return rho, _enumerated_errors(rho, strengths, fourier_mub(2), n_shots)
+
+
 @pytest.mark.parametrize("n_shots", [1, 2, 3])
-@pytest.mark.parametrize("strengths", [
-    optimal_strengths(2), CouplingStrengths(0.6, 2.4), CouplingStrengths(2.0, 1.0),
-], ids=["optimal", "weak-strong", "strong-weak"])
+@pytest.mark.parametrize("strengths", D2_STRENGTHS.values(), ids=D2_STRENGTHS.keys())
 def test_oracle_equals_the_enumerated_mean_at_d2(strengths, n_shots):
     # No sampling: the mean over every outcome count (160,000 points at N=3) is the exact MSE.
     # Rehearsed once: the worst deviation, of the weights' sum or a mean, was 1.1e-15.
-    rho = random_mixed(2, 2, RandomStream(SEED, 2**32 + 10))
+    rho, (weights, err_raw, err_herm) = _enumerated_d2(strengths, n_shots)
     bases = fourier_mub(2)
-    weights, err_raw, err_herm = _enumerated_errors(rho, strengths, bases, n_shots)
     assert abs(weights.sum() - 1.0) < 1e-12
     want = _oracle(outcome_table(rho, strengths, bases), bases, strengths, n_shots)
     for got, w in zip((weights @ err_raw, weights @ err_herm), want):
         assert abs(got - w) <= 1e-12 * w, (got, w)
+
+
+@pytest.mark.parametrize("n_shots", [1, 2, 3])
+@pytest.mark.parametrize("strengths", D2_STRENGTHS.values(), ids=D2_STRENGTHS.keys())
+def test_stderr_columns_match_the_enumerated_spread_at_d2(strengths, n_shots):
+    # The sample sd behind each stderr column against the exact sd sigma of the enumerated
+    # law, in units of the sample sd's own spread sqrt((mu4 - sigma^4) / (4 sigma^2 reps)).
+    # A sampler that widened or narrowed the errors' spread would move every z gate's unit.
+    # Rehearsed once at this seed: z from -2.12 to +0.79 over these 9 cases.
+    rho, (weights, *errors) = _enumerated_d2(strengths, n_shots)
+    reps = 2 * 10**4
+    rep = run_experiment(rho, strengths, n_shots, reps, SEED)
+    for err, stderr in zip(errors, (rep.mse_raw_stderr, rep.mse_herm_stderr)):
+        dev = err - weights @ err
+        var, mu4 = weights @ dev**2, weights @ dev**4
+        spread = math.sqrt((mu4 - var**2) / (4 * var * reps))
+        z = (stderr * math.sqrt(reps) - math.sqrt(var)) / spread
+        assert abs(z) < 4.0, z
+
+
+def _chi_square_sf(x, k):
+    """P(X >= x) for X chi-square with k degrees of freedom: Q(k/2, x/2), summed up from
+    Q(1/2, h) = erfc(sqrt h), or Q(0, h) = 0, by Q(a + 1, h) = Q(a, h) + h^a e^-h / a!."""
+    h, a = x / 2.0, (k % 2) / 2.0
+    p = math.erfc(math.sqrt(h)) if k % 2 else 0.0
+    while a < k / 2.0:
+        p += math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+        a += 1.0
+    return p
+
+
+def test_chi_square_tail_matches_its_closed_values():
+    # k = 2: e^(-x/2); k = 1: erfc(sqrt(x/2)); k = 3: erfc + sqrt(2x/pi) e^(-x/2)
+    assert abs(_chi_square_sf(3.0, 2) - math.exp(-1.5)) < 1e-15
+    assert abs(_chi_square_sf(3.0, 1) - math.erfc(math.sqrt(1.5))) < 1e-15
+    want = math.erfc(math.sqrt(1.5)) + math.sqrt(6.0 / math.pi) * math.exp(-1.5)
+    assert abs(_chi_square_sf(3.0, 3) - want) < 1e-15
+
+
+def _chi_square_p(weights, exact, sampled):
+    """The chi-square p-value of `sampled` errors against the law putting `weights` on the
+    `exact` errors, binned on that law's distinct values (closer than 1e-9 relative is one
+    value), each bin taking the next value until it expects 5 draws; a short last bin joins
+    the one before.  Bins meet halfway between their values, so a draw a few ulps off its
+    exact value still lands in its own bin."""
+    order = np.argsort(exact)
+    values, expected = exact[order], weights[order] * len(sampled)
+    starts = np.flatnonzero(np.r_[True, np.diff(values) > 1e-9 * values[1:]])
+    mass = np.add.reduceat(expected, starts)  # expected draws of each distinct value
+    ends, acc = [], 0.0  # the index in `starts` of each bin's last value
+    for i, m in enumerate(mass):
+        acc += m
+        if acc >= 5.0:
+            ends.append(i)
+            acc = 0.0
+    ends[-1] = len(mass) - 1
+    bins = np.add.reduceat(mass, [0, *(i + 1 for i in ends[:-1])])
+    edges = [(values[starts[i + 1] - 1] + values[starts[i + 1]]) / 2.0 for i in ends[:-1]]
+    observed = np.bincount(np.searchsorted(edges, sampled), minlength=len(bins))
+    stat = float(np.sum((observed - bins) ** 2 / bins))
+    return _chi_square_sf(stat, len(bins) - 1)
+
+
+@pytest.mark.parametrize("n_shots", [2, 3])
+@pytest.mark.parametrize("name", ["optimal", "weak-strong"])
+def test_sampled_errors_follow_the_enumerated_law_at_d2(name, n_shots):
+    # At d=2, N < 2d: these are draws of the per-shot sampler, through the sweep's own
+    # _batch_errors.  A wrong correlation between a row's outcomes keeps a mean but moves
+    # the law.  Rehearsed once at this seed: p from 0.16 to 0.98 over these 8 laws.
+    strengths = D2_STRENGTHS[name]
+    rho, (weights, *errors) = _enumerated_d2(strengths, n_shots)
+    bases = fourier_mub(2)
+    sampled = np.empty((2, 2 * 10**4))
+    _batch_errors(outcome_table(rho, strengths, bases), strengths, bases, rho.matrix, n_shots,
+                  RandomStream(SEED, 2**32 + 11), sampled)
+    for exact, drawn in zip(errors, sampled):
+        p = _chi_square_p(weights, exact, drawn)
+        assert p > 1e-3, p

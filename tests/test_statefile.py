@@ -162,7 +162,8 @@ def test_read_counts_rows_before_allocating(tmp_path):
 def test_read_checks_every_row_before_allocating(tmp_path):
     # d = 10**5 with 10**5 rows of one entry each passes the row count above, and a d x d
     # complex array would take 149 GiB: the short row on line 2 must be reported first.
-    # Rehearsed once: the read peaked (tracemalloc) at 16.0 MB, its lists of lines and rows.
+    # Rehearsed once: the read peaked (tracemalloc) at 6.4 MB, its list of lines; a second
+    # list of (line number, line) rows beside it would reach 16.0 MB and fail.
     path = tmp_path / "big.state"
     path.write_text("100000\n" + "1,0\n" * 100000)
     tracemalloc.start()
@@ -172,4 +173,4 @@ def test_read_checks_every_row_before_allocating(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**25, f"read_state_file peaked at {peak} B"
+    assert peak < 2**23, f"read_state_file peaked at {peak} B"

@@ -386,6 +386,33 @@ def test_menu_sic_column_is_linear_inversion_over_real_sics(d):
         assert abs(scaled - sic) <= 1e-12 * sic, (k, scaled, sic)
 
 
+@pytest.mark.parametrize("n_shots", [1, 3, 40])
+@pytest.mark.parametrize("column, d", [("mub", 2), ("mub", 3), ("mub", 5), ("sic", 2), ("sic", 3)])
+def test_menu_baselines_match_sampled_linear_inversion(column, d, n_shots):
+    # The two tests above, sampled: n_shots copies on each MUB basis or on the SIC, their
+    # counts drawn by RandomStream.multinomial (shot by shot where n_shots is below a row's d
+    # or d^2 outcomes) and inverted linearly.  The per-copy squared error's mean is gated
+    # against the column in stderr units.  Rehearsed once at this seed: z from -1.05 to
+    # +2.01 over these 15 cases.
+    rho = random_mixed(d, d, RandomStream(SEED, 3000 + d))  # full rank: no p_k is 0
+    vecs = np.stack(_mubs(d)) if column == "mub" else _sics(d)[None]  # [row, entry, outcome]
+    proj = np.einsum("bak,bck->bkac", vecs, vecs.conj())
+    probs = np.einsum("bkac,ca->bk", proj, rho.matrix).real
+    if column == "mub":  # rho = sum_bk p_bk |e_bk><e_bk| - 1, from n_shots copies per basis
+        ops, offset, copies = proj, -np.eye(d), (d + 1) * n_shots
+    else:  # p_k = <psi_k|rho|psi_k> / d, and rho = sum_k p_k ((d + 1)|psi_k><psi_k| - 1)
+        probs, ops, offset, copies = probs / d, (d + 1) * proj - np.eye(d), 0.0, n_shots
+    reps = 2 * 10**4
+    counts = RandomStream(SEED, 3100 + d).multinomial(n_shots, probs, size=(reps, len(probs)))
+    est = ((counts.reshape(reps, -1) / n_shots) @ ops.reshape(-1, d * d)).reshape(reps, d, d)
+    est += offset
+    err = copies * np.sum(np.abs(est - rho.matrix) ** 2, axis=(1, 2))
+    pur = purity_stats(rho)
+    want = scaled_mse_menu(d, pur.purity, pur.purity_re, pur.purity_im)[column]
+    z = (err.mean() - want) / (err.std(ddof=1) / np.sqrt(reps))
+    assert abs(z) < 4.0, (z, want)
+
+
 def test_menu_rejects_small_dimension():
     with pytest.raises(InvalidDimension):
         scaled_mse_menu(1, 1.0, 1.0, 0.0)
