@@ -110,18 +110,31 @@ def _write_manifest(cfg: dict, derived: list) -> None:
             fh.write("".join(f"{k} = {_fmt(v)}\n" for k, v in entries))
 
 
+def _file_id(path):
+    """The file at path as its (st_dev, st_ino), so that a hard link is the file it links to;
+    a path that names no file yet, as its real path."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_writable(cfg: dict, *outputs) -> None:
     """Fail before any work if an output or the --manifest cannot be written, would overwrite
     an input of the run (--config or --state-file), or shares its file with another output."""
     paths = (*outputs, cfg["manifest"])
     if paths.count("-") > 1:
         raise ConfigError("two outputs name the same file, stdout ('-')")
-    # An input named with a NUL byte is no file an output could overwrite; its read fails.
-    inputs = {os.path.realpath(cfg[key]): "--" + key.replace("_", "-")
-              for key in ("config", "state_file")
-              if cfg[key] is not None and "\0" not in cfg[key]}
+    inputs = {}
+    for key in ("config", "state_file"):
+        # An input the OS cannot resolve (a NUL byte, a symlink loop) is no file an output
+        # could overwrite: its read fails, and so does the probe of an output naming it.
+        if cfg[key] is not None:
+            with suppress(OSError, ValueError):
+                inputs[_file_id(cfg[key])] = "--" + key.replace("_", "-")
     files = [Path(p) for p in paths if p not in (None, "-")]
-    reals = []
+    seen = []
     for path in files:
         shown = shown_path(path)
         try:  # the OS refuses a name too long or a symlink loop (OSError), or a NUL (ValueError)
@@ -131,16 +144,16 @@ def _check_writable(cfg: dict, *outputs) -> None:
                 os.stat(path)  # unlike Path.exists, refuses a symlink loop
                 if not os.access(path, os.W_OK):
                     raise ConfigError(f"cannot write {shown}: the file is not writable")
-            real = os.path.realpath(path)
+            file_id = _file_id(path)
         except OSError as exc:
             raise ConfigError(f"cannot write {shown}: {exc.strerror}")
         except ValueError as exc:
             raise ConfigError(f"cannot write {shown}: {exc}")
-        if real in inputs:
-            raise ConfigError(f"output {shown} would overwrite the {inputs[real]} input")
-        if real in reals:
+        if file_id in inputs:
+            raise ConfigError(f"output {shown} would overwrite the {inputs[file_id]} input")
+        if file_id in seen:
             raise ConfigError(f"two outputs name the same file {shown}")
-        reals.append(real)
+        seen.append(file_id)
 
 
 def _type_ok(key: str, val) -> bool:
@@ -307,8 +320,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     strengths = _fixed_strengths(cfg, dim)
 
     # One full experiment repetition on its own stream.
-    bases = fourier_mub(dim)
-    est = simulate_once(outcome_table(rho, strengths, bases), bases, strengths, shots,
+    est = simulate_once(outcome_table(rho, strengths, fourier_mub(dim)), shots,
                         RandomStream(cfg["seed"], RECONSTRUCT_STREAM))
     # The estimates need not have unit trace nor be positive; this one is a state.
     phys = project_to_density(est.hermitized).matrix

@@ -65,6 +65,16 @@ class OutcomeDistribution:
     values: np.ndarray  # length 2d, the eigenvalue drawn at each support point
 
 
+@dataclass(frozen=True)
+class OutcomeTable:
+    """`outcome_table`'s joint law with the strengths and bases it was built at."""
+
+    probs: np.ndarray
+    values: np.ndarray
+    strengths: CouplingStrengths
+    bases: MeasurementBases
+
+
 @dataclass
 class SufficientStats:
     """Per-(n, quadrature, j) sums of observed pointer eigenvalues; NaN: not yet recorded."""
@@ -136,18 +146,19 @@ def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndar
 
 def outcome_table(
     rho: DensityMatrix, strengths: CouplingStrengths, bases: MeasurementBases
-) -> tuple[np.ndarray, np.ndarray]:
+) -> OutcomeTable:
     """The joint law of all 2d configurations, from one `_features` pass: probs[n, q, j, k]
     of post-selection outcome j and eigenvalue values[q, k] when coupling index n is read
     in quadrature q (0 = R at g_R, 1 = I at g_I).  Each (n, q) row sums to 1."""
     features = _features(rho, bases)
     return _table(_quadrature_law(features, "R", strengths.g_r),
-                  _quadrature_law(features, "I", strengths.g_i))
+                  _quadrature_law(features, "I", strengths.g_i), strengths, bases)
 
 
-def _table(law_r: tuple, law_i: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """`outcome_table`'s (probs, values) from the (probs, eigenvalues) of its two laws."""
-    return np.stack([law_r[0], law_i[0]], axis=1), np.stack([law_r[1], law_i[1]])
+def _table(law_r, law_i, strengths: CouplingStrengths, bases: MeasurementBases) -> OutcomeTable:
+    """`outcome_table`'s table from the (probs, eigenvalues) of its two laws."""
+    return OutcomeTable(np.stack([law_r[0], law_i[0]], axis=1), np.stack([law_r[1], law_i[1]]),
+                        strengths, bases)
 
 
 def outcome_distribution(
@@ -197,12 +208,14 @@ def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> Tomograp
     return TomographyEstimate(raw=raw, hermitized=herm)
 
 
-def _sample_stats(table: tuple, n_shots: int, stream: RandomStream, count: int) -> SufficientStats:
+def _sample_stats(
+    table: OutcomeTable, n_shots: int, stream: RandomStream, count: int
+) -> SufficientStats:
     """`count` experiments in order from `stream`, their sums stacked on a leading axis; one
     `stream.multinomial` call draws all their rows of `table` (n ascending, R before I),
     n_shots each."""
     check_count(n_shots, "shot count")
-    probs, values = table
+    probs, values = table.probs, table.values
     d = len(probs)
     rows = probs.reshape(2 * d, -1)
     counts = stream.multinomial(n_shots, rows, size=(count, 2 * d))
@@ -214,17 +227,11 @@ def _sample_stats(table: tuple, n_shots: int, stream: RandomStream, count: int) 
     return SufficientStats(d, n_shots, sums_r=sums[:, :, 0], sums_i=sums[:, :, 1])
 
 
-def simulate_once(
-    table: tuple,
-    bases: MeasurementBases,
-    strengths: CouplingStrengths,
-    n_shots: int,
-    stream: RandomStream,
-) -> TomographyEstimate:
-    """One experiment: n_shots of every configuration of `table` (from
-    `outcome_table`), drawn as one `RandomStream.multinomial` call over its 2d rows."""
+def simulate_once(table: OutcomeTable, n_shots: int, stream: RandomStream) -> TomographyEstimate:
+    """One experiment: n_shots of every configuration of `table`, drawn as one
+    `RandomStream.multinomial` call over its 2d rows and estimated at its strengths and bases."""
     stats = _sample_stats(table, n_shots, stream, 1)
-    est = assemble_estimate(estimate_pw(stats, strengths), bases)
+    est = assemble_estimate(estimate_pw(stats, table.strengths), table.bases)
     return TomographyEstimate(raw=est.raw[0], hermitized=est.hermitized[0])
 
 
@@ -258,18 +265,17 @@ def run_sweep(
     law = functools.lru_cache(maxsize=2)(functools.partial(_quadrature_law, features))
     reports = []
     for strengths in steps:
-        table = _table(law("R", strengths.g_r), law("I", strengths.g_i))
+        table = _table(law("R", strengths.g_r), law("I", strengths.g_i), strengths, bases)
 
         errors = np.zeros((2, reps))  # squared raw and hermitized error of each repetition
         stream = RandomStream(seed)
         for start in range(0, reps, batch):
-            _batch_errors(table, strengths, bases, rho.matrix, n_shots, stream,
-                          errors[:, start:start + batch])
+            _batch_errors(table, rho.matrix, n_shots, stream, errors[:, start:start + batch])
         mean = errors.mean(axis=1)
         stderr = errors.std(ddof=1, axis=1) / np.sqrt(reps) if reps > 1 else np.zeros(2)
 
         stats_input = theory.TheoryInput(dim=d, strengths=strengths, shots=n_shots, purity=purity)
-        oracle_raw, oracle_herm = _oracle(table, bases, strengths, n_shots)
+        oracle_raw, oracle_herm = _oracle(table, n_shots)
         reports.append(MseReport(
             mse_raw_mean=float(mean[0]), mse_raw_stderr=float(stderr[0]),
             mse_herm_mean=float(mean[1]), mse_herm_stderr=float(stderr[1]),
@@ -282,23 +288,21 @@ def run_sweep(
 
 
 def _batch_errors(
-    table: tuple, strengths: CouplingStrengths, bases: MeasurementBases, matrix: np.ndarray,
-    n_shots: int, stream: RandomStream, out: np.ndarray,
+    table: OutcomeTable, matrix: np.ndarray, n_shots: int, stream: RandomStream, out: np.ndarray
 ) -> None:
     """Fill the two rows of `out` with the squared raw and hermitized errors against `matrix`
     of the next experiments drawn from `stream`, one a column.  A batch's counts, sums and
     estimates live only in this call, so none of them is still held while the next batch draws."""
-    est = assemble_estimate(
-        estimate_pw(_sample_stats(table, n_shots, stream, out.shape[1]), strengths), bases)
+    stats = _sample_stats(table, n_shots, stream, out.shape[1])
+    est = assemble_estimate(estimate_pw(stats, table.strengths), table.bases)
     out[:] = hs_distance_sq(est.raw, matrix), hs_distance_sq(est.hermitized, matrix)
 
 
-def _oracle(table: tuple, bases: MeasurementBases, strengths: CouplingStrengths, n_shots: int):
+def _oracle(table: OutcomeTable, n_shots: int):
     """(raw, hermitized) exact MSE of `exact_mse_oracle`, from one variance pass over `table`."""
-    overlaps = bases.overlaps()
+    s, overlaps = table.strengths, table.bases.overlaps()
     weights = np.abs(overlaps) ** 2
-    probs, values = table
-    laws = zip(probs.swapaxes(0, 1), values, (strengths.g_r, strengths.g_i), (-1.0, 1.0))
+    laws = zip(table.probs.swapaxes(0, 1), table.values, (s.g_r, s.g_i), (-1.0, 1.0))
     variances = []  # per-shot E|rho_hat[n,m] - rho[n,m]|^2, one term per quadrature
     for p, v, g, sign in laws:
         mu = sign * (p @ v) / (2.0 * g)
@@ -325,6 +329,5 @@ def exact_mse_oracle(
     element (n, m) gets sum_j |c_jm|^2 s_j - |map(mu)[n, m]|^2 from each quadrature.
     """
     check_count(n_shots, "shot count")
-    bases = fourier_mub(rho.dim)
-    raw, herm = _oracle(outcome_table(rho, strengths, bases), bases, strengths, n_shots)
+    raw, herm = _oracle(outcome_table(rho, strengths, fourier_mub(rho.dim)), n_shots)
     return herm if hermitized else raw

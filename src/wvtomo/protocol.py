@@ -98,10 +98,11 @@ class WeakValueTable:
     """Weak values W[n][j] with their post-selection probabilities P[n][j].
 
     undefined[n][j] marks entries whose post-selection probability vanished;
-    such entries hold 0 and are rejected if reconstruction needs them.
+    such entries hold 0 and are rejected if reconstruction needs them.  `reconstruct`
+    maps the table over the bases it was built in.
     """
 
-    dim: int
+    bases: MeasurementBases
     entries: np.ndarray
     probs: np.ndarray
     undefined: np.ndarray
@@ -121,9 +122,9 @@ def _check_index(n: int, d: int) -> None:
         raise IndexOutOfRange(f"basis index {n} outside 0..{d - 1}")
 
 
-def _check_bases(bases: MeasurementBases, d: int, what: str = "state") -> None:
+def _check_bases(bases: MeasurementBases, d: int) -> None:
     if bases.dim != d:
-        raise ShapeMismatch(f"bases built for d={bases.dim}, {what} has d={d}")
+        raise ShapeMismatch(f"bases built for d={bases.dim}, state has d={d}")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -264,7 +265,7 @@ def weak_values_exact(rho: DensityMatrix, bases: MeasurementBases, g) -> WeakVal
     probs = _clamp_probs(m00 + m11, rho.dim)
     defined = probs > PROB_DEFINED_TOL
     entries = np.divide(features[1], probs, out=np.zeros(probs.shape, dtype=complex), where=defined)
-    return WeakValueTable(dim=rho.dim, entries=entries, probs=probs, undefined=~defined)
+    return WeakValueTable(bases=bases, entries=entries, probs=probs, undefined=~defined)
 
 
 def _read_weak_values(states, probs, sigma_r, sigma_i, g) -> np.ndarray:
@@ -297,16 +298,15 @@ def reconstruction_map(pw: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     return (scaled.reshape(-1, len(overlaps)) @ overlaps).reshape(scaled.shape)
 
 
-def reconstruct(table: WeakValueTable, bases: MeasurementBases) -> np.ndarray:
-    """Assemble rho[n][m] = sum_j P_j(n) (<psi_j|a_m>/<psi_j|a_n>) W_nj, one state per
-    table of a stack (see weak_values_exact)."""
-    _check_bases(bases, table.dim, "table")
+def reconstruct(table: WeakValueTable) -> np.ndarray:
+    """Assemble rho[n][m] = sum_j P_j(n) (<psi_j|a_m>/<psi_j|a_n>) W_nj over the table's own
+    bases, one state per table of a stack (see weak_values_exact)."""
     if table.undefined.any():
         *_, n, j = np.argwhere(table.undefined)[0]
         raise UndefinedWeakValue(
             f"weak value undefined at (n={n}, j={j}): post-selection probability vanished"
         )
-    return reconstruction_map(table.probs * table.entries, bases.overlaps())
+    return reconstruction_map(table.probs * table.entries, table.bases.overlaps())
 
 
 def marginal_device_state(rho: DensityMatrix, n: int, g: float) -> np.ndarray:

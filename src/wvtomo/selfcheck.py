@@ -27,8 +27,7 @@ def probes(seed: int):
     devs = []
     for d in (2, 3, 4, 5):
         rho = random_mixed(d, d, RandomStream(seed, 100 + d))
-        bases = fourier_mub(d)
-        rec = reconstruct(weak_values_exact(rho, bases, np.array([0.7, 1.9])), bases)
+        rec = reconstruct(weak_values_exact(rho, fourier_mub(d), np.array([0.7, 1.9])))
         devs.append(hs_distance_sq(rec, rho.matrix))
     checks.append(("exact-reconstruction", np.max(devs), 1e-20))
 
@@ -76,7 +75,7 @@ def probes(seed: int):
             st = CouplingStrengths(0.35 + 0.5 * k, 2.2 - 0.4 * k)
             pur = purity_stats(rho)
             inp = theory.TheoryInput(dim=d, strengths=st, shots=25, purity=pur)
-            o_raw, o_herm = _oracle(outcome_table(rho, st, bases), bases, st, 25)
+            o_raw, o_herm = _oracle(outcome_table(rho, st, bases), 25)
             devs_raw.append(abs(o_raw - theory.mse_raw(inp)))
             devs_herm.append(abs(o_herm - theory.mse_hermitized_exact(rho, st, 25)))
             diag_sq = float(np.sum(rho.matrix.diagonal().real ** 2))

@@ -20,6 +20,7 @@ class TheoryInput:
     purity: PurityStats
 
     def __post_init__(self):
+        check_dimension(self.dim)
         check_count(self.shots, "shot count")
 
 

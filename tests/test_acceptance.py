@@ -73,7 +73,7 @@ def test_01_exact_reconstruction_identity():
             rho = random_mixed(d, 1 + i % d, RandomStream(SEED, 10_000 + i))
         bases = fourier_mub(d)
         for g in strengths:
-            rec = reconstruct(weak_values_exact(rho, bases, g), bases)
+            rec = reconstruct(weak_values_exact(rho, bases, g))
             worst = max(worst, hs_distance_sq(rec, rho.matrix))
     assert worst < 1e-20, f"worst HS^2 deviation {worst:.3e}"
     assert time.monotonic() - t0 < 10.0

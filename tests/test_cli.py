@@ -633,6 +633,25 @@ def test_an_output_naming_an_input_is_rejected_before_computing(tmp_path, capsys
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("target, link, argv, message", [
+    ("in.state", "e_raw.state", ["reconstruct", "--state-file", "in.state", "--out", "e"],
+     "output e_raw.state would overwrite the --state-file input"),
+    ("a.csv", "b.txt", ["sweep", "--reps", "2", "--out", "a.csv", "--manifest", "b.txt"],
+     "two outputs name the same file b.txt"),
+], ids=["reconstruct-output-links-its-input", "sweep-manifest-links-its-csv"])
+def test_a_hard_link_is_the_file_it_links(tmp_path, monkeypatch, capsys, target, link, argv,
+                                          message):
+    # two hard links have different real paths but one inode: writing either writes both
+    monkeypatch.chdir(tmp_path)
+    write_state_file("in.state", random_mixed(2, 2, RandomStream(SEED, 44)).matrix)
+    Path("a.csv").write_text("kept\n")
+    os.link(target, link)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out, err) == (2, "", f"config error: {message}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_manifest_dash_is_stdout(tmp_path, monkeypatch, capsys):
     # '-' means stdout for the manifest as for --out; no file named '-' appears
     monkeypatch.chdir(tmp_path)

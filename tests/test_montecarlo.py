@@ -35,6 +35,7 @@ from wvtomo import (
     optimal_strengths,
     outcome_distribution,
     pointer_observables,
+    project_to_density,
     purity_stats,
     random_mixed,
     random_pure,
@@ -198,10 +199,9 @@ def test_sample_shots_memory_does_not_grow_with_shots(sampler):
         dist = replace(outcome_distribution(rho, 1, "R", 1.0, bases), values=np.ones(2 * d))
         draw = lambda stream: sample_shots(dist, n, stream)
     else:
-        strengths = CouplingStrengths(1.0, 1.0)
-        probs, values = outcome_table(rho, strengths, bases)
-        table = (probs, np.ones_like(values))
-        draw = lambda stream: simulate_once(table, bases, strengths, n, stream)
+        table = outcome_table(rho, CouplingStrengths(1.0, 1.0), bases)
+        table = replace(table, values=np.ones_like(table.values))
+        draw = lambda stream: simulate_once(table, n, stream)
     stream = RandomStream(SEED, 39)
     tracemalloc.start()
     try:
@@ -244,7 +244,7 @@ def test_stacked_draw_equals_per_configuration_draws(d):
         for dist in dists:
             stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, stream))
         want = assemble_estimate(estimate_pw(stats, strengths), bases)
-        got = simulate_once(table, bases, strengths, n_shots, RandomStream(SEED, 42 + k))
+        got = simulate_once(table, n_shots, RandomStream(SEED, 42 + k))
         assert np.array_equal(got.raw, want.raw), f"N={n_shots}"
         assert np.array_equal(got.hermitized, want.hermitized), f"N={n_shots}"
 
@@ -262,7 +262,9 @@ def _check_rows_are_the_per_configuration_laws(d):
     rho = random_mixed(d, 2, RandomStream(SEED, 45))
     strengths = CouplingStrengths(0.8, 2.1)
     bases = fourier_mub(d)
-    probs, values = outcome_table(rho, strengths, bases)
+    table = outcome_table(rho, strengths, bases)
+    probs, values = table.probs, table.values
+    assert table.strengths is strengths and table.bases is bases
     assert probs.shape == (d, 2, d, 2) and values.shape == (2, 2)
     assert np.max(np.abs(probs.sum(axis=(2, 3)) - 1.0)) < 1e-15
     for n in range(d):
@@ -330,7 +332,7 @@ def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
         states.append(_singular_pure_state())
     for rho in states:
         for strengths in strength_pairs:
-            probs, _ = outcome_table(rho, strengths, bases)
+            probs = outcome_table(rho, strengths, bases).probs
             gs = (strengths.g_r, strengths.g_i)
             pointers, p_post = _postselected_pointers(rho, range(d), gs, bases)
             for q, quadrature in enumerate(QUADRATURES):
@@ -345,7 +347,7 @@ def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
     if d == 3:  # the singular state's outcome (n=0, j=1) vanished, so it is never drawn
         _, p_post = _postselected_pointers(states[-1], [0], [1.0], bases)
         assert p_post[0, 0, 1] <= 1e-12
-        probs, _ = outcome_table(states[-1], CouplingStrengths(1.0, 1.0), bases)
+        probs = outcome_table(states[-1], CouplingStrengths(1.0, 1.0), bases).probs
         assert np.array_equal(probs[0, :, 1], np.zeros((2, 2)))
 
 
@@ -355,7 +357,7 @@ def test_eigenvalue_sums_from_the_count_slices_equal_the_summed_product_bitwise(
     # the counts by the eigenvalues and sums over k, on the same draw
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 47))
     table = outcome_table(rho, optimal_strengths(d), fourier_mub(d))
-    probs, values = table
+    probs, values = table.probs, table.values
     count = max(1, BATCH_ELEMENTS // d**2)
     rows = probs.reshape(2 * d, -1)
     for k, n_shots in enumerate((1, 100, 1_000_000)):
@@ -510,14 +512,13 @@ def test_batched_run_equals_per_repetition_loop(d):
     # At d=32, N=20 is below the 64 outcomes of a row, so this covers the per-shot draw.
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 46))
     strengths = optimal_strengths(d)
-    bases = fourier_mub(d)
-    table = outcome_table(rho, strengths, bases)
+    table = outcome_table(rho, strengths, fourier_mub(d))
     reps = 2 * max(1, BATCH_ELEMENTS // d**2) + 3
     err_raw = np.zeros(reps)
     err_herm = np.zeros(reps)
     stream = RandomStream(SEED)
     for rep in range(reps):
-        est = simulate_once(table, bases, strengths, 20, stream)
+        est = simulate_once(table, 20, stream)
         err_raw[rep] = hs_distance_sq(est.raw, rho.matrix)
         err_herm[rep] = hs_distance_sq(est.hermitized, rho.matrix)
     got = run_experiment(rho, strengths, 20, reps, SEED)
@@ -574,7 +575,7 @@ def test_sweep_equals_one_experiment_per_step(d, axis, below):
             err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
             err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
         inp = TheoryInput(dim=d, strengths=strengths, shots=n_shots, purity=purity_stats(rho))
-        oracle_raw, oracle_herm = _oracle(table, bases, strengths, n_shots)
+        oracle_raw, oracle_herm = _oracle(table, n_shots)
         return MseReport(
             mse_raw_mean=float(err_raw.mean()),
             mse_raw_stderr=float(err_raw.std(ddof=1) / np.sqrt(reps)),
@@ -802,7 +803,7 @@ def test_oracle_matches_sampling_off_the_fourier_basis():
     rho = random_mixed(d, d, RandomStream(SEED, 2**32 + 4))
     strengths = optimal_strengths(d)
     table = outcome_table(rho, strengths, bases)
-    o_raw, o_herm = _oracle(table, bases, strengths, n_shots)
+    o_raw, o_herm = _oracle(table, n_shots)
     assert o_raw > 2.0 * exact_mse_oracle(rho, strengths, n_shots)  # the basis matters
     stats = _sample_stats(table, n_shots, RandomStream(SEED, 2**32 + 5), reps)
     est = assemble_estimate(estimate_pw(stats, strengths), bases)
@@ -822,8 +823,8 @@ def test_oracle_is_blind_to_the_phase_and_order_of_the_postselection_basis(d):
     shuffle = RandomStream(SEED, 2**32 + 200 + d).uniforms(2 * d).reshape(2, d)
     psi = fourier.psi_basis[:, np.argsort(shuffle[0])] * np.exp(2j * np.pi * shuffle[1])
     moved = replace(fourier, psi_basis=psi)
-    want = _oracle(outcome_table(rho, strengths, fourier), fourier, strengths, 40)
-    got = _oracle(outcome_table(rho, strengths, moved), moved, strengths, 40)
+    want = _oracle(outcome_table(rho, strengths, fourier), 40)
+    got = _oracle(outcome_table(rho, strengths, moved), 40)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * w, (d, g, w)
 
@@ -842,19 +843,20 @@ def test_no_sampled_haar_basis_beats_fourier(d):
     worst = np.inf
     for k in range(6):
         rho = random_mixed(d, 1 + k % d, RandomStream(SEED, 2**32 + 310 + 10 * d + k))
-        want = np.array(_oracle(outcome_table(rho, strengths, fourier), fourier, strengths, 40))
+        want = np.array(_oracle(outcome_table(rho, strengths, fourier), 40))
         for bases in haar:
-            got = np.array(_oracle(outcome_table(rho, strengths, bases), bases, strengths, 40))
+            got = np.array(_oracle(outcome_table(rho, strengths, bases), 40))
             worst = min(worst, *(got / want))
     assert worst > (1.0 - 1e-12 if d == 2 else 1.0), (d, worst)
 
 
-def _enumerated_errors(rho, strengths, bases, n_shots):
-    """Every outcome count of the d=2 experiment, its probability, and its raw and hermitized
-    squared errors: each of the 4 (n, q) rows of `outcome_table` has C(N+3, 3) count
-    vectors, and a point's weight is the product of its rows' multinomial pmfs.  The counts
-    go through the library's own SufficientStats, estimate_pw and assemble_estimate."""
-    probs, values = outcome_table(rho, strengths, bases)
+def _enumerated_estimates(rho, strengths, n_shots):
+    """Every outcome count of the d=2 experiment in Fourier bases, its probability, and its
+    estimate: each of the 4 (n, q) rows of `outcome_table` has C(N+3, 3) count vectors, and
+    a point's weight is the product of its rows' multinomial pmfs.  The counts go through
+    the library's own SufficientStats, estimate_pw and assemble_estimate."""
+    table = outcome_table(rho, strengths, fourier_mub(2))
+    probs, values = table.probs, table.values
     rows = probs.reshape(4, 4)  # (n, q) rows of (j, k) outcomes, the sampler's draw order
     comps = np.array([c for c in itertools.product(range(n_shots + 1), repeat=4)
                       if sum(c) == n_shots])
@@ -865,20 +867,41 @@ def _enumerated_errors(rho, strengths, bases, n_shots):
     counts = comps[idx.T].reshape(-1, *probs.shape)  # [point, n, q, j, k]
     sums = counts[..., 0] * values[:, None, 0] + counts[..., 1] * values[:, None, 1]
     stats = SufficientStats(2, n_shots, sums_r=sums[:, :, 0], sums_i=sums[:, :, 1])
-    est = assemble_estimate(estimate_pw(stats, strengths), bases)
-    return weights, hs_distance_sq(est.raw, rho.matrix), hs_distance_sq(est.hermitized, rho.matrix)
+    return weights, assemble_estimate(estimate_pw(stats, strengths), table.bases)
+
+
+def _projected_errors(estimates, rho):
+    """The squared error of each estimate once `project_to_density` has made it a state, as
+    `reconstruct` writes its _phys.state."""
+    return hs_distance_sq(np.array([project_to_density(m).matrix for m in estimates]), rho.matrix)
 
 
 D2_STRENGTHS = {"optimal": optimal_strengths(2), "weak-strong": CouplingStrengths(0.6, 2.4),
                 "strong-weak": CouplingStrengths(2.0, 1.0)}
 
 
+def _d2_state():
+    return random_mixed(2, 2, RandomStream(SEED, 2**32 + 10))
+
+
 @functools.cache
 def _enumerated_d2(strengths, n_shots):
-    """The d=2 state the enumeration gates share, and its `_enumerated_errors` at these
-    strengths and shots, built once however many gates read them."""
-    rho = random_mixed(2, 2, RandomStream(SEED, 2**32 + 10))
-    return rho, _enumerated_errors(rho, strengths, fourier_mub(2), n_shots)
+    """The d=2 state the enumeration gates share, and the weights and the raw and hermitized
+    squared errors of its `_enumerated_estimates` at these strengths and shots, built once
+    however many gates read them."""
+    rho = _d2_state()
+    weights, est = _enumerated_estimates(rho, strengths, n_shots)
+    errors = (hs_distance_sq(est.raw, rho.matrix), hs_distance_sq(est.hermitized, rho.matrix))
+    return rho, (weights, *errors)
+
+
+@functools.cache
+def _projected_d2(strengths, n_shots):
+    """`_enumerated_d2`'s state and weights, and the `_projected_errors` of its hermitized
+    estimates, built once however many gates read them."""
+    rho = _d2_state()
+    weights, est = _enumerated_estimates(rho, strengths, n_shots)
+    return rho, weights, _projected_errors(est.hermitized, rho)
 
 
 @pytest.mark.parametrize("n_shots", [1, 2, 3])
@@ -887,9 +910,8 @@ def test_oracle_equals_the_enumerated_mean_at_d2(strengths, n_shots):
     # No sampling: the mean over every outcome count (160,000 points at N=3) is the exact MSE.
     # Rehearsed once: the worst deviation, of the weights' sum or a mean, was 1.1e-15.
     rho, (weights, err_raw, err_herm) = _enumerated_d2(strengths, n_shots)
-    bases = fourier_mub(2)
     assert abs(weights.sum() - 1.0) < 1e-12
-    want = _oracle(outcome_table(rho, strengths, bases), bases, strengths, n_shots)
+    want = _oracle(outcome_table(rho, strengths, fourier_mub(2)), n_shots)
     for got, w in zip((weights @ err_raw, weights @ err_herm), want):
         assert abs(got - w) <= 1e-12 * w, (got, w)
 
@@ -910,6 +932,24 @@ def test_stderr_columns_match_the_enumerated_spread_at_d2(strengths, n_shots):
         spread = math.sqrt((mu4 - var**2) / (4 * var * reps))
         z = (stderr * math.sqrt(reps) - math.sqrt(var)) / spread
         assert abs(z) < 4.0, z
+
+
+@pytest.mark.parametrize("n_shots", [1, 2])
+def test_projected_estimator_matches_its_enumerated_mean_at_d2(n_shots):
+    # The state `reconstruct` writes, project_to_density of the hermitized estimate, has no
+    # linear oracle: its exact mean and sd come from every enumerated count point.  Drawn
+    # 10^4 times in one batch, the mean squared error sits within 4 stderr of the exact mean.
+    # Rehearsed once at this seed: z = -1.33 (N=1) and -0.08 (N=2).
+    strengths = D2_STRENGTHS["optimal"]
+    rho, weights, exact = _projected_d2(strengths, n_shots)
+    mean = weights @ exact
+    sd = math.sqrt(weights @ (exact - mean) ** 2)
+    reps = 10**4
+    table = outcome_table(rho, strengths, fourier_mub(2))
+    stats = _sample_stats(table, n_shots, RandomStream(SEED, 2**32 + 12), reps)
+    est = assemble_estimate(estimate_pw(stats, strengths), table.bases)
+    z = (_projected_errors(est.hermitized, rho).mean() - mean) / (sd / math.sqrt(reps))
+    assert abs(z) <= 4.0, z
 
 
 def _chi_square_sf(x, k):
@@ -963,9 +1003,8 @@ def test_sampled_errors_follow_the_enumerated_law_at_d2(name, n_shots):
     # the law.  Rehearsed once at this seed: p from 0.16 to 0.98 over these 8 laws.
     strengths = D2_STRENGTHS[name]
     rho, (weights, *errors) = _enumerated_d2(strengths, n_shots)
-    bases = fourier_mub(2)
     sampled = np.empty((2, 2 * 10**4))
-    _batch_errors(outcome_table(rho, strengths, bases), strengths, bases, rho.matrix, n_shots,
+    _batch_errors(outcome_table(rho, strengths, fourier_mub(2)), rho.matrix, n_shots,
                   RandomStream(SEED, 2**32 + 11), sampled)
     for exact, drawn in zip(errors, sampled):
         p = _chi_square_p(weights, exact, drawn)

@@ -13,9 +13,11 @@ from wvtomo import (
     NotFinite,
     NotHermitian,
     NotPositive,
+    PurityStats,
     RandomStream,
     ShapeMismatch,
     SufficientStats,
+    TheoryInput,
     TraceNotOne,
     coupling_unitary,
     eig_hermitian_2x2,
@@ -333,6 +335,7 @@ DIMENSION_ENTRIES = {
     "mse_raw_optimal": lambda d: mse_raw_optimal(d, 10, 1.0),
     "mse_hermitized_optimal": lambda d: mse_hermitized_optimal(d, 1, 1.0, 0.0),
     "SufficientStats": lambda d: SufficientStats(dim=d, shots=10),
+    "TheoryInput": lambda d: TheoryInput(d, optimal_strengths(2), 10, PurityStats(1.0, 1.0, 0.0)),
 }
 # validate_density reads d off the matrix it is given, so its case is the 1x1 matrix.
 DIMENSION_CASES = [(name, d) for name in DIMENSION_ENTRIES for d in (1, 0, -1)
