@@ -33,8 +33,9 @@ from .rng import RandomStream
 from .selfcheck import probes
 from .statefile import read_state_file, read_text, shown_path, write_state_file
 
-# Stream ids: run_experiment draws every repetition from stream 0; state draws
-# and one-off simulations live far away so they never collide.
+# Stream ids: run_experiment draws the R rows of every repetition from stream 0 and the
+# I rows from its twin (RandomStream.twin, the same key 2**128 draws on); state draws and
+# one-off simulations live far away so they never collide.
 STATE_STREAM = 2**32
 RECONSTRUCT_STREAM = 2**33
 # numpy draws counts and sizes arrays as int64; a larger count cannot run.
@@ -319,7 +320,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     dim = rho.dim
     strengths = _fixed_strengths(cfg, dim)
 
-    # One full experiment repetition on its own stream.
+    # One full experiment repetition on its own stream and its twin.
     est = simulate_once(outcome_table(rho, strengths, fourier_mub(dim)), shots,
                         RandomStream(cfg["seed"], RECONSTRUCT_STREAM))
     # The estimates need not have unit trace nor be positive; this one is a state.

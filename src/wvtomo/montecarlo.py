@@ -4,11 +4,19 @@ error analysis.
 One "measurement" consumes one shot of each of the 2d configurations
 (d coupling indices x 2 pointer quadratures); N shots per configuration
 means 2dN state copies.  The estimator reads each configuration only
-through its per-j sums of pointer eigenvalues, so one repetition is one
-draw of the outcome counts of every configuration's N shots over
+through its per-j sums of pointer eigenvalues, so one repetition is a draw
+of the outcome counts of every configuration's N shots over
 `outcome_table`, the joint law of (n, quadrature, post-selection j, pointer
 eigenvalue k), by `RandomStream.multinomial` (its docstring gives its two
 draws); memory is bounded by the count array, not by N.
+
+One stream contract: the R rows of an experiment's repetitions are drawn in
+(rep, n) order from the stream the caller passes, and the I rows in (rep, n)
+order from that stream's twin (`RandomStream.twin`).  So a quadrature's draws
+depend only on its own law, and a sweep whose repetitions fit one batch
+draws a quadrature again only when its strength moves.  A sweep of more than
+one batch a step (the CLI default d=5 with 1000 repetitions, or d=32 beyond 6)
+draws both quadratures every step, so that it holds no more than one batch.
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -208,28 +216,39 @@ def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> Tomograp
     return TomographyEstimate(raw=raw, hermitized=herm)
 
 
+def _quadrature_sums(
+    probs: np.ndarray, values: np.ndarray, n_shots: int, stream: RandomStream, count: int
+) -> np.ndarray:
+    """sums[rep, n, j] of `count` experiments' draws of one quadrature's law probs[n, j, k]
+    with eigenvalues values[k]: one `stream.multinomial` call over its d rows in (rep, n)
+    order, n_shots each."""
+    d = len(probs)
+    counts = stream.multinomial(n_shots, probs.reshape(d, -1), size=(count, d))
+    c = counts.reshape(count, *probs.shape)  # [rep, n, j, k]
+    # The two k slices added in place: what a length-2 sum over k computes, without the
+    # (rep, n, j, k) float temporary or a third float array.
+    sums = c[..., 0] * values[0]
+    sums += c[..., 1] * values[1]
+    return sums
+
+
 def _sample_stats(
     table: OutcomeTable, n_shots: int, stream: RandomStream, count: int
 ) -> SufficientStats:
-    """`count` experiments in order from `stream`, their sums stacked on a leading axis; one
-    `stream.multinomial` call draws all their rows of `table` (n ascending, R before I),
-    n_shots each."""
+    """`count` experiments, their sums stacked on a leading axis: the R rows of `table` drawn
+    in (rep, n) order from `stream`, the I rows likewise from `stream.twin`, n_shots each."""
     check_count(n_shots, "shot count")
     probs, values = table.probs, table.values
-    d = len(probs)
-    rows = probs.reshape(2 * d, -1)
-    counts = stream.multinomial(n_shots, rows, size=(count, 2 * d))
-    c = counts.reshape(count, *probs.shape)  # [rep, n, q, j, k]
-    # The two k slices added in place: what a length-2 sum over k computes, without the
-    # (rep, n, q, j, k) float temporary or a third float array.
-    sums = c[..., 0] * values[:, None, 0]  # [rep, n, q, j]
-    sums += c[..., 1] * values[:, None, 1]
-    return SufficientStats(d, n_shots, sums_r=sums[:, :, 0], sums_i=sums[:, :, 1])
+    return SufficientStats(
+        len(probs), n_shots,
+        sums_r=_quadrature_sums(probs[:, 0], values[0], n_shots, stream, count),
+        sums_i=_quadrature_sums(probs[:, 1], values[1], n_shots, stream.twin, count),
+    )
 
 
 def simulate_once(table: OutcomeTable, n_shots: int, stream: RandomStream) -> TomographyEstimate:
-    """One experiment: n_shots of every configuration of `table`, drawn as one
-    `RandomStream.multinomial` call over its 2d rows and estimated at its strengths and bases."""
+    """One experiment: n_shots of every configuration of `table`, its d R rows drawn from
+    `stream` and its d I rows from `stream.twin`, estimated at its strengths and bases."""
     stats = _sample_stats(table, n_shots, stream, 1)
     est = assemble_estimate(estimate_pw(stats, table.strengths), table.bases)
     return TomographyEstimate(raw=est.raw[0], hermitized=est.hermitized[0])
@@ -242,9 +261,10 @@ def run_experiment(
     reps: int,
     seed: int,
 ) -> MseReport:
-    """Repeat the full 2d-configuration experiment `reps` times, every repetition drawn
-    in order from RandomStream(seed) and estimated a batch at a time, and report the
-    empirical MSE of the raw and hermitized estimators, with theory and oracle attached."""
+    """Repeat the full 2d-configuration experiment `reps` times, the R rows of every
+    repetition drawn in order from RandomStream(seed) and the I rows from its twin, estimated
+    a batch at a time, and report the empirical MSE of the raw and hermitized estimators,
+    with theory and oracle attached."""
     return run_sweep(rho, [strengths], n_shots, reps, seed)[0]
 
 
@@ -252,25 +272,47 @@ def run_sweep(
     rho: DensityMatrix, steps: list[CouplingStrengths], n_shots: int, reps: int, seed: int
 ) -> list[MseReport]:
     """`run_experiment` at each CouplingStrengths of `steps`, in order: each step draws
-    from a fresh RandomStream(seed) and reads its oracle off the table it sampled.  The
-    bases, features and purity of rho are built once per sweep, and a quadrature's law only
-    when its strength moves: a step that moves one evicts that law, the least recently read
-    of the two the cache holds."""
+    from a fresh RandomStream(seed) and its twin, and reads its oracle off the table it
+    sampled.  The bases, features and purity of rho are built once per sweep, and a
+    quadrature's law only when its strength moves: a step that moves one evicts that law,
+    the least recently read of the two the cache holds.  When a step's repetitions fit one
+    batch, the cache holds each law's sums beside it, drawn as a fresh stream pair draws
+    them, so a quadrature whose strength did not move is not drawn again and every step
+    still equals a standalone `run_experiment`.  Steps of more than one batch draw both
+    quadratures every step, so that no more than one batch is held."""
     check_count(reps, "repetition count")
+    check_count(n_shots, "shot count")
     d = rho.dim
     bases = fourier_mub(d)
     features = _features(rho, bases)
     purity = purity_stats(rho)
     batch = max(1, BATCH_ELEMENTS // d**2)
-    law = functools.lru_cache(maxsize=2)(functools.partial(_quadrature_law, features))
+    one_batch = reps <= batch
+
+    @functools.lru_cache(maxsize=2)
+    def quadrature(q: str, g: float):
+        """q's law at strength g and, in a one-batch sweep, its sums of every repetition."""
+        law = _quadrature_law(features, q, g)
+        if not one_batch:
+            return law, None
+        stream = RandomStream(seed)
+        return law, _quadrature_sums(*law, n_shots, stream if q == "R" else stream.twin, reps)
+
     reports = []
     for strengths in steps:
-        table = _table(law("R", strengths.g_r), law("I", strengths.g_i), strengths, bases)
+        (law_r, sums_r), (law_i, sums_i) = (quadrature("R", strengths.g_r),
+                                            quadrature("I", strengths.g_i))
+        table = _table(law_r, law_i, strengths, bases)
 
         errors = np.zeros((2, reps))  # squared raw and hermitized error of each repetition
-        stream = RandomStream(seed)
-        for start in range(0, reps, batch):
-            _batch_errors(table, rho.matrix, n_shots, stream, errors[:, start:start + batch])
+        if one_batch:
+            _batch_errors(table, SufficientStats(d, n_shots, sums_r, sums_i), rho.matrix, errors)
+        else:
+            stream = RandomStream(seed)
+            for start in range(0, reps, batch):
+                out = errors[:, start:start + batch]
+                _batch_errors(table, _sample_stats(table, n_shots, stream, out.shape[1]),
+                              rho.matrix, out)
         mean = errors.mean(axis=1)
         stderr = errors.std(ddof=1, axis=1) / np.sqrt(reps) if reps > 1 else np.zeros(2)
 
@@ -288,12 +330,12 @@ def run_sweep(
 
 
 def _batch_errors(
-    table: OutcomeTable, matrix: np.ndarray, n_shots: int, stream: RandomStream, out: np.ndarray
+    table: OutcomeTable, stats: SufficientStats, matrix: np.ndarray, out: np.ndarray
 ) -> None:
     """Fill the two rows of `out` with the squared raw and hermitized errors against `matrix`
-    of the next experiments drawn from `stream`, one a column.  A batch's counts, sums and
-    estimates live only in this call, so none of them is still held while the next batch draws."""
-    stats = _sample_stats(table, n_shots, stream, out.shape[1])
+    of the experiments of `stats`, one a column.  A batch's estimates live only in this call,
+    and its counts and sums only in the caller's expression, so none of them is still held
+    while the next batch draws."""
     est = assemble_estimate(estimate_pw(stats, table.strengths), table.bases)
     out[:] = hs_distance_sq(est.raw, matrix), hs_distance_sq(est.hermitized, matrix)
 

@@ -85,8 +85,9 @@ def test_sweep_deterministic_bytes(tmp_path):
 
 
 def test_sweep_bytes_are_pinned(tmp_path):
-    # The sampled numbers of a small sweep, fixed on numpy 2.4.6 (every
-    # repetition of a step drawn in order from the one Philox stream (seed, 0)):
+    # The sampled numbers of a small sweep, fixed on numpy 2.4.6 (the R rows of every
+    # repetition of a step drawn in order from the Philox stream (seed, 0), the I rows
+    # from its twin):
     # a change that moves any drawn count or any digit of the estimator, theory
     # or oracle columns fails here, not only in review.
     out = tmp_path / "pin.csv"
@@ -94,12 +95,13 @@ def test_sweep_bytes_are_pinned(tmp_path):
         "sweep", "--dim", "3", "--shots", "20", "--reps", "5", "--sweep-steps", "3",
         "--seed", "1", "--out", str(out),
     ]) == 0
-    _assert_pinned(out.read_bytes(), "d665ac3392495010a5de7d5f06045837d3b4861dcd4c9e8af49723dea533ab62")
+    _assert_pinned(out.read_bytes(), "ec13d1037997678a2ba4072d9cf1d3d9df2915330bbcfeba3c27e8dbd76129e1")
 
 
 def test_sweep_bytes_across_batches_are_pinned(tmp_path):
-    # At d=32 a batch holds six repetitions, so these five fit in one; the digest is that
-    # of the same sweep with every repetition drawn and estimated on its own, and
+    # At d=32 a batch holds six repetitions, so these five fit in one and the second step
+    # reads the I sums of the first; the digest is that of the same sweep with every
+    # repetition drawn and estimated on its own, and
     # test_sweep_bytes_do_not_depend_on_the_batch_size checks the split across batches.
     # N=10 is below the 64 categories of a row, so the rows are drawn shot by shot.
     out = tmp_path / "pin.csv"
@@ -107,14 +109,20 @@ def test_sweep_bytes_across_batches_are_pinned(tmp_path):
         "sweep", "--dim", "32", "--shots", "10", "--reps", "5", "--sweep-steps", "2",
         "--seed", "1", "--out", str(out),
     ]) == 0
-    _assert_pinned(out.read_bytes(), "6edf61d8b960dd455700e3f0e626a7532bdb685558dadaf561fa2db44dddc04d")
+    _assert_pinned(out.read_bytes(), "cd485d4042d2aa6802d96a1e7147a31d1339b208c2474b0efbdaf612b0e2ad56")
 
 
-@pytest.mark.parametrize("d, n_shots", [(32, 10), (5, 100)], ids=["per-shot", "multinomial"])
-def test_sweep_bytes_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, d, n_shots):
-    # Two full batches and a partial one, against one repetition per batch: the same
-    # stream is drawn in the same order, so every byte of the CSV must agree.
-    reps = 2 * (montecarlo.BATCH_ELEMENTS // d**2) + 3
+@pytest.mark.parametrize("d, n_shots, one_batch", [
+    (32, 10, False), (5, 100, False), (32, 10, True), (5, 100, True),
+], ids=["per-shot", "multinomial", "per-shot-one-batch", "multinomial-one-batch"])
+def test_sweep_bytes_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, d, n_shots,
+                                                     one_batch):
+    # Two full batches and a partial one, or one full batch, against one repetition per
+    # batch: the same streams are drawn in the same order, so every byte of the CSV must
+    # agree.  A one-batch run reads the unswept quadrature's sums from its first step, the
+    # run of one repetition per batch draws them again at every step.
+    batch = montecarlo.BATCH_ELEMENTS // d**2
+    reps = batch if one_batch else 2 * batch + 3
     args = ["sweep", "--dim", str(d), "--shots", str(n_shots), "--reps", str(reps),
             "--sweep-steps", "2", "--seed", "1", "--out"]
     batched, single = tmp_path / "batched.csv", tmp_path / "single.csv"
@@ -125,7 +133,8 @@ def test_sweep_bytes_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, d, n
 
 
 def test_sweep_rows_match_oracle(capsys):
-    # rehearsed: worst |mean - oracle| is 1.3 stderr over these 4 rows
+    # rehearsed with the I rows on the stream's twin: worst |mean - oracle| is 0.78 stderr
+    # over these 4 rows
     rc, out, _ = _run(capsys, [
         "sweep", "--dim", "3", "--shots", "50", "--reps", "200",
         "--seed", str(SEED), "--mixed-rank", "3",
@@ -430,7 +439,8 @@ def test_compare_rejects_inverted_range(capsys):
 
 
 def test_reconstruct_round_trip_and_quality(tmp_path, capsys):
-    # rehearsed: hs_sq_herm = 6.6e-7 at one million shots, bound 1e-3
+    # rehearsed with the I rows on the stream's twin: hs_sq_herm = 1.4e-6 at one million
+    # shots, bound 1e-3
     rho = random_mixed(2, 2, RandomStream(SEED, 13))
     state = tmp_path / "in.state"
     write_state_file(state, rho.matrix)
@@ -467,7 +477,7 @@ def test_reconstruct_deterministic(tmp_path, capsys):
 
 
 def test_reconstruct_bytes_are_pinned(tmp_path, capsys):
-    # One experiment drawn from the stream (seed, 2**33), fixed on numpy 2.4.6:
+    # One experiment drawn from the stream (seed, 2**33) and its twin, fixed on numpy 2.4.6:
     # a change to how a stream draws its repetitions must leave these bytes.
     state = tmp_path / "in.state"
     write_state_file(state, random_mixed(3, 2, RandomStream(SEED, 47)).matrix)
@@ -478,7 +488,7 @@ def test_reconstruct_bytes_are_pinned(tmp_path, capsys):
     ])
     assert rc == 0
     files = b"".join(Path(f"{out}_{kind}.state").read_bytes() for kind in ("raw", "herm", "phys"))
-    _assert_pinned(files, "505bf7a2020d7b0991ab8003a67427bb723d9e5e90efa476aef23cc0ea6893e6")
+    _assert_pinned(files, "f4d689a922dceb380c79f23aa11211c3ce47d2935dbeca7eedd5256aa78c9a74")
 
 
 def test_reconstruct_physical_estimate_reads_back(tmp_path, capsys):

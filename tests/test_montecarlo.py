@@ -53,7 +53,7 @@ SEED = 20240814  # shared with the acceptance suite; statistical bounds rehearse
 
 
 def _config_laws(rho, strengths, bases):
-    """The 2d per-configuration laws in the table's draw order: n ascending, R before I."""
+    """The 2d per-configuration laws, n ascending, R before I within each n."""
     gs = {"R": strengths.g_r, "I": strengths.g_i}
     return [outcome_distribution(rho, n, q, gs[q], bases)
             for n in range(rho.dim) for q in QUADRATURES]
@@ -230,9 +230,9 @@ def test_counts_below_one_rejected(func, args):
 
 @pytest.mark.parametrize("d", [2, 5, 32])
 def test_stacked_draw_equals_per_configuration_draws(d):
-    # simulate_once draws the 2d configurations in one multinomial call; it
-    # must reproduce, bit for bit, sample_shots run on each configuration in
-    # draw order (n ascending, R before I) on the same stream
+    # simulate_once draws each quadrature's d configurations in one multinomial call; it
+    # must reproduce, bit for bit, sample_shots run on each configuration in n ascending
+    # order, the R configurations on the same stream and the I ones on its twin
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 41))
     strengths = optimal_strengths(d)
     bases = fourier_mub(d)
@@ -242,7 +242,8 @@ def test_stacked_draw_equals_per_configuration_draws(d):
         stats = SufficientStats(dim=d, shots=n_shots)
         stream = RandomStream(SEED, 42 + k)
         for dist in dists:
-            stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, stream))
+            source = stream if dist.quadrature == "R" else stream.twin
+            stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, source))
         want = assemble_estimate(estimate_pw(stats, strengths), bases)
         got = simulate_once(table, n_shots, RandomStream(SEED, 42 + k))
         assert np.array_equal(got.raw, want.raw), f"N={n_shots}"
@@ -354,20 +355,23 @@ def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
 @pytest.mark.parametrize("d", [2, 5, 32])
 def test_eigenvalue_sums_from_the_count_slices_equal_the_summed_product_bitwise(d):
     # _sample_stats adds the two eigenvalue slices of the counts; the reference multiplies
-    # the counts by the eigenvalues and sums over k, on the same draw
+    # the counts by the eigenvalues and sums over k, on the same draws: each quadrature's
+    # stack of d rows, R from the stream and I from its twin
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 47))
     table = outcome_table(rho, optimal_strengths(d), fourier_mub(d))
-    probs, values = table.probs, table.values
     count = max(1, BATCH_ELEMENTS // d**2)
-    rows = probs.reshape(2 * d, -1)
     for k, n_shots in enumerate((1, 100, 1_000_000)):
-        counts = RandomStream(SEED, 48 + k).multinomial(
-            n_shots, np.broadcast_to(rows, (count, *rows.shape)))
-        sums = (counts.reshape(count, *probs.shape) * values[:, None, :]).sum(axis=-1)
+        stream = RandomStream(SEED, 48 + k)
+        want = []
+        for q, source in enumerate((stream, stream.twin)):
+            probs, values = table.probs[:, q], table.values[q]
+            rows = probs.reshape(d, -1)
+            counts = source.multinomial(n_shots, np.broadcast_to(rows, (count, *rows.shape)))
+            want.append((counts.reshape(count, *probs.shape) * values).sum(axis=-1))
         stats = _sample_stats(table, n_shots, RandomStream(SEED, 48 + k), count)
         assert stats.sums_r.shape == (count, d, d)
-        assert np.array_equal(stats.sums_r, sums[:, :, 0]), f"N={n_shots}"
-        assert np.array_equal(stats.sums_i, sums[:, :, 1]), f"N={n_shots}"
+        assert np.array_equal(stats.sums_r, want[0]), f"N={n_shots}"
+        assert np.array_equal(stats.sums_i, want[1]), f"N={n_shots}"
 
 
 # ---------------------------------------------------------------- estimator
@@ -508,7 +512,8 @@ def test_run_experiment_reproducible():
 def test_batched_run_equals_per_repetition_loop(d):
     # run_experiment draws and estimates BATCH_ELEMENTS // d^2 repetitions at
     # once; over two full batches and a partial one it must give, to the last
-    # bit, what one simulate_once per repetition on the same stream gives.
+    # bit, what one simulate_once per repetition on the same stream gives: each
+    # call continues the stream with its R rows and the stream's twin with its I rows.
     # At d=32, N=20 is below the 64 outcomes of a row, so this covers the per-shot draw.
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 46))
     strengths = optimal_strengths(d)
@@ -550,27 +555,37 @@ def test_run_experiment_memory_grows_only_by_the_errors(reps, n_shots):
 
 @pytest.mark.parametrize("d", [2, 5, 32])
 @pytest.mark.parametrize("axis", ["g_r", "g_i"])
-@pytest.mark.parametrize("below", [False, True], ids=["N=2d", "N=2d-1"])
-def test_sweep_equals_one_experiment_per_step(d, axis, below):
-    # run_sweep builds the features once and keeps the unswept law across steps; each step
-    # must still report, to the last bit, what a whole experiment built from scratch at its
-    # strengths reports, on either draw (numpy's multinomial at N = 2d, per shot at
-    # N = 2d - 1).  The reference below rebuilds the bases, the table and the purity at
-    # every step and shares no code path with run_sweep above the sampler; the sampler's
-    # sized draw is checked against a broadcast stack in test_rng.py.
+@pytest.mark.parametrize("below, one_batch", [
+    (False, False), (True, False), (False, True), (True, True),
+], ids=["N=2d", "N=2d-1", "N=2d-one-batch", "N=2d-1-one-batch"])
+def test_sweep_equals_one_experiment_per_step(d, axis, below, one_batch):
+    # run_sweep builds the features once and keeps the unswept law across steps, and when a
+    # step is one batch it keeps the unswept quadrature's sums too; each step must still
+    # report, to the last bit, what a whole experiment built from scratch at its strengths
+    # reports, on either draw (numpy's multinomial at N = 2d, per shot at N = 2d - 1).  The
+    # reference below rebuilds the bases, the table and the purity at every step, draws
+    # each batch's R rows in (rep, n) order from RandomStream(SEED) and its I rows from
+    # that stream's twin, and shares no code path with run_sweep above the sampler; the
+    # sampler's sized draw is checked against a broadcast stack in test_rng.py.
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 49))
     n_shots = 2 * d - below
-    reps = max(1, BATCH_ELEMENTS // d**2) + 1  # a full batch and a partial one
+    batch = max(1, BATCH_ELEMENTS // d**2)
+    reps = batch if one_batch else batch + 1  # one full batch, or a full and a partial one
     steps = [replace(optimal_strengths(d), **{axis: g}) for g in (0.6, 1.5, 1.5, 2.4)]
 
     def one_step(strengths):
         bases = fourier_mub(d)
         table = outcome_table(rho, strengths, bases)
         err_raw, err_herm = np.zeros(reps), np.zeros(reps)
-        batch = max(1, BATCH_ELEMENTS // d**2)
         stream = RandomStream(SEED)
         for start in range(0, reps, batch):
-            stats = _sample_stats(table, n_shots, stream, min(batch, reps - start))
+            count = min(batch, reps - start)
+            sums = []
+            for q, source in enumerate((stream, stream.twin)):
+                rows = np.broadcast_to(table.probs[:, q].reshape(d, -1), (count, d, 2 * d))
+                counts = source.multinomial(n_shots, rows).reshape(count, d, d, 2)
+                sums.append((counts * table.values[q]).sum(axis=-1))
+            stats = SufficientStats(d, n_shots, sums_r=sums[0], sums_i=sums[1])
             est = assemble_estimate(estimate_pw(stats, strengths), bases)
             err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
             err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
@@ -608,9 +623,10 @@ def test_sweep_memory_holds_one_batch(n_shots):
 
 
 def test_sweep_memory_does_not_grow_with_steps():
-    # Only the current two laws are held (16 KB each at d=32), so a 200-step sweep peaks
-    # no more than 64 KB above a 2-step one.  The peak is taken net of what the sweep
-    # returns: its reports, about 450 B a step, are the output and stay alive.
+    # Only the current two laws, and at 2 repetitions (one batch) their sums, are held
+    # (16 KB each at d=32), so a 200-step sweep peaks no more than 64 KB above a 2-step
+    # one.  The peak is taken net of what the sweep returns: its reports, about 450 B a
+    # step, are the output and stay alive.
     d = 32
     rho = random_mixed(d, d, RandomStream(SEED, 50))
     grid = np.linspace(0.6, 2.4, 200)
@@ -631,12 +647,40 @@ def test_sweep_memory_does_not_grow_with_steps():
     assert growth <= 64 * 1024, f"a 200-step sweep peaked {growth} B above a 2-step one"
 
 
+@pytest.mark.parametrize("axis", ["g_r", "g_i"])
+@pytest.mark.parametrize("one_batch", [True, False], ids=["one-batch", "batches"])
+def test_a_one_batch_sweep_draws_the_unswept_quadrature_once(monkeypatch, axis, one_batch):
+    # The rows handed to RandomStream.multinomial by a 19-step sweep at d=5.  A step of one
+    # batch draws only the quadrature whose strength moved (19 draws of the swept one and
+    # one of the other, d * reps rows each); a step of more than one batch draws both, as
+    # every step did when each step drew all 2d rows.
+    d, n_shots = 5, 10
+    reps = 20 if one_batch else BATCH_ELEMENTS // d**2 + 1
+    rho = random_mixed(d, 2, RandomStream(SEED, 52))
+    steps = [replace(optimal_strengths(d), **{axis: float(g)})
+             for g in np.linspace(0.6, 2.4, 19)]
+    multinomial = RandomStream.multinomial
+
+    def counted(self, n, pvals, size=None):
+        rows.append(math.prod(np.shape(pvals)[:-1] if size is None else size))
+        return multinomial(self, n, pvals, size)
+
+    monkeypatch.setattr(RandomStream, "multinomial", counted)
+    drawn = []
+    for _ in range(2):
+        rows = []
+        run_sweep(rho, steps, n_shots, reps, SEED)
+        drawn.append(sum(rows))
+    assert drawn[0] == drawn[1] == (20 if one_batch else 2 * 19) * d * reps, drawn
+
+
 def test_run_experiment_matches_oracle_and_scales():
     """Empirical MSE tracks the exact MSE oracle and scales as 1/N.
 
-    Config rehearsed once at this seed: the N-scaled raw means differ by
-    at most 0.7 stderr across N in {50, 100, 200}, and the hermitized mean
-    sits within 1.4 stderr of the oracle at every N (the raw within 0.6).
+    Rehearsed at this seed with the I rows on the stream's twin: the N-scaled
+    raw means differ by at most 1.2 stderr across N in {50, 100, 200}, and the
+    hermitized mean sits within 2.3 stderr of the oracle at every N (the raw
+    within 2.5).
     """
     rho = random_mixed(3, 3, RandomStream(SEED, 2**32 + 1))
     strengths = optimal_strengths(3)
@@ -657,8 +701,8 @@ def test_run_experiment_matches_oracle_and_scales():
 
 def test_run_experiment_matches_oracle_when_drawn_shot_by_shot():
     """At N = 5 below the 16 outcomes of a d=8 row, every configuration is drawn shot by
-    shot.  Rehearsed once at this seed: z = +2.06 for the raw and +1.16 for the
-    hermitized MSE against the exact oracle."""
+    shot.  Rehearsed at this seed with the I rows on the stream's twin: z = +1.77 for the
+    raw and +1.46 for the hermitized MSE against the exact oracle."""
     rho = random_mixed(8, 4, RandomStream(SEED, 2**32 + 2))
     strengths = optimal_strengths(8)
     rep = run_experiment(rho, strengths, 5, 2 * 10**4, SEED)
@@ -671,10 +715,10 @@ def test_run_experiment_matches_oracle_when_drawn_shot_by_shot():
 def test_monte_carlo_arbitrates_the_oracle_against_the_uniform_form():
     """4e5 repetitions resolve the exact oracle from the uniform-variance form.
 
-    Rehearsed once at this seed: z = +0.99 for the raw and +0.46 for the
-    hermitized MSE against the oracle, while mse_hermitized sits 54.6 stderr
-    above the hermitized mean.  The empirical side is sampling alone, so it
-    shares no formula with the oracle or the closed forms.
+    Rehearsed at this seed with the I rows on the stream's twin: z = +0.33 for
+    the raw and +1.93 for the hermitized MSE against the oracle, while
+    mse_hermitized sits 53.0 stderr above the hermitized mean.  The empirical side is
+    sampling alone, so it shares no formula with the oracle or the closed forms.
     """
     rho = random_mixed(3, 3, RandomStream(SEED, 2**32 + 1))
     strengths = optimal_strengths(3)
@@ -796,8 +840,9 @@ def _random_postselection(d, stream):
 
 def test_oracle_matches_sampling_off_the_fourier_basis():
     """With Fourier bases every weight ratio in the oracle is 1; a random post-selection basis
-    gates them.  Rehearsed once at this seed: z = -0.13 for the raw and +0.10 for the
-    hermitized MSE, and the oracle reads 0.381 raw, three times its Fourier value 0.129."""
+    gates them.  Rehearsed at this seed with the I rows on the stream's twin: z = -1.15 for
+    the raw and -0.02 for the hermitized MSE, and the oracle reads 0.381 raw, three times
+    its Fourier value 0.129."""
     d, n_shots, reps = 3, 50, 2 * 10**4
     bases = _random_postselection(d, RandomStream(SEED, 2**32 + 3))
     rho = random_mixed(d, d, RandomStream(SEED, 2**32 + 4))
@@ -922,7 +967,8 @@ def test_stderr_columns_match_the_enumerated_spread_at_d2(strengths, n_shots):
     # The sample sd behind each stderr column against the exact sd sigma of the enumerated
     # law, in units of the sample sd's own spread sqrt((mu4 - sigma^4) / (4 sigma^2 reps)).
     # A sampler that widened or narrowed the errors' spread would move every z gate's unit.
-    # Rehearsed once at this seed: z from -2.12 to +0.79 over these 9 cases.
+    # Rehearsed at this seed with the I rows on the stream's twin: z from -2.80 to +1.19
+    # over these 9 cases.
     rho, (weights, *errors) = _enumerated_d2(strengths, n_shots)
     reps = 2 * 10**4
     rep = run_experiment(rho, strengths, n_shots, reps, SEED)
@@ -939,7 +985,8 @@ def test_projected_estimator_matches_its_enumerated_mean_at_d2(n_shots):
     # The state `reconstruct` writes, project_to_density of the hermitized estimate, has no
     # linear oracle: its exact mean and sd come from every enumerated count point.  Drawn
     # 10^4 times in one batch, the mean squared error sits within 4 stderr of the exact mean.
-    # Rehearsed once at this seed: z = -1.33 (N=1) and -0.08 (N=2).
+    # Rehearsed at this seed with the I rows on the stream's twin: z = +0.69 (N=1) and
+    # +0.08 (N=2).
     strengths = D2_STRENGTHS["optimal"]
     rho, weights, exact = _projected_d2(strengths, n_shots)
     mean = weights @ exact
@@ -1000,12 +1047,14 @@ def _chi_square_p(weights, exact, sampled):
 def test_sampled_errors_follow_the_enumerated_law_at_d2(name, n_shots):
     # At d=2, N < 2d: these are draws of the per-shot sampler, through the sweep's own
     # _batch_errors.  A wrong correlation between a row's outcomes keeps a mean but moves
-    # the law.  Rehearsed once at this seed: p from 0.16 to 0.98 over these 8 laws.
+    # the law.  Rehearsed at this seed with the I rows on the stream's twin: p from 0.028
+    # to 0.93 over these 8 laws.
     strengths = D2_STRENGTHS[name]
     rho, (weights, *errors) = _enumerated_d2(strengths, n_shots)
     sampled = np.empty((2, 2 * 10**4))
-    _batch_errors(outcome_table(rho, strengths, fourier_mub(2)), rho.matrix, n_shots,
-                  RandomStream(SEED, 2**32 + 11), sampled)
+    table = outcome_table(rho, strengths, fourier_mub(2))
+    stats = _sample_stats(table, n_shots, RandomStream(SEED, 2**32 + 11), sampled.shape[1])
+    _batch_errors(table, stats, rho.matrix, sampled)
     for exact, drawn in zip(errors, sampled):
         p = _chi_square_p(weights, exact, drawn)
         assert p > 1e-3, p

@@ -145,3 +145,39 @@ def test_size_draws_the_bytes_of_the_broadcast_stack(n):
     one = RandomStream(SEED, 6).multinomial(n, rows[0], size=(copies,))
     assert np.array_equal(one, RandomStream(SEED, 6).multinomial(
         n, np.broadcast_to(rows[0], (copies, 8))))
+
+
+@pytest.mark.parametrize("seed, stream_id", [(SEED, 9), (2**64 - 1, 2**64 - 1)],
+                         ids=["seed", "top"])
+def test_the_twin_is_philox_jumped_on_the_same_key(seed, stream_id):
+    # an experiment's I rows come from the twin: numpy's Philox.jumped() on (seed, stream_id),
+    # built on first use and kept, so consecutive draws continue it whatever the primary drew
+    stream = RandomStream(seed, stream_id)
+    stream.uniforms(5)
+    ref = np.random.Generator(np.random.Philox(key=[seed, stream_id]).jumped())
+    twin = stream.twin
+    assert twin is stream.twin and (twin.seed, twin.stream_id) == (seed, stream_id)
+    p = np.array([0.1, 0.25, 0.0, 0.3, 0.05, 0.3])
+    assert twin.uniforms(7).tobytes() == ref.random(7).tobytes()
+    assert twin.normals(7).tobytes() == ref.standard_normal(7).tobytes()
+    drawn = twin.multinomial(40, p, size=(3, 2))
+    assert drawn.tobytes() == ref.multinomial(40, p, (3, 2)).tobytes()
+    stream.uniforms(5)
+    assert stream.twin.uniforms(3).tobytes() == ref.random(3).tobytes()
+    stream.twin.multinomial(4, p, size=(2,))  # per shot: the uniforms alone, as on the primary
+    ref.random((2, 4))
+    np.testing.assert_equal(stream.twin._gen.bit_generator.state, ref.bit_generator.state)
+
+
+def test_the_primary_draws_are_philox_on_the_key_whatever_the_twin_draws():
+    # the state draws, and the selfcheck and compare bytes, rest on these bytes
+    stream = RandomStream(SEED, 10)
+    ref = np.random.Generator(np.random.Philox(key=[SEED, 10]))
+    p = np.array([0.1, 0.25, 0.0, 0.3, 0.05, 0.3])
+    assert stream.uniforms(7).tobytes() == ref.random(7).tobytes()
+    stream.twin.uniforms(11)
+    assert stream.normals(7).tobytes() == ref.standard_normal(7).tobytes()
+    stream.twin.multinomial(40, p, size=(3,))
+    drawn = stream.multinomial(40, p, size=(3, 2))
+    assert drawn.tobytes() == ref.multinomial(40, p, (3, 2)).tobytes()
+    np.testing.assert_equal(stream._gen.bit_generator.state, ref.bit_generator.state)
