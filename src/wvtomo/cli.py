@@ -33,9 +33,8 @@ from .rng import RandomStream
 from .selfcheck import probes
 from .statefile import read_state_file, read_text, shown_path, write_state_file
 
-# Stream ids: run_experiment draws the R rows of every repetition from stream 0 and the
-# I rows from its twin (RandomStream.twin, the same key 2**128 draws on); state draws and
-# one-off simulations live far away so they never collide.
+# Stream ids: run_experiment draws from stream 0 (the stream contract is in wvtomo.montecarlo's
+# docstring); state draws and one-off simulations live far away so they never collide.
 STATE_STREAM = 2**32
 RECONSTRUCT_STREAM = 2**33
 # numpy draws counts and sizes arrays as int64; a larger count cannot run.

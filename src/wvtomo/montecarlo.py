@@ -6,17 +6,18 @@ One "measurement" consumes one shot of each of the 2d configurations
 means 2dN state copies.  The estimator reads each configuration only
 through its per-j sums of pointer eigenvalues, so one repetition is a draw
 of the outcome counts of every configuration's N shots over
-`outcome_table`, the joint law of (n, quadrature, post-selection j, pointer
+`outcome_table`'s two quadrature laws, each of (n, post-selection j, pointer
 eigenvalue k), by `RandomStream.multinomial` (its docstring gives its two
 draws); memory is bounded by the count array, not by N.
 
-One stream contract: the R rows of an experiment's repetitions are drawn in
-(rep, n) order from the stream the caller passes, and the I rows in (rep, n)
-order from that stream's twin (`RandomStream.twin`).  So a quadrature's draws
-depend only on its own law, and a sweep whose repetitions fit one batch
-draws a quadrature again only when its strength moves.  A sweep of more than
-one batch a step (the CLI default d=5 with 1000 repetitions, or d=32 beyond 6)
-draws both quadratures every step, so that it holds no more than one batch.
+One stream contract, kept by `_quadrature_sums` alone: the R rows of an
+experiment's repetitions are drawn in (rep, n) order from the stream the
+caller passes, and the I rows in (rep, n) order from that stream's twin
+(`RandomStream.twin`).  So a quadrature's draws depend only on its own law,
+and a sweep whose repetitions fit one batch draws a quadrature again only
+when its strength moves.  A sweep of more than one batch a step (the CLI
+default d=5 with 1000 repetitions, or d=32 beyond 6) draws both quadratures
+every step, so that it holds no more than one batch.
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -75,10 +76,9 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class OutcomeTable:
-    """`outcome_table`'s joint law with the strengths and bases it was built at."""
+    """`outcome_table`'s two quadrature laws with the strengths and bases they were built at."""
 
-    probs: np.ndarray
-    values: np.ndarray
+    laws: tuple  # (probs[n, j, k], values[k]) of R, then of I, as `_quadrature_law` returns
     strengths: CouplingStrengths
     bases: MeasurementBases
 
@@ -155,18 +155,12 @@ def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndar
 def outcome_table(
     rho: DensityMatrix, strengths: CouplingStrengths, bases: MeasurementBases
 ) -> OutcomeTable:
-    """The joint law of all 2d configurations, from one `_features` pass: probs[n, q, j, k]
-    of post-selection outcome j and eigenvalue values[q, k] when coupling index n is read
-    in quadrature q (0 = R at g_R, 1 = I at g_I).  Each (n, q) row sums to 1."""
+    """The law of all 2d configurations, from one `_features` pass: for R at g_R and then
+    I at g_I, probs[n, j, k] of post-selection outcome j and eigenvalue values[k] when
+    coupling index n is read in that quadrature.  Each row n of a law sums to 1."""
     features = _features(rho, bases)
-    return _table(_quadrature_law(features, "R", strengths.g_r),
-                  _quadrature_law(features, "I", strengths.g_i), strengths, bases)
-
-
-def _table(law_r, law_i, strengths: CouplingStrengths, bases: MeasurementBases) -> OutcomeTable:
-    """`outcome_table`'s table from the (probs, eigenvalues) of its two laws."""
-    return OutcomeTable(np.stack([law_r[0], law_i[0]], axis=1), np.stack([law_r[1], law_i[1]]),
-                        strengths, bases)
+    return OutcomeTable((_quadrature_law(features, "R", strengths.g_r),
+                         _quadrature_law(features, "I", strengths.g_i)), strengths, bases)
 
 
 def outcome_distribution(
@@ -217,13 +211,15 @@ def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> Tomograp
 
 
 def _quadrature_sums(
-    probs: np.ndarray, values: np.ndarray, n_shots: int, stream: RandomStream, count: int
+    q: str, law: tuple, n_shots: int, stream: RandomStream, count: int
 ) -> np.ndarray:
-    """sums[rep, n, j] of `count` experiments' draws of one quadrature's law probs[n, j, k]
-    with eigenvalues values[k]: one `stream.multinomial` call over its d rows in (rep, n)
-    order, n_shots each."""
+    """sums[rep, n, j] of `count` experiments' draws of quadrature q's law (probs[n, j, k],
+    values[k]): one multinomial call over its d rows in (rep, n) order, n_shots each, from
+    `stream` for R and from `stream.twin` for I.  That is the module's stream contract."""
+    probs, values = law
     d = len(probs)
-    counts = stream.multinomial(n_shots, probs.reshape(d, -1), size=(count, d))
+    source = stream if q == "R" else stream.twin
+    counts = source.multinomial(n_shots, probs.reshape(d, -1), size=(count, d))
     c = counts.reshape(count, *probs.shape)  # [rep, n, j, k]
     # The two k slices added in place: what a length-2 sum over k computes, without the
     # (rep, n, j, k) float temporary or a third float array.
@@ -235,20 +231,17 @@ def _quadrature_sums(
 def _sample_stats(
     table: OutcomeTable, n_shots: int, stream: RandomStream, count: int
 ) -> SufficientStats:
-    """`count` experiments, their sums stacked on a leading axis: the R rows of `table` drawn
-    in (rep, n) order from `stream`, the I rows likewise from `stream.twin`, n_shots each."""
+    """`count` experiments of `table`, n_shots each, their sums stacked on a leading axis
+    and drawn from `stream` as `_quadrature_sums` says."""
     check_count(n_shots, "shot count")
-    probs, values = table.probs, table.values
-    return SufficientStats(
-        len(probs), n_shots,
-        sums_r=_quadrature_sums(probs[:, 0], values[0], n_shots, stream, count),
-        sums_i=_quadrature_sums(probs[:, 1], values[1], n_shots, stream.twin, count),
-    )
+    sums_r, sums_i = (_quadrature_sums(q, law, n_shots, stream, count)
+                      for q, law in zip(QUADRATURES, table.laws))
+    return SufficientStats(sums_r.shape[-1], n_shots, sums_r, sums_i)
 
 
 def simulate_once(table: OutcomeTable, n_shots: int, stream: RandomStream) -> TomographyEstimate:
-    """One experiment: n_shots of every configuration of `table`, its d R rows drawn from
-    `stream` and its d I rows from `stream.twin`, estimated at its strengths and bases."""
+    """One experiment: n_shots of every configuration of `table`, drawn from `stream` as
+    `_quadrature_sums` says, estimated at its strengths and bases."""
     stats = _sample_stats(table, n_shots, stream, 1)
     est = assemble_estimate(estimate_pw(stats, table.strengths), table.bases)
     return TomographyEstimate(raw=est.raw[0], hermitized=est.hermitized[0])
@@ -261,10 +254,9 @@ def run_experiment(
     reps: int,
     seed: int,
 ) -> MseReport:
-    """Repeat the full 2d-configuration experiment `reps` times, the R rows of every
-    repetition drawn in order from RandomStream(seed) and the I rows from its twin, estimated
-    a batch at a time, and report the empirical MSE of the raw and hermitized estimators,
-    with theory and oracle attached."""
+    """Repeat the full 2d-configuration experiment `reps` times, drawn from RandomStream(seed)
+    as `_quadrature_sums` says and estimated a batch at a time, and report the empirical
+    MSE of the raw and hermitized estimators, with theory and oracle attached."""
     return run_sweep(rho, [strengths], n_shots, reps, seed)[0]
 
 
@@ -272,14 +264,14 @@ def run_sweep(
     rho: DensityMatrix, steps: list[CouplingStrengths], n_shots: int, reps: int, seed: int
 ) -> list[MseReport]:
     """`run_experiment` at each CouplingStrengths of `steps`, in order: each step draws
-    from a fresh RandomStream(seed) and its twin, and reads its oracle off the table it
-    sampled.  The bases, features and purity of rho are built once per sweep, and a
-    quadrature's law only when its strength moves: a step that moves one evicts that law,
-    the least recently read of the two the cache holds.  When a step's repetitions fit one
-    batch, the cache holds each law's sums beside it, drawn as a fresh stream pair draws
-    them, so a quadrature whose strength did not move is not drawn again and every step
-    still equals a standalone `run_experiment`.  Steps of more than one batch draw both
-    quadratures every step, so that no more than one batch is held."""
+    from a fresh RandomStream(seed) and reads its oracle off the table it sampled.  The
+    bases, features and purity of rho are built once per sweep, and a quadrature's law only
+    when its strength moves: a step that moves one evicts that law, the least recently read
+    of the two the cache holds.  When a step's repetitions fit one batch, the cache holds
+    each law's sums beside it, drawn as a fresh stream draws them, so a quadrature whose
+    strength did not move is not drawn again and every step still equals a standalone
+    `run_experiment`.  Steps of more than one batch draw both quadratures every step, so
+    that no more than one batch is held."""
     check_count(reps, "repetition count")
     check_count(n_shots, "shot count")
     d = rho.dim
@@ -293,26 +285,22 @@ def run_sweep(
     def quadrature(q: str, g: float):
         """q's law at strength g and, in a one-batch sweep, its sums of every repetition."""
         law = _quadrature_law(features, q, g)
-        if not one_batch:
-            return law, None
-        stream = RandomStream(seed)
-        return law, _quadrature_sums(*law, n_shots, stream if q == "R" else stream.twin, reps)
+        return law, (_quadrature_sums(q, law, n_shots, RandomStream(seed), reps)
+                     if one_batch else None)
 
     reports = []
     for strengths in steps:
         (law_r, sums_r), (law_i, sums_i) = (quadrature("R", strengths.g_r),
                                             quadrature("I", strengths.g_i))
-        table = _table(law_r, law_i, strengths, bases)
+        table = OutcomeTable((law_r, law_i), strengths, bases)
 
         errors = np.zeros((2, reps))  # squared raw and hermitized error of each repetition
-        if one_batch:
-            _batch_errors(table, SufficientStats(d, n_shots, sums_r, sums_i), rho.matrix, errors)
-        else:
-            stream = RandomStream(seed)
-            for start in range(0, reps, batch):
-                out = errors[:, start:start + batch]
-                _batch_errors(table, _sample_stats(table, n_shots, stream, out.shape[1]),
-                              rho.matrix, out)
+        stream = None if one_batch else RandomStream(seed)
+        for start in range(0, reps, batch):  # one pass when one_batch: reps <= batch
+            out = errors[:, start:start + batch]
+            _batch_errors(table, SufficientStats(d, n_shots, sums_r, sums_i) if one_batch
+                          else _sample_stats(table, n_shots, stream, out.shape[1]),
+                          rho.matrix, out)
         mean = errors.mean(axis=1)
         stderr = errors.std(ddof=1, axis=1) / np.sqrt(reps) if reps > 1 else np.zeros(2)
 
@@ -344,9 +332,8 @@ def _oracle(table: OutcomeTable, n_shots: int):
     """(raw, hermitized) exact MSE of `exact_mse_oracle`, from one variance pass over `table`."""
     s, overlaps = table.strengths, table.bases.overlaps()
     weights = np.abs(overlaps) ** 2
-    laws = zip(table.probs.swapaxes(0, 1), table.values, (s.g_r, s.g_i), (-1.0, 1.0))
     variances = []  # per-shot E|rho_hat[n,m] - rho[n,m]|^2, one term per quadrature
-    for p, v, g, sign in laws:
+    for (p, v), g, sign in zip(table.laws, (s.g_r, s.g_i), (-1.0, 1.0)):
         mu = sign * (p @ v) / (2.0 * g)
         second = (p @ (v * v)) / (4.0 * g * g)
         spread = reconstruction_map(second, weights)

@@ -14,6 +14,7 @@ rows from the twin, so either quadrature's draws stand alone.
 from __future__ import annotations
 
 import copy
+import functools
 
 import numpy as np
 
@@ -27,24 +28,22 @@ class RandomStream:
             if not 0 <= word < 2**64:  # two seeds must never share a key
                 raise ValueError(f"{name} must be in [0, 2**64), got {word}")
         self._gen = np.random.Generator(self._philox())
-        self._twin = None
 
     def _philox(self, counter: int | None = None) -> np.random.Philox:
         # Philox takes a 2x64-bit key; (seed, stream_id) maps one-to-one.
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Philox(counter=counter, key=key)
 
-    @property
+    @functools.cached_property
     def twin(self) -> RandomStream:
         """The stream 2**128 draws along the same key, numpy's ``Philox.jumped()``, and
         independent of this one.  Built on first use and kept, so each draw from it continues
         the last."""
-        if self._twin is None:
-            self._twin = copy.copy(self)
-            # jumped()'s state, set directly: jumped() builds an entropy-seeded Philox and
-            # copies a state into it, about three times the cost of this one.
-            self._twin._gen = np.random.Generator(self._philox(counter=2**128))
-        return self._twin
+        twin = copy.copy(self)
+        # jumped()'s state, set directly: jumped() builds an entropy-seeded Philox and
+        # copies a state into it, about three times the cost of this one.
+        twin._gen = np.random.Generator(self._philox(counter=2**128))
+        return twin
 
     def uniforms(self, n: int) -> np.ndarray:
         """n iid uniforms on [0, 1)."""

@@ -1,9 +1,11 @@
 """End-to-end acceptance gate.
 
 One test per criterion so `pytest -v` reports one pass/fail line each.
-The master seed was fixed before any data was drawn; every statistical
-bound below was rehearsed exactly once at this seed and holds with wide
-margin (largest rehearsed deviation 2.1 of an allowed 4 stderr).
+The master seed was fixed before any data was drawn, and each statistical
+bound below was rehearsed at it.  test_05 and test_06 bound the desk
+experiment's raw and hermitized MSE at 3 stderr of the closed form and read
+z = -0.87 and -1.51; test_08 asks 95% of its 18 element checks to lie within
+4 stderr, and its largest deviation reads 2.13.
 """
 
 import time
@@ -192,6 +194,7 @@ def test_06_hermitized_mse_reference_run():
         dim=5, strengths=shared["strengths"], shots=100, purity=purity_stats(shared["rho"])
     )
     target = mse_hermitized(inp)
+    # rehearsed z = -1.51 with the I rows on the stream's twin
     assert abs(report.mse_herm_mean - target) < 3.0 * report.mse_herm_stderr, (
         f"hermitized mean {report.mse_herm_mean:.6f} vs {target:.6f} "
         f"(stderr {report.mse_herm_stderr:.2e})"

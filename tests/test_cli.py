@@ -151,11 +151,12 @@ def test_sweep_rows_match_oracle(capsys):
 
 def test_each_sweep_step_builds_one_outcome_table(monkeypatch, capsys):
     # One features pass per sweep, the law of the unswept quadrature once, the swept one
-    # and one table at every step; the table a step samples also feeds that step's oracle
-    # columns, so they equal exact_mse_oracle at the step's strengths to the last bit.
-    calls = {name: [] for name in ("_features", "_quadrature_law", "_table", "run_sweep")}
+    # and one table at every step, and every step's table holds the unswept law itself, not
+    # a copy; the table a step samples also feeds that step's oracle columns, so they equal
+    # exact_mse_oracle at the step's strengths to the last bit.
+    calls = {name: [] for name in ("_features", "_quadrature_law", "OutcomeTable", "run_sweep")}
     for module, name in [(montecarlo, "_features"), (montecarlo, "_quadrature_law"),
-                         (montecarlo, "_table"), (cli, "run_sweep")]:
+                         (montecarlo, "OutcomeTable"), (cli, "run_sweep")]:
         def counted(*args, real=getattr(module, name), log=calls[name]):
             log.append((args, real(*args)))
             return log[-1][1]
@@ -164,7 +165,9 @@ def test_each_sweep_step_builds_one_outcome_table(monkeypatch, capsys):
     rc, _, _ = _run(capsys, ["sweep", "--dim", "3", "--reps", "2", "--sweep-steps", "3"])
     monkeypatch.undo()
     assert rc == 0
-    assert len(calls["_features"]) == 1 and len(calls["_table"]) == 3
+    assert len(calls["_features"]) == 1 and len(calls["OutcomeTable"]) == 3
+    tables = [table for _, table in calls["OutcomeTable"]]
+    assert all(table.laws[1] is tables[0].laws[1] for table in tables)
     (rho, steps, shots, *_), reports = calls["run_sweep"][0]
     assert [args[1:] for args, _ in calls["_quadrature_law"]] == (
         [("R", steps[0].g_r), ("I", steps[0].g_i)] + [("R", s.g_r) for s in steps[1:]])

@@ -200,7 +200,8 @@ def test_sample_shots_memory_does_not_grow_with_shots(sampler):
         draw = lambda stream: sample_shots(dist, n, stream)
     else:
         table = outcome_table(rho, CouplingStrengths(1.0, 1.0), bases)
-        table = replace(table, values=np.ones_like(table.values))
+        table = replace(table, laws=tuple((probs, np.ones_like(values))
+                                          for probs, values in table.laws))
         draw = lambda stream: simulate_once(table, n, stream)
     stream = RandomStream(SEED, 39)
     tracemalloc.start()
@@ -264,15 +265,15 @@ def _check_rows_are_the_per_configuration_laws(d):
     strengths = CouplingStrengths(0.8, 2.1)
     bases = fourier_mub(d)
     table = outcome_table(rho, strengths, bases)
-    probs, values = table.probs, table.values
     assert table.strengths is strengths and table.bases is bases
-    assert probs.shape == (d, 2, d, 2) and values.shape == (2, 2)
-    assert np.max(np.abs(probs.sum(axis=(2, 3)) - 1.0)) < 1e-15
-    for n in range(d):
-        for q, (quadrature, g) in enumerate((("R", 0.8), ("I", 2.1))):
+    assert len(table.laws) == 2
+    for (probs, values), (quadrature, g) in zip(table.laws, (("R", 0.8), ("I", 2.1))):
+        assert probs.shape == (d, d, 2) and values.shape == (2,)
+        assert np.max(np.abs(probs.sum(axis=(1, 2)) - 1.0)) < 1e-15
+        for n in range(d):
             dist = outcome_distribution(rho, n, quadrature, g, bases)
-            assert np.array_equal(probs[n, q].ravel(), dist.probs)
-            assert np.array_equal(np.tile(values[q], d), dist.values)
+            assert np.array_equal(probs[n].ravel(), dist.probs)
+            assert np.array_equal(np.tile(values, d), dist.values)
 
 
 def _singular_pure_state():
@@ -317,8 +318,9 @@ def test_quadrature_law_equals_the_einsum_over_pointer_blocks(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
 def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
-    # p[n, q, j, k] = P_nj <v_k|rho_d[n, j]|v_k>, the post-selected pointer states built
-    # from the full 2d x 2d unitary and joint state; a vanished outcome is exactly 0.
+    # p[n, j, k] = P_nj <v_k|rho_d[n, j]|v_k> in each quadrature, the post-selected pointer
+    # states built from the full 2d x 2d unitary and joint state; a vanished outcome is
+    # exactly 0.
     # The one check of the table that shares no code with `_pointer_parts`.
     bases = fourier_mub(d)
     states = [random_mixed(d, d, RandomStream(SEED, 206 + d))]
@@ -333,7 +335,7 @@ def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
         states.append(_singular_pure_state())
     for rho in states:
         for strengths in strength_pairs:
-            probs = outcome_table(rho, strengths, bases).probs
+            laws = outcome_table(rho, strengths, bases).laws
             gs = (strengths.g_r, strengths.g_i)
             pointers, p_post = _postselected_pointers(rho, range(d), gs, bases)
             for q, quadrature in enumerate(QUADRATURES):
@@ -343,13 +345,14 @@ def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
                 read = np.einsum("ik,njil,lk->njk", evecs.conj(), pointers[q], evecs).real
                 want = p_post[q][..., None] * read
                 defined = np.isfinite(want)
-                assert np.max(np.abs(probs[:, q][defined] - want[defined])) < 1e-14
-                assert np.all(probs[:, q][~defined] == 0.0), f"d={d}, {strengths}"
+                probs = laws[q][0]
+                assert np.max(np.abs(probs[defined] - want[defined])) < 1e-14
+                assert np.all(probs[~defined] == 0.0), f"d={d}, {strengths}"
     if d == 3:  # the singular state's outcome (n=0, j=1) vanished, so it is never drawn
         _, p_post = _postselected_pointers(states[-1], [0], [1.0], bases)
         assert p_post[0, 0, 1] <= 1e-12
-        probs = outcome_table(states[-1], CouplingStrengths(1.0, 1.0), bases).probs
-        assert np.array_equal(probs[0, :, 1], np.zeros((2, 2)))
+        laws = outcome_table(states[-1], CouplingStrengths(1.0, 1.0), bases).laws
+        assert np.array_equal([probs[0, 1] for probs, _ in laws], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("d", [2, 5, 32])
@@ -363,8 +366,7 @@ def test_eigenvalue_sums_from_the_count_slices_equal_the_summed_product_bitwise(
     for k, n_shots in enumerate((1, 100, 1_000_000)):
         stream = RandomStream(SEED, 48 + k)
         want = []
-        for q, source in enumerate((stream, stream.twin)):
-            probs, values = table.probs[:, q], table.values[q]
+        for (probs, values), source in zip(table.laws, (stream, stream.twin)):
             rows = probs.reshape(d, -1)
             counts = source.multinomial(n_shots, np.broadcast_to(rows, (count, *rows.shape)))
             want.append((counts.reshape(count, *probs.shape) * values).sum(axis=-1))
@@ -581,10 +583,10 @@ def test_sweep_equals_one_experiment_per_step(d, axis, below, one_batch):
         for start in range(0, reps, batch):
             count = min(batch, reps - start)
             sums = []
-            for q, source in enumerate((stream, stream.twin)):
-                rows = np.broadcast_to(table.probs[:, q].reshape(d, -1), (count, d, 2 * d))
+            for (probs, values), source in zip(table.laws, (stream, stream.twin)):
+                rows = np.broadcast_to(probs.reshape(d, -1), (count, d, 2 * d))
                 counts = source.multinomial(n_shots, rows).reshape(count, d, d, 2)
-                sums.append((counts * table.values[q]).sum(axis=-1))
+                sums.append((counts * values).sum(axis=-1))
             stats = SufficientStats(d, n_shots, sums_r=sums[0], sums_i=sums[1])
             est = assemble_estimate(estimate_pw(stats, strengths), bases)
             err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
@@ -897,21 +899,22 @@ def test_no_sampled_haar_basis_beats_fourier(d):
 
 def _enumerated_estimates(rho, strengths, n_shots):
     """Every outcome count of the d=2 experiment in Fourier bases, its probability, and its
-    estimate: each of the 4 (n, q) rows of `outcome_table` has C(N+3, 3) count vectors, and
+    estimate: each of the 4 (q, n) rows of `outcome_table` has C(N+3, 3) count vectors, and
     a point's weight is the product of its rows' multinomial pmfs.  The counts go through
     the library's own SufficientStats, estimate_pw and assemble_estimate."""
     table = outcome_table(rho, strengths, fourier_mub(2))
-    probs, values = table.probs, table.values
-    rows = probs.reshape(4, 4)  # (n, q) rows of (j, k) outcomes, the sampler's draw order
+    # (q, n) rows of (j, k) outcomes: each quadrature's rows in the sampler's draw order
+    rows = np.concatenate([probs.reshape(2, 4) for probs, _ in table.laws])
     comps = np.array([c for c in itertools.product(range(n_shots + 1), repeat=4)
                       if sum(c) == n_shots])
     coef = [math.factorial(n_shots) / math.prod(map(math.factorial, c)) for c in comps]
     row_pmf = np.array(coef) * np.prod(rows[:, None, :] ** comps, axis=-1)  # [row, comp]
     idx = np.indices((len(comps),) * 4).reshape(4, -1)  # each point's composition per row
     weights = np.prod(row_pmf[np.arange(4)[:, None], idx], axis=0)
-    counts = comps[idx.T].reshape(-1, *probs.shape)  # [point, n, q, j, k]
-    sums = counts[..., 0] * values[:, None, 0] + counts[..., 1] * values[:, None, 1]
-    stats = SufficientStats(2, n_shots, sums_r=sums[:, :, 0], sums_i=sums[:, :, 1])
+    counts = comps[idx.T].reshape(-1, 2, 2, 2, 2)  # [point, q, n, j, k]
+    sums_r, sums_i = (counts[:, q, ..., 0] * values[0] + counts[:, q, ..., 1] * values[1]
+                      for q, (_, values) in enumerate(table.laws))
+    stats = SufficientStats(2, n_shots, sums_r=sums_r, sums_i=sums_i)
     return weights, assemble_estimate(estimate_pw(stats, strengths), table.bases)
 
 
