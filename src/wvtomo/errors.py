@@ -55,7 +55,7 @@ class UndefinedWeakValue(TomographyError):
 
 
 class IncompleteStats(TomographyError):
-    """Sufficient statistics are missing one or more (n, quadrature) configs."""
+    """A sufficient-statistics sum is NaN: one or more (n, quadrature) configs were not drawn."""
 
 
 class StateFileError(TomographyError):

@@ -8,7 +8,9 @@ through its per-j sums of pointer eigenvalues, so one repetition is a draw
 of the outcome counts of every configuration's N shots over
 `outcome_table`'s two quadrature laws, each of (n, post-selection j, pointer
 eigenvalue k), by `RandomStream.multinomial` (its docstring gives its two
-draws); memory is bounded by the count array, not by N.
+draws); memory is bounded by the count array, not by N.  The draw's sums make
+one `SufficientStats`, two whole (n, j) tables checked when built, which
+`estimate_pw` reads.
 
 One stream contract, kept by `_quadrature_sums` alone: the R rows of an
 experiment's repetitions are drawn in (rep, n) order from the stream the
@@ -28,7 +30,7 @@ tested against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,33 +85,27 @@ class OutcomeTable:
     bases: MeasurementBases
 
 
-@dataclass
+@dataclass(frozen=True)
 class SufficientStats:
-    """Per-(n, quadrature, j) sums of observed pointer eigenvalues; NaN: not yet recorded."""
+    """Per-(n, quadrature, j) sums of observed pointer eigenvalues, `shots` shots a
+    configuration: sums_r[..., n, j] and sums_i[..., n, j], two (..., d, d) tables of one
+    shape, experiments stacked on any leading axes.  Checked once, when built; a NaN sum is
+    a configuration that was not drawn."""
 
-    dim: int
     shots: int
-    sums_r: np.ndarray = field(default=None)
-    sums_i: np.ndarray = field(default=None)
+    sums_r: np.ndarray
+    sums_i: np.ndarray
 
     def __post_init__(self):
-        check_dimension(self.dim)
         check_count(self.shots, "shot count")
-        if self.sums_r is None:
-            self.sums_r = np.full((self.dim, self.dim), np.nan)
-        if self.sums_i is None:
-            self.sums_i = np.full((self.dim, self.dim), np.nan)
-
-    def record(self, n: int, quadrature: str, sums: np.ndarray) -> None:
-        _check_quadrature(quadrature)
-        _check_index(n, self.dim)
-        if np.shape(sums) != (self.dim,):
-            raise ShapeMismatch(f"sums must have shape ({self.dim},), got {np.shape(sums)}")
-        (self.sums_r if quadrature == "R" else self.sums_i)[n] = sums
-
-    @property
-    def complete(self) -> bool:
-        return not (np.isnan(self.sums_r).any() or np.isnan(self.sums_i).any())
+        shape = np.shape(self.sums_r)
+        if len(shape) < 2 or shape[-1] != shape[-2] or np.shape(self.sums_i) != shape:
+            raise ShapeMismatch("sums must be two (..., d, d) tables of one shape, "
+                                f"got {shape} and {np.shape(self.sums_i)}")
+        check_dimension(shape[-1])
+        if np.isnan(self.sums_r).any() or np.isnan(self.sums_i).any():
+            raise IncompleteStats("sufficient statistics missing one or more (n, quadrature) "
+                                  "configs")
 
 
 @dataclass(frozen=True)
@@ -131,16 +127,12 @@ class MseReport:
     oracle_herm: float
 
 
-def _check_quadrature(quadrature: str) -> None:
-    if quadrature not in QUADRATURES:
-        raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
-
-
 def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndarray, np.ndarray]:
     """prob[n, j, k] = <v_k|M[n, j]|v_k> = |v_0|^2 M00 + |v_1|^2 M11 + 2 Re(conj(v_0) v_1 M01)
     over the `_pointer_parts` of M at strength g, normalised per n, and the quadrature's
     eigenvalues lambda_k.  Before the clamp each entry is linear in the features of rho."""
-    _check_quadrature(quadrature)
+    if quadrature not in QUADRATURES:
+        raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
     obs = pointer_observables(g)
     evals, (v0, v1) = eig_hermitian_2x2(obs.sigma_r if quadrature == "R" else obs.sigma_i)
     m00, m01, m11 = _pointer_parts(features, g)
@@ -186,8 +178,6 @@ def estimate_pw(stats: SufficientStats, strengths: CouplingStrengths) -> np.ndar
     """Unbiased estimates of P_j W_nj: (1/2)[-avg_R(j)/g_R + i avg_I(j)/g_I],
     where each average divides by the full shot count N.  Each half is written once, in
     place, into the one complex result; the sums are not written."""
-    if not stats.complete:
-        raise IncompleteStats("sufficient statistics missing one or more (n, quadrature) configs")
     pw = np.empty(np.shape(stats.sums_r), dtype=complex)
     re, im = pw.real, pw.imag
     np.divide(stats.sums_r, stats.shots, out=re)
@@ -236,7 +226,7 @@ def _sample_stats(
     check_count(n_shots, "shot count")
     sums_r, sums_i = (_quadrature_sums(q, law, n_shots, stream, count)
                       for q, law in zip(QUADRATURES, table.laws))
-    return SufficientStats(sums_r.shape[-1], n_shots, sums_r, sums_i)
+    return SufficientStats(n_shots, sums_r, sums_i)
 
 
 def simulate_once(table: OutcomeTable, n_shots: int, stream: RandomStream) -> TomographyEstimate:
@@ -298,7 +288,7 @@ def run_sweep(
         stream = None if one_batch else RandomStream(seed)
         for start in range(0, reps, batch):  # one pass when one_batch: reps <= batch
             out = errors[:, start:start + batch]
-            _batch_errors(table, SufficientStats(d, n_shots, sums_r, sums_i) if one_batch
+            _batch_errors(table, SufficientStats(n_shots, sums_r, sums_i) if one_batch
                           else _sample_stats(table, n_shots, stream, out.shape[1]),
                           rho.matrix, out)
         mean = errors.mean(axis=1)

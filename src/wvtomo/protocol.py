@@ -46,6 +46,10 @@ class MeasurementBases:
     psi_basis: np.ndarray  # column j is |psi_j>
 
     def __post_init__(self):
+        for name, basis in (("a_basis", self.a_basis), ("psi_basis", self.psi_basis)):
+            if np.shape(basis) != (self.dim, self.dim):
+                raise ShapeMismatch(f"{name} of shape {np.shape(basis)} is not "
+                                    f"{self.dim}x{self.dim}")
         # Here, not between a law and a draw: a draw right after a BLAS matmul ran 10x slower.
         overlaps = self.psi_basis.conj().T @ self.a_basis
         overlaps.flags.writeable = False

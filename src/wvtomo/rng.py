@@ -27,22 +27,24 @@ class RandomStream:
         for name, word in (("seed", self.seed), ("stream_id", self.stream_id)):
             if not 0 <= word < 2**64:  # two seeds must never share a key
                 raise ValueError(f"{name} must be in [0, 2**64), got {word}")
+        self._start = 0  # the Philox counter this stream starts at
         self._gen = np.random.Generator(self._philox())
 
-    def _philox(self, counter: int | None = None) -> np.random.Philox:
+    def _philox(self) -> np.random.Philox:
         # Philox takes a 2x64-bit key; (seed, stream_id) maps one-to-one.
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Philox(counter=counter, key=key)
+        return np.random.Philox(counter=self._start, key=key)
 
     @functools.cached_property
     def twin(self) -> RandomStream:
-        """The stream 2**128 draws along the same key, numpy's ``Philox.jumped()``, and
-        independent of this one.  Built on first use and kept, so each draw from it continues
-        the last."""
+        """The stream 2**128 draws along the same key from where this one starts, numpy's
+        ``Philox.jumped()``, and independent of this one: a twin's twin is ``jumped(2)``.
+        Built on first use and kept, so each draw from it continues the last."""
         twin = copy.copy(self)
         # jumped()'s state, set directly: jumped() builds an entropy-seeded Philox and
         # copies a state into it, about three times the cost of this one.
-        twin._gen = np.random.Generator(self._philox(counter=2**128))
+        twin._start = self._start + 2**128
+        twin._gen = np.random.Generator(twin._philox())
         return twin
 
     def uniforms(self, n: int) -> np.ndarray:

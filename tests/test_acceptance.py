@@ -15,7 +15,6 @@ import numpy as np
 from wvtomo import (
     CouplingStrengths,
     RandomStream,
-    SufficientStats,
     TheoryInput,
     assemble_estimate,
     couple_and_postselect,
@@ -41,6 +40,8 @@ from wvtomo import (
     weak_values_exact,
 )
 from wvtomo.cli import STATE_STREAM, main
+
+from test_montecarlo import stats_of
 
 SEED = 20240814
 
@@ -229,9 +230,7 @@ def test_08_elementwise_unbiasedness():
     estimates = np.zeros((reps, d, d), dtype=complex)
     for rep in range(reps):
         stream = RandomStream(SEED, rep)
-        stats = SufficientStats(dim=d, shots=n_shots)
-        for dist in dists:
-            stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, stream))
+        stats = stats_of(dists, n_shots, lambda dist: sample_shots(dist, n_shots, stream))
         estimates[rep] = assemble_estimate(estimate_pw(stats, strengths), bases).raw
     mean = estimates.mean(axis=0)
     se_re = estimates.real.std(axis=0, ddof=1) / np.sqrt(reps)

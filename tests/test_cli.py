@@ -22,6 +22,7 @@ from wvtomo import cli, montecarlo, selfcheck, theory
 from wvtomo.cli import main
 
 SEED = 20240814  # statistical bounds below rehearsed once at this seed
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(capsys, argv):
@@ -1018,8 +1019,19 @@ def test_flags_the_subcommand_does_not_read_are_rejected(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
-def test_selfcheck_help_lists_only_the_seed(capsys):
+@pytest.mark.parametrize("command", ["sweep", "compare", "reconstruct", "selfcheck"])
+def test_help_lists_exactly_the_flags_of_the_readme_table(command, capsys):
+    # README's flag table, plus --help and --config, which every subcommand takes
+    table = dict(re.findall(r"^\| `([a-z]+)` \| `([^`]*)` \|$", README.read_text(), re.M))
     with pytest.raises(SystemExit):
-        main(["selfcheck", "--help"])
-    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config", "--seed"}
+        main([command, "--help"])
+    assert (set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+            == set(table[command].split()) | {"--help", "--config"})
+
+
+def test_readme_python_quick_start_runs(capsys):
+    text = README.read_text()
+    block = re.search(r"## Python quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.split()) == 4  # two sampled MSEs, two exact ones
 

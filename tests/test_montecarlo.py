@@ -5,7 +5,7 @@ import functools
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from wvtomo import (
     CouplingStrengths,
     DensityMatrix,
     IncompleteStats,
-    IndexOutOfRange,
     InvalidDimension,
     NotPositive,
     OutcomeDistribution,
@@ -59,15 +58,21 @@ def _config_laws(rho, strengths, bases):
             for n in range(rho.dim) for q in QUADRATURES]
 
 
+def stats_of(dists, n_shots, sums_of):
+    """The SufficientStats of the per-configuration laws `dists`, row n of each quadrature's
+    table the (d,) sums `sums_of(dist)`, taken in the order of `dists`.  The tables start
+    NaN, so a configuration that `dists` misses is refused when the record is built."""
+    d = len(dists[0].probs) // 2
+    tables = {q: np.full((d, d), np.nan) for q in QUADRATURES}
+    for dist in dists:
+        tables[dist.quadrature][dist.n] = sums_of(dist)
+    return SufficientStats(n_shots, tables["R"], tables["I"])
+
+
 def _exact_sums(rho, strengths, n_shots):
     """Sufficient statistics filled with exact expectations instead of samples."""
-    bases = fourier_mub(rho.dim)
-    stats = SufficientStats(dim=rho.dim, shots=n_shots)
-    for dist in _config_laws(rho, strengths, bases):
-        p = dist.probs.reshape(-1, 2)
-        v = dist.values.reshape(-1, 2)
-        stats.record(dist.n, dist.quadrature, n_shots * (p * v).sum(axis=1))
-    return stats
+    return stats_of(_config_laws(rho, strengths, fourier_mub(rho.dim)), n_shots,
+                    lambda dist: n_shots * (dist.probs * dist.values).reshape(-1, 2).sum(axis=1))
 
 
 # ---------------------------------------------------------------- outcome law
@@ -240,11 +245,9 @@ def test_stacked_draw_equals_per_configuration_draws(d):
     table = outcome_table(rho, strengths, bases)
     dists = _config_laws(rho, strengths, bases)
     for k, n_shots in enumerate((1, 100, 1_000_000)):
-        stats = SufficientStats(dim=d, shots=n_shots)
         stream = RandomStream(SEED, 42 + k)
-        for dist in dists:
-            source = stream if dist.quadrature == "R" else stream.twin
-            stats.record(dist.n, dist.quadrature, sample_shots(dist, n_shots, source))
+        stats = stats_of(dists, n_shots, lambda dist: sample_shots(
+            dist, n_shots, stream if dist.quadrature == "R" else stream.twin))
         want = assemble_estimate(estimate_pw(stats, strengths), bases)
         got = simulate_once(table, n_shots, RandomStream(SEED, 42 + k))
         assert np.array_equal(got.raw, want.raw), f"N={n_shots}"
@@ -394,42 +397,56 @@ def test_estimate_pw_unbiased_at_exact_expectations():
         assert np.max(np.abs(pw[n] - beta)) < 1e-10
 
 
-def test_estimate_pw_requires_complete_stats():
-    stats = SufficientStats(dim=2, shots=10)
-    stats.record(0, "R", np.zeros(2))
+def test_sufficient_stats_is_a_frozen_record_of_shots_and_two_tables():
+    # d is read off the tables, and the tables are the caller's own arrays, not copies
+    sums = np.arange(9.0).reshape(3, 3)
+    stats = SufficientStats(10, sums, -sums)
+    assert [f.name for f in fields(stats)] == ["shots", "sums_r", "sums_i"]
+    assert stats.sums_r is sums
+    with pytest.raises(FrozenInstanceError):
+        stats.shots = 20
+
+
+def test_sufficient_stats_refuses_a_nan_sum():
+    # a NaN sum is a configuration that was not drawn: refused when the record is built, so
+    # estimate_pw never sees one
+    rho = random_mixed(2, 1, RandomStream(SEED, 33))
+    dists = _config_laws(rho, optimal_strengths(2), fourier_mub(2))
+    for missing in range(len(dists)):
+        with pytest.raises(IncompleteStats, match="missing one or more"):
+            stats_of(dists[:missing] + dists[missing + 1:], 10, lambda dist: np.zeros(2))
+    sums = np.zeros((2, 3, 3))
+    sums[1, 2, 0] = np.nan
     with pytest.raises(IncompleteStats):
-        estimate_pw(stats, CouplingStrengths(1.0, 1.0))
+        SufficientStats(10, np.zeros((2, 3, 3)), sums)
 
 
 def test_sufficient_stats_refuses_no_shots():
     # with N = 0 estimate_pw would divide by zero: NaN estimates and RuntimeWarnings
     with pytest.raises(ValueError, match=r"^shot count must be >= 1, got 0$"):
-        SufficientStats(dim=2, shots=0)
+        SufficientStats(0, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_sufficient_stats_refuses_a_dimension_below_two():
-    # d = 0 would give empty sums, which `complete` calls complete
+    # d = 0 gives empty tables, which hold no NaN
     with pytest.raises(InvalidDimension, match=r"^system dimension must be >= 2, got 0$"):
-        SufficientStats(dim=0, shots=10)
+        SufficientStats(10, np.zeros((0, 0)), np.zeros((0, 0)))
 
 
-def test_sufficient_stats_rejects_unknown_quadrature():
-    stats = SufficientStats(dim=2, shots=10)
-    with pytest.raises(ValueError):
-        stats.record(0, "Q", np.zeros(2))
-
-
-@pytest.mark.parametrize("n, sums, error", [
-    (-1, np.zeros(3), IndexOutOfRange),
-    (0, [5.0], ShapeMismatch),
-    (3, np.zeros(3), IndexOutOfRange),
-], ids=["negative-row", "one-sum-for-every-j", "row-past-the-end"])
-def test_sufficient_stats_record_rejects_a_row_it_would_not_fill(n, sums, error):
-    # a negative row counts from the end and one sum broadcasts over j: both must raise
-    stats = SufficientStats(dim=3, shots=10)
-    with pytest.raises(error):
-        stats.record(n, "I", sums)
-    assert np.isnan(stats.sums_r).all() and np.isnan(stats.sums_i).all()
+@pytest.mark.parametrize("sums_r, sums_i", [
+    (np.zeros(2), np.zeros(2)),
+    (np.zeros((3, 3)), np.zeros((3, 1))),
+    (np.zeros((2, 3)), np.zeros((2, 3))),
+    (np.zeros((3, 3)), np.zeros((2, 2))),
+    (np.zeros((4, 3, 3)), np.zeros((3, 3))),
+    (5.0, 5.0),
+], ids=["one-dimensional", "one-sum-for-every-j", "not-square", "unequal", "unequal-stacks",
+        "scalar"])
+def test_sufficient_stats_refuses_mis_shaped_sums(sums_r, sums_i):
+    # each would build a pw table that estimate_pw broadcasts and assemble_estimate then
+    # fails on with numpy's own error, or a table of no system at all
+    with pytest.raises(ShapeMismatch, match=r"^sums must be two \(\.\.\., d, d\) tables"):
+        SufficientStats(10, sums_r, sums_i)
 
 
 def test_assemble_estimate_exact_inputs_recover_state():
@@ -448,10 +465,9 @@ def test_assemble_estimate_hermitized_properties():
     rho = random_mixed(d, 3, RandomStream(SEED, 31))
     strengths = optimal_strengths(d)
     bases = fourier_mub(d)
-    stats = SufficientStats(dim=d, shots=40)
     stream = RandomStream(SEED, 32)
-    for dist in _config_laws(rho, strengths, bases):
-        stats.record(dist.n, dist.quadrature, sample_shots(dist, 40, stream))
+    stats = stats_of(_config_laws(rho, strengths, bases), 40,
+                     lambda dist: sample_shots(dist, 40, stream))
     est = assemble_estimate(estimate_pw(stats, strengths), bases)
     assert np.max(np.abs(est.hermitized - (est.raw + est.raw.conj().T) / 2)) == 0.0
     assert np.max(np.abs(est.hermitized.diagonal().imag)) == 0.0
@@ -587,7 +603,7 @@ def test_sweep_equals_one_experiment_per_step(d, axis, below, one_batch):
                 rows = np.broadcast_to(probs.reshape(d, -1), (count, d, 2 * d))
                 counts = source.multinomial(n_shots, rows).reshape(count, d, d, 2)
                 sums.append((counts * values).sum(axis=-1))
-            stats = SufficientStats(d, n_shots, sums_r=sums[0], sums_i=sums[1])
+            stats = SufficientStats(n_shots, *sums)
             est = assemble_estimate(estimate_pw(stats, strengths), bases)
             err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
             err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
@@ -914,7 +930,7 @@ def _enumerated_estimates(rho, strengths, n_shots):
     counts = comps[idx.T].reshape(-1, 2, 2, 2, 2)  # [point, q, n, j, k]
     sums_r, sums_i = (counts[:, q, ..., 0] * values[0] + counts[:, q, ..., 1] * values[1]
                       for q, (_, values) in enumerate(table.laws))
-    stats = SufficientStats(2, n_shots, sums_r=sums_r, sums_i=sums_i)
+    stats = SufficientStats(n_shots, sums_r, sums_i)
     return weights, assemble_estimate(estimate_pw(stats, strengths), table.bases)
 
 

@@ -95,6 +95,17 @@ def test_overlaps_are_built_once_with_the_bases(d):
     assert not np.array_equal(moved.overlaps(), o)
 
 
+@pytest.mark.parametrize("a_basis, psi_basis", [
+    (np.eye(2), np.eye(2)), (np.eye(3), np.eye(2)), (np.eye(3), np.eye(3)[:, :2]),
+    (np.eye(3)[0], np.eye(3)),
+], ids=["both-2x2", "psi-2x2", "psi-3x2", "a-vector"])
+def test_measurement_bases_refuse_matrices_that_are_not_dim_by_dim(a_basis, psi_basis):
+    # refused before the overlaps matmul, which would otherwise raise numpy's ValueError
+    # or, for a rectangular pair, build overlaps that readers then fail on
+    with pytest.raises(ShapeMismatch, match="is not 3x3"):
+        MeasurementBases(dim=3, a_basis=a_basis, psi_basis=psi_basis)
+
+
 def test_fourier_mub_rejects_small_dimension():
     with pytest.raises(InvalidDimension):
         fourier_mub(1)

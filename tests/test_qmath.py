@@ -334,12 +334,14 @@ DIMENSION_ENTRIES = {
     "scaled_mse_menu": lambda d: scaled_mse_menu(d, 1.0, 1.0, 0.0),
     "mse_raw_optimal": lambda d: mse_raw_optimal(d, 10, 1.0),
     "mse_hermitized_optimal": lambda d: mse_hermitized_optimal(d, 1, 1.0, 0.0),
-    "SufficientStats": lambda d: SufficientStats(dim=d, shots=10),
+    "SufficientStats": lambda d: SufficientStats(10, np.zeros((d, d)), np.zeros((d, d))),
     "TheoryInput": lambda d: TheoryInput(d, optimal_strengths(2), 10, PurityStats(1.0, 1.0, 0.0)),
 }
-# validate_density reads d off the matrix it is given, so its case is the 1x1 matrix.
+# validate_density reads d off the matrix it is given, so its case is the 1x1 matrix, and
+# SufficientStats off its (d, d) tables, which no d = -1 can shape.
 DIMENSION_CASES = [(name, d) for name in DIMENSION_ENTRIES for d in (1, 0, -1)
-                   if d == 1 or name != "validate_density"]
+                   if d == 1 or name != "validate_density"
+                   if d >= 0 or name != "SufficientStats"]
 
 
 @pytest.mark.parametrize("name, d", DIMENSION_CASES, ids=[f"{n}-{d}" for n, d in DIMENSION_CASES])

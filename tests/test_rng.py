@@ -181,3 +181,14 @@ def test_the_primary_draws_are_philox_on_the_key_whatever_the_twin_draws():
     drawn = stream.multinomial(40, p, size=(3, 2))
     assert drawn.tobytes() == ref.multinomial(40, p, (3, 2)).tobytes()
     np.testing.assert_equal(stream._gen.bit_generator.state, ref.bit_generator.state)
+
+
+def test_a_twins_twin_is_philox_jumped_twice():
+    # each twin starts 2**128 draws past the stream it is the twin of, so a twin's twin does
+    # not replay the twin: three streams, three independent Philox blocks on one key
+    stream = RandomStream(SEED, 10)
+    twice = stream.twin.twin
+    assert twice is stream.twin.twin and (twice.seed, twice.stream_id) == (SEED, 10)
+    ref = np.random.Generator(np.random.Philox(key=[SEED, 10]).jumped(2))
+    assert twice.uniforms(7).tobytes() == ref.random(7).tobytes()
+    assert not np.array_equal(RandomStream(1).twin.twin.uniforms(5), RandomStream(1).twin.uniforms(5))
