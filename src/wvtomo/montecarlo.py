@@ -16,10 +16,11 @@ One stream contract, kept by `_quadrature_sums` alone: the R rows of an
 experiment's repetitions are drawn in (rep, n) order from the stream the
 caller passes, and the I rows in (rep, n) order from that stream's twin
 (`RandomStream.twin`).  So a quadrature's draws depend only on its own law,
-and a sweep whose repetitions fit one batch draws a quadrature again only
-when its strength moves.  A sweep of more than one batch a step (the CLI
-default d=5 with 1000 repetitions, or d=32 beyond 6) draws both quadratures
-every step, so that it holds no more than one batch.
+and a sweep draws a quadrature again only when its strength moves, at any
+batch count, while the sums it holds fit SUMS_ELEMENTS (reps * d^2 <= 2^15:
+1310 repetitions at d=5, 32 at d=32).  A quadrature above that budget is
+drawn a batch at a time at every step, so that a sweep holds at most the
+budget's sums and one batch.
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -54,10 +55,14 @@ from .rng import RandomStream
 
 QUADRATURES = ("R", "I")
 # Estimate entries per batch of repetitions: 6 repetitions at d=32, 245 at d=5.  At d=32,
-# run_experiment over three batches and one more peaks (tracemalloc) at about 655 KiB at
-# N=10^4 and 830 KiB at N=63, under the 1 MiB its tests allow.  8 repetitions peak at 1027
-# KiB at N=63: at N = 2d - 1 the per-shot draw holds several (rows, N) arrays.
+# run_experiment over three batches and one more peaks (tracemalloc) at about 600 KiB, at
+# N=10^4 and at N=63 (the per-shot draw), under the 1 MiB its tests allow; 8 repetitions a
+# batch peak at about 754 KiB.
 BATCH_ELEMENTS = 6 * 2**10
+# Sums entries a sweep may hold across steps (256 KiB of float64), for the quadratures whose
+# strength stays: the room the 1 MiB bound leaves beside one batch at d=32, N = 2d - 1.  A
+# d=32 sweep holding the whole budget peaks at about 803 KiB, at N=63 and at N=10^4.
+SUMS_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -257,11 +262,11 @@ def run_sweep(
     from a fresh RandomStream(seed) and reads its oracle off the table it sampled.  The
     bases, features and purity of rho are built once per sweep, and a quadrature's law only
     when its strength moves: a step that moves one evicts that law, the least recently read
-    of the two the cache holds.  When a step's repetitions fit one batch, the cache holds
-    each law's sums beside it, drawn as a fresh stream draws them, so a quadrature whose
-    strength did not move is not drawn again and every step still equals a standalone
-    `run_experiment`.  Steps of more than one batch draw both quadratures every step, so
-    that no more than one batch is held."""
+    of the two the cache holds.  A quadrature whose strength the next step keeps has its
+    sums of every repetition drawn once, a batch-sized draw at a time, and held until its
+    strength moves, while the held sums total at most SUMS_ELEMENTS; any other quadrature is
+    drawn a batch at a time.  Either way its rows are drawn as a fresh stream draws them, so
+    every step equals a standalone `run_experiment`."""
     check_count(reps, "repetition count")
     check_count(n_shots, "shot count")
     d = rho.dim
@@ -269,28 +274,32 @@ def run_sweep(
     features = _features(rho, bases)
     purity = purity_stats(rho)
     batch = max(1, BATCH_ELEMENTS // d**2)
-    one_batch = reps <= batch
+    law = functools.lru_cache(maxsize=2)(functools.partial(_quadrature_law, features))
 
-    @functools.lru_cache(maxsize=2)
-    def quadrature(q: str, g: float):
-        """q's law at strength g and, in a one-batch sweep, its sums of every repetition."""
-        law = _quadrature_law(features, q, g)
-        return law, (_quadrature_sums(q, law, n_shots, RandomStream(seed), reps)
-                     if one_batch else None)
-
+    held = [None, None]  # each quadrature's sums of every repetition, while its strength stays
     reports = []
-    for strengths in steps:
-        (law_r, sums_r), (law_i, sums_i) = (quadrature("R", strengths.g_r),
-                                            quadrature("I", strengths.g_i))
-        table = OutcomeTable((law_r, law_i), strengths, bases)
+    pairs = [(s.g_r, s.g_i) for s in steps]
+    for strengths, now, after in zip(steps, pairs, pairs[1:] + [(None, None)]):
+        keeps = [g == g_next for g, g_next in zip(now, after)]  # the next step keeps it
+        laws = tuple(law(q, g) for q, g in zip(QUADRATURES, now))
+        table = OutcomeTable(laws, strengths, bases)
+        stream = RandomStream(seed)
+        for i, q in enumerate(QUADRATURES):
+            room = SUMS_ELEMENTS - sum(h.size for h in held if h is not None)
+            if keeps[i] and held[i] is None and reps * d**2 <= room:
+                held[i] = np.empty((reps, d, d))  # filled one batch-sized draw at a time
+                for start in range(0, reps, batch):
+                    part = held[i][start:start + batch]
+                    part[:] = _quadrature_sums(q, laws[i], n_shots, stream, len(part))
 
         errors = np.zeros((2, reps))  # squared raw and hermitized error of each repetition
-        stream = None if one_batch else RandomStream(seed)
-        for start in range(0, reps, batch):  # one pass when one_batch: reps <= batch
+        for start in range(0, reps, batch):
             out = errors[:, start:start + batch]
-            _batch_errors(table, SufficientStats(n_shots, sums_r, sums_i) if one_batch
-                          else _sample_stats(table, n_shots, stream, out.shape[1]),
-                          rho.matrix, out)
+            sums = (_quadrature_sums(q, laws[i], n_shots, stream, out.shape[1])
+                    if held[i] is None else held[i][start:start + batch]
+                    for i, q in enumerate(QUADRATURES))
+            _batch_errors(table, SufficientStats(n_shots, *sums), rho.matrix, out)
+        held = [h if keep else None for h, keep in zip(held, keeps)]
         mean = errors.mean(axis=1)
         stderr = errors.std(ddof=1, axis=1) / np.sqrt(reps) if reps > 1 else np.zeros(2)
 

@@ -113,24 +113,40 @@ def test_sweep_bytes_across_batches_are_pinned(tmp_path):
     _assert_pinned(out.read_bytes(), "cd485d4042d2aa6802d96a1e7147a31d1339b208c2474b0efbdaf612b0e2ad56")
 
 
+def test_sweep_bytes_of_a_held_quadrature_across_batches_are_pinned(tmp_path):
+    # At d=32 the 13 repetitions take three batches a step (6, 6 and 1), and their I sums
+    # fit montecarlo.SUMS_ELEMENTS, so all three steps read the I sums drawn once at the
+    # first.  The digest was taken with both quadratures drawn a batch at a time at every
+    # step, so it shows that holding the sums moves no byte.
+    out = tmp_path / "pin.csv"
+    assert main([
+        "sweep", "--dim", "32", "--shots", "10", "--reps", "13", "--sweep-steps", "3",
+        "--seed", "1", "--out", str(out),
+    ]) == 0
+    _assert_pinned(out.read_bytes(), "aae5ed12ec776c598ecf7f050c3c3008398c8fb319b67145d9ae5f797e209edd")
+
+
 @pytest.mark.parametrize("d, n_shots, one_batch", [
     (32, 10, False), (5, 100, False), (32, 10, True), (5, 100, True),
 ], ids=["per-shot", "multinomial", "per-shot-one-batch", "multinomial-one-batch"])
 def test_sweep_bytes_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, d, n_shots,
                                                      one_batch):
     # Two full batches and a partial one, or one full batch, against one repetition per
-    # batch: the same streams are drawn in the same order, so every byte of the CSV must
-    # agree.  A one-batch run reads the unswept quadrature's sums from its first step, the
-    # run of one repetition per batch draws them again at every step.
+    # batch, and against one repetition per batch with no sums held: the same streams are
+    # drawn in the same order, so every byte of the CSV must agree.  The first two runs
+    # draw the unswept quadrature's sums once, at the first step, and read them at the
+    # second; the run with a budget of 0 draws them again at every step.
     batch = montecarlo.BATCH_ELEMENTS // d**2
     reps = batch if one_batch else 2 * batch + 3
     args = ["sweep", "--dim", str(d), "--shots", str(n_shots), "--reps", str(reps),
             "--sweep-steps", "2", "--seed", "1", "--out"]
-    batched, single = tmp_path / "batched.csv", tmp_path / "single.csv"
+    batched, single, redrawn = (tmp_path / f"{n}.csv" for n in ("batched", "single", "redrawn"))
     assert main(args + [str(batched)]) == 0
     monkeypatch.setattr(montecarlo, "BATCH_ELEMENTS", d**2)
     assert main(args + [str(single)]) == 0
-    assert batched.read_bytes() == single.read_bytes()
+    monkeypatch.setattr(montecarlo, "SUMS_ELEMENTS", 0)
+    assert main(args + [str(redrawn)]) == 0
+    assert batched.read_bytes() == single.read_bytes() == redrawn.read_bytes()
 
 
 def test_sweep_rows_match_oracle(capsys):

@@ -43,8 +43,8 @@ from wvtomo import (
     validate_density,
 )
 from wvtomo.montecarlo import (
-    BATCH_ELEMENTS, QUADRATURES, MseReport, _batch_errors, _oracle, _quadrature_law,
-    _sample_stats, outcome_table, run_sweep, simulate_once,
+    BATCH_ELEMENTS, QUADRATURES, SUMS_ELEMENTS, MseReport, _batch_errors, _oracle,
+    _quadrature_law, _sample_stats, outcome_table, run_sweep, simulate_once,
 )
 from wvtomo.protocol import _features, _postselected_pointers, pointer_blocks, reconstruction_map
 
@@ -573,22 +573,28 @@ def test_run_experiment_memory_grows_only_by_the_errors(reps, n_shots):
 
 @pytest.mark.parametrize("d", [2, 5, 32])
 @pytest.mark.parametrize("axis", ["g_r", "g_i"])
-@pytest.mark.parametrize("below, one_batch", [
-    (False, False), (True, False), (False, True), (True, True),
-], ids=["N=2d", "N=2d-1", "N=2d-one-batch", "N=2d-1-one-batch"])
-def test_sweep_equals_one_experiment_per_step(d, axis, below, one_batch):
-    # run_sweep builds the features once and keeps the unswept law across steps, and when a
-    # step is one batch it keeps the unswept quadrature's sums too; each step must still
-    # report, to the last bit, what a whole experiment built from scratch at its strengths
-    # reports, on either draw (numpy's multinomial at N = 2d, per shot at N = 2d - 1).  The
-    # reference below rebuilds the bases, the table and the purity at every step, draws
-    # each batch's R rows in (rep, n) order from RandomStream(SEED) and its I rows from
-    # that stream's twin, and shares no code path with run_sweep above the sampler; the
-    # sampler's sized draw is checked against a broadcast stack in test_rng.py.
+@pytest.mark.parametrize("below, size", [
+    (False, "batches"), (True, "batches"), (False, "one-batch"), (True, "one-batch"),
+    (False, "edge"), (True, "edge"), (False, "over-budget"), (True, "over-budget"),
+], ids=["N=2d", "N=2d-1", "N=2d-one-batch", "N=2d-1-one-batch",
+        "N=2d-edge", "N=2d-1-edge", "N=2d-over-budget", "N=2d-1-over-budget"])
+def test_sweep_equals_one_experiment_per_step(d, axis, below, size):
+    # run_sweep builds the features once and keeps the unswept law across steps, and holds
+    # the sums of every repetition of a quadrature whose strength the next step keeps while
+    # they fit SUMS_ELEMENTS: at "one-batch" and "batches" both fit, so the repeated 1.5
+    # holds the swept quadrature too; at "edge" one fills the budget and the other is drawn
+    # a batch at a time; at "over-budget" neither fits and both are drawn every step.  Each
+    # step must still report, to the last bit, what a whole experiment built from scratch at
+    # its strengths reports, on either draw (numpy's multinomial at N = 2d, per shot at
+    # N = 2d - 1).  The reference below rebuilds the bases, the table and the purity at
+    # every step, draws each batch's R rows in (rep, n) order from RandomStream(SEED) and
+    # its I rows from that stream's twin, and shares no code path with run_sweep above the
+    # sampler; the sampler's sized draw is checked against a broadcast stack in test_rng.py.
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 49))
     n_shots = 2 * d - below
     batch = max(1, BATCH_ELEMENTS // d**2)
-    reps = batch if one_batch else batch + 1  # one full batch, or a full and a partial one
+    reps = {"one-batch": batch, "batches": batch + 1,  # a full batch and a partial one
+            "edge": SUMS_ELEMENTS // d**2, "over-budget": SUMS_ELEMENTS // d**2 + 1}[size]
     steps = [replace(optimal_strengths(d), **{axis: g}) for g in (0.6, 1.5, 1.5, 2.4)]
 
     def one_step(strengths):
@@ -640,11 +646,30 @@ def test_sweep_memory_holds_one_batch(n_shots):
     assert peak - 16 * reps < 2**20, f"run_sweep peaked at {peak} B"
 
 
+@pytest.mark.parametrize("n_shots", [10**4, 63], ids=["multinomial", "per-shot"])
+@pytest.mark.parametrize("axis", ["g_r", None], ids=["g_r", "no-axis"])
+def test_sweep_memory_at_the_budget_edge(n_shots, axis):
+    # SUMS_ELEMENTS // d^2 repetitions at d=32: the held sums fill the budget (256 KiB) beside
+    # one batch, under the bound of test_run_experiment_memory_grows_only_by_the_errors.  On
+    # the g_r sweep the I sums are held; when both strengths stay, only one quadrature fits.
+    d = 32
+    rho = random_mixed(d, d, RandomStream(SEED, 47))
+    reps = SUMS_ELEMENTS // d**2
+    steps = [replace(optimal_strengths(d), **({axis: g} if axis else {})) for g in (0.6, 1.5, 2.4)]
+    tracemalloc.start()
+    try:
+        run_sweep(rho, steps, n_shots, reps, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 16 * reps < 2**20, f"run_sweep peaked at {peak} B"
+
+
 def test_sweep_memory_does_not_grow_with_steps():
-    # Only the current two laws, and at 2 repetitions (one batch) their sums, are held
-    # (16 KB each at d=32), so a 200-step sweep peaks no more than 64 KB above a 2-step
-    # one.  The peak is taken net of what the sweep returns: its reports, about 450 B a
-    # step, are the output and stay alive.
+    # Only the current two laws and the unswept quadrature's sums, held within SUMS_ELEMENTS
+    # (16 KB of them at 2 repetitions and d=32), are kept across steps, so a 200-step sweep
+    # peaks no more than 64 KB above a 2-step one.  The peak is taken net of what the sweep
+    # returns: its reports, about 450 B a step, are the output and stay alive.
     d = 32
     rho = random_mixed(d, d, RandomStream(SEED, 50))
     grid = np.linspace(0.6, 2.4, 200)
@@ -666,14 +691,15 @@ def test_sweep_memory_does_not_grow_with_steps():
 
 
 @pytest.mark.parametrize("axis", ["g_r", "g_i"])
-@pytest.mark.parametrize("one_batch", [True, False], ids=["one-batch", "batches"])
-def test_a_one_batch_sweep_draws_the_unswept_quadrature_once(monkeypatch, axis, one_batch):
-    # The rows handed to RandomStream.multinomial by a 19-step sweep at d=5.  A step of one
-    # batch draws only the quadrature whose strength moved (19 draws of the swept one and
-    # one of the other, d * reps rows each); a step of more than one batch draws both, as
-    # every step did when each step drew all 2d rows.
+@pytest.mark.parametrize("case", ["one-batch", "batches", "over-budget"])
+def test_a_sweep_draws_the_unswept_quadrature_once_within_the_budget(monkeypatch, axis, case):
+    # The rows handed to RandomStream.multinomial by a 19-step sweep at d=5.  While its sums
+    # fit SUMS_ELEMENTS, the quadrature whose strength stays is drawn once, in one batch or
+    # several: 19 draws of the swept one and one of the other, d * reps rows each.  Above the
+    # budget both are drawn at every step, 2 * 19 draws.
     d, n_shots = 5, 10
-    reps = 20 if one_batch else BATCH_ELEMENTS // d**2 + 1
+    reps = {"one-batch": 20, "batches": BATCH_ELEMENTS // d**2 + 1,
+            "over-budget": SUMS_ELEMENTS // d**2 + 1}[case]
     rho = random_mixed(d, 2, RandomStream(SEED, 52))
     steps = [replace(optimal_strengths(d), **{axis: float(g)})
              for g in np.linspace(0.6, 2.4, 19)]
@@ -689,7 +715,7 @@ def test_a_one_batch_sweep_draws_the_unswept_quadrature_once(monkeypatch, axis, 
         rows = []
         run_sweep(rho, steps, n_shots, reps, SEED)
         drawn.append(sum(rows))
-    assert drawn[0] == drawn[1] == (20 if one_batch else 2 * 19) * d * reps, drawn
+    assert drawn[0] == drawn[1] == (2 * 19 if case == "over-budget" else 20) * d * reps, drawn
 
 
 def test_run_experiment_matches_oracle_and_scales():
