@@ -690,16 +690,10 @@ def test_sweep_memory_does_not_grow_with_steps():
     assert growth <= 64 * 1024, f"a 200-step sweep peaked {growth} B above a 2-step one"
 
 
-@pytest.mark.parametrize("axis", ["g_r", "g_i"])
-@pytest.mark.parametrize("case", ["one-batch", "batches", "over-budget"])
-def test_a_sweep_draws_the_unswept_quadrature_once_within_the_budget(monkeypatch, axis, case):
-    # The rows handed to RandomStream.multinomial by a 19-step sweep at d=5.  While its sums
-    # fit SUMS_ELEMENTS, the quadrature whose strength stays is drawn once, in one batch or
-    # several: 19 draws of the swept one and one of the other, d * reps rows each.  Above the
-    # budget both are drawn at every step, 2 * 19 draws.
+def _rows_drawn_by_a_sweep(monkeypatch, axis, reps):
+    # The rows handed to RandomStream.multinomial by a 19-step sweep at d=5 along `axis`,
+    # counted over two runs of the same sweep.
     d, n_shots = 5, 10
-    reps = {"one-batch": 20, "batches": BATCH_ELEMENTS // d**2 + 1,
-            "over-budget": SUMS_ELEMENTS // d**2 + 1}[case]
     rho = random_mixed(d, 2, RandomStream(SEED, 52))
     steps = [replace(optimal_strengths(d), **{axis: float(g)})
              for g in np.linspace(0.6, 2.4, 19)]
@@ -715,6 +709,29 @@ def test_a_sweep_draws_the_unswept_quadrature_once_within_the_budget(monkeypatch
         rows = []
         run_sweep(rho, steps, n_shots, reps, SEED)
         drawn.append(sum(rows))
+    return drawn
+
+
+@pytest.mark.parametrize("axis", ["g_r", "g_i"])
+@pytest.mark.parametrize("one_batch", [True], ids=["one-batch"])
+def test_a_one_batch_sweep_draws_the_unswept_quadrature_once(monkeypatch, axis, one_batch):
+    # A step of one batch draws only the quadrature whose strength moved: 19 draws of the
+    # swept one and one of the other, d * reps rows each.
+    d, reps = 5, 20
+    drawn = _rows_drawn_by_a_sweep(monkeypatch, axis, reps)
+    assert drawn[0] == drawn[1] == 20 * d * reps, drawn
+
+
+@pytest.mark.parametrize("axis", ["g_r", "g_i"])
+@pytest.mark.parametrize("case", ["batches", "over-budget"])
+def test_a_sweep_draws_the_unswept_quadrature_once_within_the_budget(monkeypatch, axis, case):
+    # While its sums fit SUMS_ELEMENTS, the quadrature whose strength stays is drawn once in
+    # a sweep of several batches a step too: 19 draws of the swept one and one of the other,
+    # d * reps rows each.  Above the budget both are drawn at every step, 2 * 19 draws.
+    d = 5
+    reps = {"batches": BATCH_ELEMENTS // d**2 + 1,
+            "over-budget": SUMS_ELEMENTS // d**2 + 1}[case]
+    drawn = _rows_drawn_by_a_sweep(monkeypatch, axis, reps)
     assert drawn[0] == drawn[1] == (2 * 19 if case == "over-budget" else 20) * d * reps, drawn
 
 
