@@ -20,7 +20,9 @@ and a sweep draws a quadrature again only when its strength moves, at any
 batch count, while the sums it holds fit SUMS_ELEMENTS (reps * d^2 <= 2^15:
 1310 repetitions at d=5, 32 at d=32).  A quadrature above that budget is
 drawn a batch at a time at every step, so that a sweep holds at most the
-budget's sums and one batch.
+budget's sums and one batch.  A sweep step prepares each law it draws once
+(`RandomStream.prepare`), and every draw of that step reads the one
+preparation.
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -55,13 +57,13 @@ from .rng import RandomStream
 
 QUADRATURES = ("R", "I")
 # Estimate entries per batch of repetitions: 6 repetitions at d=32, 245 at d=5.  At d=32,
-# run_experiment over three batches and one more peaks (tracemalloc) at about 600 KiB, at
-# N=10^4 and at N=63 (the per-shot draw), under the 1 MiB its tests allow; 8 repetitions a
-# batch peak at about 754 KiB.
+# run_experiment over three batches and one more peaks (tracemalloc) at about 595 KiB at
+# N=10^4 and 628 KiB at N=63 (the per-shot draw, beside its two prepared laws' tables),
+# under the 1 MiB its tests allow; 8 repetitions a batch peak at about 755 and 788 KiB.
 BATCH_ELEMENTS = 6 * 2**10
 # Sums entries a sweep may hold across steps (256 KiB of float64), for the quadratures whose
 # strength stays: the room the 1 MiB bound leaves beside one batch at d=32, N = 2d - 1.  A
-# d=32 sweep holding the whole budget peaks at about 803 KiB, at N=63 and at N=10^4.
+# d=32 sweep holding the whole budget peaks at about 803 KiB at N=10^4 and 836 KiB at N=63.
 SUMS_ELEMENTS = 2**15
 
 
@@ -208,14 +210,14 @@ def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> Tomograp
 def _quadrature_sums(
     q: str, law: tuple, n_shots: int, stream: RandomStream, count: int
 ) -> np.ndarray:
-    """sums[rep, n, j] of `count` experiments' draws of quadrature q's law (probs[n, j, k],
-    values[k]): one multinomial call over its d rows in (rep, n) order, n_shots each, from
-    `stream` for R and from `stream.twin` for I.  That is the module's stream contract."""
-    probs, values = law
-    d = len(probs)
+    """sums[rep, n, j] of `count` experiments' draws of quadrature q's law (its probs[n, j, k]
+    prepared as d rows over (j, k) by `RandomStream.prepare`, values[k]): one multinomial call
+    over its d rows in (rep, n) order, n_shots each, from `stream` for R and from
+    `stream.twin` for I.  That is the module's stream contract."""
+    rows, values = law
+    d = len(rows.pvals)
     source = stream if q == "R" else stream.twin
-    counts = source.multinomial(n_shots, probs.reshape(d, -1), size=(count, d))
-    c = counts.reshape(count, *probs.shape)  # [rep, n, j, k]
+    c = source.multinomial(n_shots, rows, size=(count, d)).reshape(count, d, d, 2)  # [rep, n, j, k]
     # The two k slices added in place: what a length-2 sum over k computes, without the
     # (rep, n, j, k) float temporary or a third float array.
     sums = c[..., 0] * values[0]
@@ -229,8 +231,10 @@ def _sample_stats(
     """`count` experiments of `table`, n_shots each, their sums stacked on a leading axis
     and drawn from `stream` as `_quadrature_sums` says."""
     check_count(n_shots, "shot count")
-    sums_r, sums_i = (_quadrature_sums(q, law, n_shots, stream, count)
-                      for q, law in zip(QUADRATURES, table.laws))
+    sums_r, sums_i = (
+        _quadrature_sums(q, (stream.prepare(probs.reshape(len(probs), -1)), values), n_shots,
+                         stream, count)
+        for q, (probs, values) in zip(QUADRATURES, table.laws))
     return SufficientStats(n_shots, sums_r, sums_i)
 
 
@@ -265,8 +269,8 @@ def run_sweep(
     of the two the cache holds.  A quadrature whose strength the next step keeps has its
     sums of every repetition drawn once, a batch-sized draw at a time, and held until its
     strength moves, while the held sums total at most SUMS_ELEMENTS; any other quadrature is
-    drawn a batch at a time.  Either way its rows are drawn as a fresh stream draws them, so
-    every step equals a standalone `run_experiment`."""
+    drawn a batch at a time.  Either way its rows are drawn as a fresh stream draws them, from
+    its law prepared once in the step, so every step equals a standalone `run_experiment`."""
     check_count(reps, "repetition count")
     check_count(n_shots, "shot count")
     d = rho.dim
@@ -284,18 +288,21 @@ def run_sweep(
         laws = tuple(law(q, g) for q, g in zip(QUADRATURES, now))
         table = OutcomeTable(laws, strengths, bases)
         stream = RandomStream(seed)
+        # Each quadrature this step draws, judged and tabulated once for all its draws.
+        drawn = [(stream.prepare(probs.reshape(d, -1)), values) if h is None else None
+                 for h, (probs, values) in zip(held, laws)]
         for i, q in enumerate(QUADRATURES):
             room = SUMS_ELEMENTS - sum(h.size for h in held if h is not None)
             if keeps[i] and held[i] is None and reps * d**2 <= room:
                 held[i] = np.empty((reps, d, d))  # filled one batch-sized draw at a time
                 for start in range(0, reps, batch):
                     part = held[i][start:start + batch]
-                    part[:] = _quadrature_sums(q, laws[i], n_shots, stream, len(part))
+                    part[:] = _quadrature_sums(q, drawn[i], n_shots, stream, len(part))
 
         errors = np.zeros((2, reps))  # squared raw and hermitized error of each repetition
         for start in range(0, reps, batch):
             out = errors[:, start:start + batch]
-            sums = (_quadrature_sums(q, laws[i], n_shots, stream, out.shape[1])
+            sums = (_quadrature_sums(q, drawn[i], n_shots, stream, out.shape[1])
                     if held[i] is None else held[i][start:start + batch]
                     for i, q in enumerate(QUADRATURES))
             _batch_errors(table, SufficientStats(n_shots, *sums), rho.matrix, out)

@@ -665,6 +665,31 @@ def test_sweep_memory_at_the_budget_edge(n_shots, axis):
     assert peak - 16 * reps < 2**20, f"run_sweep peaked at {peak} B"
 
 
+@pytest.mark.parametrize("n_shots", [10**4, 63], ids=["multinomial", "per-shot"])
+def test_held_sums_stay_within_the_budget(n_shots):
+    # A sweep whose strengths both stay, at SUMS_ELEMENTS // d^2 repetitions at d=32: either
+    # quadrature's sums alone fill the budget, so one is held and the other drawn a batch at a
+    # time.  The sweep then peaks at most the budget, 8 * SUMS_ELEMENTS bytes, above one step
+    # of the same size, which holds no sums: about 210 KB above it, where holding both
+    # quadratures' sums reads about 420 KB.
+    d = 32
+    rho = random_mixed(d, d, RandomStream(SEED, 47))
+    reps = SUMS_ELEMENTS // d**2
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            run_sweep(rho, steps, n_shots, reps, SEED)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_sweep(rho, [optimal_strengths(d)], n_shots, reps, SEED)  # warm caches outside the trace
+    one_step = peak([optimal_strengths(d)])
+    held = peak([optimal_strengths(d)] * 3) - one_step
+    assert held <= 8 * SUMS_ELEMENTS, f"the held sums took {held} B"
+
+
 def test_sweep_memory_does_not_grow_with_steps():
     # Only the current two laws and the unswept quadrature's sums, held within SUMS_ELEMENTS
     # (16 KB of them at 2 repetitions and d=32), are kept across steps, so a 200-step sweep

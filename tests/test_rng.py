@@ -1,10 +1,14 @@
-"""RandomStream: its key words, and the per-shot draw of `multinomial` for rows with fewer
-shots than categories, against the law of a multinomial and numpy's own checks."""
+"""RandomStream: its key words, the per-shot draw of `multinomial` for rows with fewer
+shots than categories, against the law of a multinomial and numpy's own checks, and the
+prepared law it draws from."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wvtomo import RandomStream
+from wvtomo import RandomStream, optimal_strengths, random_mixed
+from wvtomo.montecarlo import run_sweep
 
 SEED = 51113  # statistical bounds rehearsed once at this seed
 
@@ -105,6 +109,96 @@ def test_both_draws_reject_what_numpy_sums_over_the_limit(n, stack):
     pvals = np.array([[0.25] * 4, p]) if stack else p
     with pytest.raises(ValueError, match="> 1.0"):
         RandomStream(SEED, 7).multinomial(n, pvals)
+
+
+# Rows of 8 categories: zero-probability categories, and a row whose whole mass sits in its
+# last category.
+ROWS = np.array([
+    [0.1, 0.0, 0.25, 0.3, 0.0, 0.05, 0.3, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    np.full(8, 0.125),
+])
+
+
+@pytest.mark.parametrize("n", [7, 8], ids=["per-shot-N=K-1", "multinomial-N=K"])
+def test_a_prepared_law_draws_the_bits_of_its_pvals(n):
+    # a law judged once, and tabulated on its first per-shot draw, draws what its plain pvals
+    # draw, to the bit, and leaves the stream where the plain draws leave it, whatever the
+    # size of each draw
+    plain, prepared = RandomStream(SEED, 11), RandomStream(SEED, 11)
+    law = prepared.prepare(ROWS)
+    for size in (None, (3, 4), (1, 4), (2, 3, 4)):
+        got, want = prepared.multinomial(n, law, size), plain.multinomial(n, ROWS, size)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_equal(prepared._gen.bit_generator.state, plain._gen.bit_generator.state)
+    assert ("cdf" in vars(law)) == (n < ROWS.shape[-1])  # tabulated by a per-shot draw alone
+
+
+@pytest.mark.parametrize("n", [3, 8], ids=["per-shot", "multinomial"])
+def test_a_prepared_law_draws_the_same_rows_in_one_call_or_several(n):
+    law = RandomStream(SEED, 12).prepare(ROWS)
+    whole = RandomStream(SEED, 12).multinomial(n, law, size=(7, 4))
+    stream = RandomStream(SEED, 12)
+    parts = [stream.multinomial(n, law, size=(count, 4)) for count in (3, 1, 3)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_two_prepared_laws_interleaved_on_one_stream_draw_the_sequential_draws():
+    # each law keeps its own table: two laws of different widths drawn in turn on one stream
+    # and its twin give the plain draws of the same sequence, on both branches
+    other = np.array([[0.2, 0.0, 0.3, 0.5], [0.0, 0.0, 1.0, 0.0], [0.25] * 4])
+    stream, ref = RandomStream(SEED, 13), RandomStream(SEED, 13)
+    laws = [(ROWS, stream.prepare(ROWS)), (other, stream.prepare(other))]
+    for twin, which, n, size in [
+        (False, 0, 3, (2, 4)), (False, 1, 2, (3,)), (True, 1, 3, (2, 3)), (False, 0, 5, (1, 4)),
+        (True, 0, 3, (4,)), (False, 1, 2, (5, 3)), (False, 0, 9, (2, 4)), (True, 1, 4, (3,)),
+        (False, 0, 3, (3, 4)),
+    ]:
+        pvals, law = laws[which]
+        got, want = (stream.twin, ref.twin) if twin else (stream, ref)
+        assert got.multinomial(n, law, size).tobytes() == want.multinomial(n, pvals, size).tobytes()
+
+
+@pytest.mark.parametrize("pvals", [
+    np.array([np.nan, 0.5, 0.5]),
+    np.array([-0.1, 0.5, 0.6]),
+    np.array([0.6, 0.6, 0.0]),
+    np.float64(0.5),
+], ids=["nan", "negative", "head-sum-above-one", "zero-d"])
+def test_a_law_is_refused_when_it_is_prepared_with_the_error_multinomial_raises(pvals):
+    stream = RandomStream(SEED, 14)
+    with pytest.raises(ValueError) as prepared:
+        stream.prepare(pvals)
+    for n in (1, 3):  # per shot and numpy's multinomial, for the three categories
+        with pytest.raises(ValueError) as plain:
+            RandomStream(SEED, 14).multinomial(n, pvals)
+        assert str(prepared.value) == str(plain.value)
+    assert stream.uniforms(3).tobytes() == RandomStream(SEED, 14).uniforms(3).tobytes()
+
+
+def test_a_sweep_step_prepares_each_law_it_draws_once(monkeypatch):
+    # The benchmark's highdim sweep: d=32, N=10 < 2d, 20 repetitions (4 batches), 2 steps of
+    # g_r.  Step 1 draws R and fills the held I sums, step 2 draws R alone: 12 per-shot draws
+    # from 3 prepared laws, where preparing at every draw would prepare 12.
+    d = 32
+    rho = random_mixed(d, d, RandomStream(SEED, 15))
+    steps = [replace(optimal_strengths(d), g_r=g) for g in (0.6, 2.4)]
+    calls = {"prepare": 0, "multinomial": 0}
+
+    def counting(name):
+        method = getattr(RandomStream, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(RandomStream, name, counting(name))
+    run_sweep(rho, steps, 10, 20, SEED)
+    assert calls == {"prepare": 3, "multinomial": 12}, calls
 
 
 def test_per_shot_last_category_takes_the_remainder():
