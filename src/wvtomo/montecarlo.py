@@ -20,9 +20,9 @@ and a sweep draws a quadrature again only when its strength moves, at any
 batch count, while the sums it holds fit SUMS_ELEMENTS (reps * d^2 <= 2^15:
 1310 repetitions at d=5, 32 at d=32).  A quadrature above that budget is
 drawn a batch at a time at every step, so that a sweep holds at most the
-budget's sums and one batch.  A sweep step prepares each law it draws once
-(`RandomStream.prepare`), and every draw of that step reads the one
-preparation.
+budget's sums and one batch.  A table's laws are read-only, and each is drawn from
+as one `PreparedLaw` that the table keeps (`OutcomeTable.prepared`), so a per-shot
+draw's table is built once per law of a table, however many batches draw from it.
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -53,12 +53,12 @@ from .protocol import (
 from .qmath import (
     DensityMatrix, check_count, check_dimension, eig_hermitian_2x2, hs_distance_sq, purity_stats,
 )
-from .rng import RandomStream
+from .rng import PreparedLaw, RandomStream
 
 QUADRATURES = ("R", "I")
 # Estimate entries per batch of repetitions: 6 repetitions at d=32, 245 at d=5.  At d=32,
 # run_experiment over three batches and one more peaks (tracemalloc) at about 595 KiB at
-# N=10^4 and 628 KiB at N=63 (the per-shot draw, beside its two prepared laws' tables),
+# N=10^4 and 628 KiB at N=63 (the per-shot draw, beside its two laws' CDF tables),
 # under the 1 MiB its tests allow; 8 repetitions a batch peak at about 755 and 788 KiB.
 BATCH_ELEMENTS = 6 * 2**10
 # Sums entries a sweep may hold across steps (256 KiB of float64), for the quadratures whose
@@ -90,6 +90,12 @@ class OutcomeTable:
     laws: tuple  # (probs[n, j, k], values[k]) of R, then of I, as `_quadrature_law` returns
     strengths: CouplingStrengths
     bases: MeasurementBases
+
+    @functools.cached_property
+    def prepared(self) -> tuple:
+        """`laws` with each probs as the d rows over (j, k) that every draw from this table
+        reads, one `PreparedLaw` each, tabulated on its first per-shot draw and kept."""
+        return tuple((PreparedLaw(p.reshape(len(p), -1)), values) for p, values in self.laws)
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,8 @@ def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndar
     probs = np.stack([w0[k] * m00 + w1[k] * m11 + (w01[k] * m01).real for k in range(2)], -1)
     probs = _clamp_probs(probs, len(features[0]))
     probs /= probs.sum(axis=(1, 2), keepdims=True)
+    # Read-only: a sweep's cache hands one law to every step's table, which keeps its CDF.
+    probs.flags.writeable = evals.flags.writeable = False
     return probs, evals
 
 
@@ -208,13 +216,13 @@ def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> Tomograp
 
 
 def _quadrature_sums(
-    q: str, law: tuple, n_shots: int, stream: RandomStream, count: int
+    table: OutcomeTable, q: str, n_shots: int, stream: RandomStream, count: int
 ) -> np.ndarray:
-    """sums[rep, n, j] of `count` experiments' draws of quadrature q's law (its probs[n, j, k]
-    prepared as d rows over (j, k) by `RandomStream.prepare`, values[k]): one multinomial call
-    over its d rows in (rep, n) order, n_shots each, from `stream` for R and from
-    `stream.twin` for I.  That is the module's stream contract."""
-    rows, values = law
+    """sums[rep, n, j] of `count` experiments' draws of quadrature q's law in `table` (its
+    prepared d rows over (j, k), and values[k]): one multinomial call over its d rows in
+    (rep, n) order, n_shots each, from `stream` for R and from `stream.twin` for I.  That is
+    the module's stream contract."""
+    rows, values = table.prepared[QUADRATURES.index(q)]
     d = len(rows.pvals)
     source = stream if q == "R" else stream.twin
     c = source.multinomial(n_shots, rows, size=(count, d)).reshape(count, d, d, 2)  # [rep, n, j, k]
@@ -231,10 +239,7 @@ def _sample_stats(
     """`count` experiments of `table`, n_shots each, their sums stacked on a leading axis
     and drawn from `stream` as `_quadrature_sums` says."""
     check_count(n_shots, "shot count")
-    sums_r, sums_i = (
-        _quadrature_sums(q, (stream.prepare(probs.reshape(len(probs), -1)), values), n_shots,
-                         stream, count)
-        for q, (probs, values) in zip(QUADRATURES, table.laws))
+    sums_r, sums_i = (_quadrature_sums(table, q, n_shots, stream, count) for q in QUADRATURES)
     return SufficientStats(n_shots, sums_r, sums_i)
 
 
@@ -270,7 +275,7 @@ def run_sweep(
     sums of every repetition drawn once, a batch-sized draw at a time, and held until its
     strength moves, while the held sums total at most SUMS_ELEMENTS; any other quadrature is
     drawn a batch at a time.  Either way its rows are drawn as a fresh stream draws them, from
-    its law prepared once in the step, so every step equals a standalone `run_experiment`."""
+    the step's table, so every step equals a standalone `run_experiment`."""
     check_count(reps, "repetition count")
     check_count(n_shots, "shot count")
     d = rho.dim
@@ -285,24 +290,20 @@ def run_sweep(
     pairs = [(s.g_r, s.g_i) for s in steps]
     for strengths, now, after in zip(steps, pairs, pairs[1:] + [(None, None)]):
         keeps = [g == g_next for g, g_next in zip(now, after)]  # the next step keeps it
-        laws = tuple(law(q, g) for q, g in zip(QUADRATURES, now))
-        table = OutcomeTable(laws, strengths, bases)
+        table = OutcomeTable(tuple(law(q, g) for q, g in zip(QUADRATURES, now)), strengths, bases)
         stream = RandomStream(seed)
-        # Each quadrature this step draws, judged and tabulated once for all its draws.
-        drawn = [(stream.prepare(probs.reshape(d, -1)), values) if h is None else None
-                 for h, (probs, values) in zip(held, laws)]
         for i, q in enumerate(QUADRATURES):
             room = SUMS_ELEMENTS - sum(h.size for h in held if h is not None)
             if keeps[i] and held[i] is None and reps * d**2 <= room:
                 held[i] = np.empty((reps, d, d))  # filled one batch-sized draw at a time
                 for start in range(0, reps, batch):
                     part = held[i][start:start + batch]
-                    part[:] = _quadrature_sums(q, drawn[i], n_shots, stream, len(part))
+                    part[:] = _quadrature_sums(table, q, n_shots, stream, len(part))
 
         errors = np.zeros((2, reps))  # squared raw and hermitized error of each repetition
         for start in range(0, reps, batch):
             out = errors[:, start:start + batch]
-            sums = (_quadrature_sums(q, drawn[i], n_shots, stream, out.shape[1])
+            sums = (_quadrature_sums(table, q, n_shots, stream, out.shape[1])
                     if held[i] is None else held[i][start:start + batch]
                     for i, q in enumerate(QUADRATURES))
             _batch_errors(table, SufficientStats(n_shots, *sums), rho.matrix, out)

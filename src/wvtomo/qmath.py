@@ -57,7 +57,9 @@ def check_dimension(d: int) -> None:
 
 
 def check_count(count: int, what: str) -> None:
-    """The one guard of a shot or repetition count."""
+    """The one guard of a shot or repetition count: an integer (not a bool), at least 1."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"{what} must be >= 1, got {count}")
 

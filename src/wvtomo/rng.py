@@ -9,8 +9,8 @@ own stream id, so draws of one kind never move the numbers of another.
 A stream's `twin` is a second, independent stream on the same key, numpy's
 ``Philox.jumped()``: an experiment draws its R rows from the stream and its I
 rows from the twin, so either quadrature's draws stand alone.
-A `PreparedLaw` is pvals judged once, by `RandomStream.prepare`; `multinomial` draws
-from it on any stream, as often as it is given, the bits the plain pvals draw.
+A `PreparedLaw` is rows of pvals that `multinomial` draws from on any stream, as often as
+it is given, the bits the plain pvals draw; a per-shot draw tabulates it once.
 """
 
 from __future__ import annotations
@@ -57,38 +57,26 @@ class RandomStream:
         """n iid standard normals."""
         return self._gen.standard_normal(n)
 
-    def prepare(self, pvals: np.ndarray) -> PreparedLaw:
-        """pvals (categories on the last axis) judged once here, for every `multinomial`
-        draw from the law returned.  numpy's zero-shot multinomial judges them, so what numpy
-        refuses is refused here, with its error; it draws no randomness, so the stream
-        stands where it stood."""
-        pvals = np.asarray(pvals, dtype=float)
-        self._gen.multinomial(0, pvals)
-        return PreparedLaw(pvals)
-
     def multinomial(self, n: int, pvals, size=None) -> np.ndarray:
         """Counts of n iid draws over the categories with probabilities pvals, one row of
         counts per row of pvals (its last axis), as numpy's ``Generator.multinomial``:
         ``size``, if given, is the shape of the rows drawn, which pvals' rows broadcast to.
-        pvals may be an array or a law `prepare` returned; the draw is the same bits.
+        pvals may be an array or a `PreparedLaw` of it; the draw is the same bits.
 
         Two exact draws, picked by the input.  With n at least the number of categories K,
-        numpy's multinomial of the raw pvals, which fills a row with one conditional
-        binomial per category (work grows with K).  With fewer shots than categories, n
-        uniforms per row, each mapped to its category through its pvals row's cumulative
-        distribution, built once however many rows repeat it (work grows with n): an array
-        is prepared first, and a prepared law is judged and tabulated once for all its
-        draws.  Both refuse what numpy refuses, and neither holds an array more than twice
-        the size of the counts besides the law's table.  The per-shot draw takes its
-        uniforms row by row, so rows drawn in one call get the same counts as the same rows
-        drawn one call after another.
+        numpy's multinomial of the raw pvals: one conditional binomial per category (work
+        grows with K).  With fewer shots than categories, n uniforms per row, each mapped to
+        its category through the law's `cdf`, its rows' cumulative distributions, built once
+        however many rows repeat them and kept for later draws (work grows with n).  Both
+        refuse what numpy refuses, before any uniform is drawn, and neither holds an array
+        more than twice the size of the counts besides the law's table.  The per-shot draw
+        takes its uniforms row by row, so rows drawn in one call get the same counts as the
+        same rows drawn one call after another.
         """
-        law = pvals if isinstance(pvals, PreparedLaw) else None
-        p = law.pvals if law else np.asarray(pvals, dtype=float)
-        if not (p.ndim and 0 < n < p.shape[-1]):
-            return self._gen.multinomial(n, p, size)
-        size = p.shape[:-1] if size is None else size
-        return self._per_shot_counts(n, law or self.prepare(p), size)
+        law = pvals if isinstance(pvals, PreparedLaw) else PreparedLaw(pvals)
+        if not (law.pvals.ndim and 0 < n < law.pvals.shape[-1]):
+            return self._gen.multinomial(n, law.pvals, size)
+        return self._per_shot_counts(n, law, law.pvals.shape[:-1] if size is None else size)
 
     def _per_shot_counts(self, n: int, law: PreparedLaw, size) -> np.ndarray:
         """multinomial(n, law, size) as n inverse-CDF draws per row and one bincount."""
@@ -116,21 +104,22 @@ class RandomStream:
 
 
 class PreparedLaw:
-    """Rows of multinomial pvals (the last axis) that `RandomStream.prepare` judged, for
-    `RandomStream.multinomial` to draw from many times, from any stream.  The per-shot
-    draw's table of the rows' cumulative distributions is built on its first per-shot draw
-    and kept with the law.  The law holds pvals as it was given, not a copy, so pvals must
-    not change once it is prepared."""
+    """Rows of multinomial pvals (the last axis), as floats, for `RandomStream.multinomial`
+    to draw from many times, from any stream, with the table of their cumulative
+    distributions built on its first per-shot draw and kept.  pvals is held uncopied, so it
+    must not change once the law is built: a read-only array cannot."""
 
-    def __init__(self, pvals: np.ndarray):
-        self.pvals = pvals
+    def __init__(self, pvals):
+        self.pvals = np.asarray(pvals, dtype=float)
 
     @functools.cached_property
     def cdf(self) -> tuple[np.ndarray, int, np.ndarray]:
         """(edges, width, starts): each pvals row's cumulative distribution F, padded to a
         power-of-two width with edges above every uniform, in one flat array, and the
         offset at which each row's edges start.  A shot with uniform u lands in category
-        #{j : F_j <= u}, so a zero-probability category (F_{c-1} == F_c) is never drawn."""
+        #{j : F_j <= u}, so a zero-probability category (F_{c-1} == F_c) is never drawn.
+        Judged first by a zero-shot multinomial: what numpy refuses raises numpy's error."""
+        _judge().multinomial(0, self.pvals)
         k = self.pvals.shape[-1]
         width = 1 << (k - 1).bit_length()
         cdf = np.full(self.pvals.shape[:-1] + (width,), 2.0)
@@ -138,3 +127,9 @@ class PreparedLaw:
         cdf[..., k - 1] = 1.0  # the last category takes the remainder, as in numpy
         edges = cdf.ravel()
         return edges, width, np.arange(0, edges.size, width).reshape(cdf.shape[:-1])
+
+
+@functools.cache  # built on first use: numpy's first generator costs about 8 ms and 6 MB
+def _judge() -> np.random.Generator:
+    """A generator whose zero-shot multinomial judges pvals with numpy's errors; it never draws."""
+    return np.random.Generator(np.random.Philox(0))

@@ -4,6 +4,7 @@ driver, and the exact MSE oracle, which propagates exact per-shot covariances.""
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -30,7 +31,10 @@ from wvtomo import (
     fourier_mub,
     hs_distance_sq,
     mse_hermitized,
+    mse_hermitized_exact,
+    mse_hermitized_optimal,
     mse_raw,
+    mse_raw_optimal,
     optimal_strengths,
     outcome_distribution,
     pointer_observables,
@@ -234,6 +238,44 @@ def test_counts_below_one_rejected(func, args):
         func(rho, optimal_strengths(2), *args)
 
 
+# Every entry that takes a shot or repetition count, as (what it calls the count, call).
+_COUNTED = {
+    "run_experiment": ("shot", lambda rho, s, c: run_experiment(rho, s, c, 20, SEED)),
+    "run_sweep-reps": ("repetition", lambda rho, s, c: run_sweep(rho, [s], 10, c, SEED)),
+    "run_sweep-shots": ("shot", lambda rho, s, c: run_sweep(rho, [s], c, 20, SEED)),
+    "simulate_once": ("shot", lambda rho, s, c: simulate_once(
+        outcome_table(rho, s, fourier_mub(rho.dim)), c, RandomStream(SEED, 44))),
+    "sample_shots": ("shot", lambda rho, s, c: sample_shots(
+        outcome_distribution(rho, 0, "R", s.g_r, fourier_mub(rho.dim)), c,
+        RandomStream(SEED, 44))),
+    "exact_mse_oracle": ("shot", lambda rho, s, c: exact_mse_oracle(rho, s, c)),
+    "SufficientStats": ("shot", lambda rho, s, c: SufficientStats(
+        c, np.zeros((rho.dim,) * 2), np.zeros((rho.dim,) * 2))),
+    "TheoryInput": ("shot", lambda rho, s, c: TheoryInput(
+        dim=rho.dim, strengths=s, shots=c, purity=purity_stats(rho))),
+    "mse_raw_optimal": ("shot", lambda rho, s, c: mse_raw_optimal(rho.dim, c, 0.5)),
+    "mse_hermitized_optimal": ("shot", lambda rho, s, c: mse_hermitized_optimal(
+        rho.dim, c, 0.3, 0.2)),
+    "mse_hermitized_exact": ("shot", lambda rho, s, c: mse_hermitized_exact(rho, s, c)),
+}
+
+
+@pytest.mark.parametrize("count", [10.5, 2.5, True, np.float64(10.0), np.int64(10)],
+                         ids=["10.5", "2.5", "True", "float64-10", "int64-10"])
+@pytest.mark.parametrize("entry", list(_COUNTED))
+def test_counts_must_be_integers(entry, count):
+    # numpy would draw 10 shots a row at N=10.5 while the estimator, theory and oracle read
+    # 10.5, so a count that is not an integer is refused by name; a numpy integer is one.
+    what, call = _COUNTED[entry]
+    rho = random_mixed(3, 3, RandomStream(SEED, 43))
+    if isinstance(count, np.integer):
+        call(rho, optimal_strengths(3), count)
+        return
+    message = f"{what} count must be an integer, got {count!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(rho, optimal_strengths(3), count)
+
+
 @pytest.mark.parametrize("d", [2, 5, 32])
 def test_stacked_draw_equals_per_configuration_draws(d):
     # simulate_once draws each quadrature's d configurations in one multinomial call; it
@@ -277,6 +319,21 @@ def _check_rows_are_the_per_configuration_laws(d):
             dist = outcome_distribution(rho, n, quadrature, g, bases)
             assert np.array_equal(probs[n].ravel(), dist.probs)
             assert np.array_equal(np.tile(values, d), dist.values)
+
+
+def test_a_tables_laws_are_read_only_where_they_are_built():
+    # A sweep's law cache hands one law to every step's table, and a table's prepared rows
+    # hold its probs uncopied beside the CDF table a per-shot draw built from them, so a
+    # write into a law after that draw would have the two branches draw different laws.
+    d = 5
+    rho = random_mixed(d, 2, RandomStream(SEED, 45))
+    table = outcome_table(rho, optimal_strengths(d), fourier_mub(d))
+    simulate_once(table, 3, RandomStream(SEED, 45))  # N < 2d: the per-shot draw
+    for (probs, values), (rows, _) in zip(table.laws, table.prepared):
+        assert "cdf" in vars(rows) and np.shares_memory(rows.pvals, probs)
+        for law in (probs, values, rows.pvals):
+            with pytest.raises(ValueError, match="read-only"):
+                law[(0,) * law.ndim] = 0.5
 
 
 def _singular_pure_state():

@@ -1,7 +1,8 @@
 """RandomStream: its key words, the per-shot draw of `multinomial` for rows with fewer
 shots than categories, against the law of a multinomial and numpy's own checks, and the
-prepared law it draws from."""
+prepared law it draws from, judged and tabulated on its first per-shot draw."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -9,22 +10,19 @@ import pytest
 
 from wvtomo import RandomStream, optimal_strengths, random_mixed
 from wvtomo.montecarlo import run_sweep
+from wvtomo.rng import PreparedLaw
 
 SEED = 51113  # statistical bounds rehearsed once at this seed
 
 
 class _FixedUniforms:
-    """Stands in for a stream's generator: every uniform drawn is one of `values`, in turn,
-    and multinomial is a real generator's."""
+    """Stands in for a stream's generator: every uniform drawn is one of `values`, in turn."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
     def random(self, shape):
         return np.resize(self.values, shape)
-
-    def multinomial(self, n, pvals):
-        return np.random.default_rng(0).multinomial(n, pvals)
 
 
 @pytest.mark.parametrize("seed, stream_id", [(2**64, 0), (-1, 0), (1, 2**64)],
@@ -123,11 +121,11 @@ ROWS = np.array([
 
 @pytest.mark.parametrize("n", [7, 8], ids=["per-shot-N=K-1", "multinomial-N=K"])
 def test_a_prepared_law_draws_the_bits_of_its_pvals(n):
-    # a law judged once, and tabulated on its first per-shot draw, draws what its plain pvals
-    # draw, to the bit, and leaves the stream where the plain draws leave it, whatever the
-    # size of each draw
+    # a law judged and tabulated on its first per-shot draw draws what its plain pvals draw,
+    # to the bit, and leaves the stream where the plain draws leave it, whatever the size of
+    # each draw
     plain, prepared = RandomStream(SEED, 11), RandomStream(SEED, 11)
-    law = prepared.prepare(ROWS)
+    law = PreparedLaw(ROWS)
     for size in (None, (3, 4), (1, 4), (2, 3, 4)):
         got, want = prepared.multinomial(n, law, size), plain.multinomial(n, ROWS, size)
         assert got.shape == want.shape and got.dtype == want.dtype
@@ -138,7 +136,7 @@ def test_a_prepared_law_draws_the_bits_of_its_pvals(n):
 
 @pytest.mark.parametrize("n", [3, 8], ids=["per-shot", "multinomial"])
 def test_a_prepared_law_draws_the_same_rows_in_one_call_or_several(n):
-    law = RandomStream(SEED, 12).prepare(ROWS)
+    law = PreparedLaw(ROWS)
     whole = RandomStream(SEED, 12).multinomial(n, law, size=(7, 4))
     stream = RandomStream(SEED, 12)
     parts = [stream.multinomial(n, law, size=(count, 4)) for count in (3, 1, 3)]
@@ -150,7 +148,7 @@ def test_two_prepared_laws_interleaved_on_one_stream_draw_the_sequential_draws()
     # and its twin give the plain draws of the same sequence, on both branches
     other = np.array([[0.2, 0.0, 0.3, 0.5], [0.0, 0.0, 1.0, 0.0], [0.25] * 4])
     stream, ref = RandomStream(SEED, 13), RandomStream(SEED, 13)
-    laws = [(ROWS, stream.prepare(ROWS)), (other, stream.prepare(other))]
+    laws = [(ROWS, PreparedLaw(ROWS)), (other, PreparedLaw(other))]
     for twin, which, n, size in [
         (False, 0, 3, (2, 4)), (False, 1, 2, (3,)), (True, 1, 3, (2, 3)), (False, 0, 5, (1, 4)),
         (True, 0, 3, (4,)), (False, 1, 2, (5, 3)), (False, 0, 9, (2, 4)), (True, 1, 4, (3,)),
@@ -168,37 +166,57 @@ def test_two_prepared_laws_interleaved_on_one_stream_draw_the_sequential_draws()
     np.float64(0.5),
 ], ids=["nan", "negative", "head-sum-above-one", "zero-d"])
 def test_a_law_is_refused_when_it_is_prepared_with_the_error_multinomial_raises(pvals):
-    stream = RandomStream(SEED, 14)
-    with pytest.raises(ValueError) as prepared:
-        stream.prepare(pvals)
+    # A law is judged when a draw first reads it: by numpy's own draw, or by the per-shot
+    # draw as it prepares the law's table, before any uniform is drawn.  Either way numpy's
+    # error is raised, no table is kept and the stream stands where it stood.
     for n in (1, 3):  # per shot and numpy's multinomial, for the three categories
-        with pytest.raises(ValueError) as plain:
-            RandomStream(SEED, 14).multinomial(n, pvals)
-        assert str(prepared.value) == str(plain.value)
-    assert stream.uniforms(3).tobytes() == RandomStream(SEED, 14).uniforms(3).tobytes()
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng(0).multinomial(n, pvals)
+        stream, law = RandomStream(SEED, 14), PreparedLaw(pvals)
+        for drawn in (law, pvals):
+            with pytest.raises(ValueError) as refused:
+                stream.multinomial(n, drawn)
+            assert str(refused.value) == str(numpy_error.value)
+        assert "cdf" not in vars(law)
+        assert stream.uniforms(3).tobytes() == RandomStream(SEED, 14).uniforms(3).tobytes()
+
+
+def _tables_and_draws_of_a_sweep(monkeypatch, d, n_shots, reps):
+    # The CDF tables built (`PreparedLaw.cdf`) and the multinomial calls of a 2-step sweep of
+    # g_r: step 1 draws R and fills the held I sums, step 2 draws R alone.
+    rho = random_mixed(d, d, RandomStream(SEED, 15))
+    steps = [replace(optimal_strengths(d), g_r=g) for g in (0.6, 2.4)]
+    calls = {"cdf": 0, "multinomial": 0}
+    table, multinomial = PreparedLaw.cdf.func, RandomStream.multinomial
+
+    def tabulated(law):
+        calls["cdf"] += 1
+        return table(law)
+
+    def drawn(self, *args, **kwargs):
+        calls["multinomial"] += 1
+        return multinomial(self, *args, **kwargs)
+
+    cdf = functools.cached_property(tabulated)
+    cdf.__set_name__(PreparedLaw, "cdf")
+    monkeypatch.setattr(PreparedLaw, "cdf", cdf)
+    monkeypatch.setattr(RandomStream, "multinomial", drawn)
+    run_sweep(rho, steps, n_shots, reps, SEED)
+    return calls
 
 
 def test_a_sweep_step_prepares_each_law_it_draws_once(monkeypatch):
-    # The benchmark's highdim sweep: d=32, N=10 < 2d, 20 repetitions (4 batches), 2 steps of
-    # g_r.  Step 1 draws R and fills the held I sums, step 2 draws R alone: 12 per-shot draws
-    # from 3 prepared laws, where preparing at every draw would prepare 12.
-    d = 32
-    rho = random_mixed(d, d, RandomStream(SEED, 15))
-    steps = [replace(optimal_strengths(d), g_r=g) for g in (0.6, 2.4)]
-    calls = {"prepare": 0, "multinomial": 0}
+    # The benchmark's highdim sweep: d=32, N=10 < 2d, 20 repetitions (4 batches): 12 per-shot
+    # draws from 3 laws, each tabulated once, where tabulating at every draw would make 12.
+    calls = _tables_and_draws_of_a_sweep(monkeypatch, 32, 10, 20)
+    assert calls == {"cdf": 3, "multinomial": 12}, calls
 
-    def counting(name):
-        method = getattr(RandomStream, name)
 
-        def counted(self, *args, **kwargs):
-            calls[name] += 1
-            return method(self, *args, **kwargs)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(RandomStream, name, counting(name))
-    run_sweep(rho, steps, 10, 20, SEED)
-    assert calls == {"prepare": 3, "multinomial": 12}, calls
+def test_a_sweep_with_as_many_shots_as_categories_builds_no_cdf_table(monkeypatch):
+    # The benchmark's desk sizes: d=5, N=100 >= 2d, 200 repetitions (one batch).  numpy's
+    # multinomial draws and judges every row, so no law is tabulated or judged again.
+    calls = _tables_and_draws_of_a_sweep(monkeypatch, 5, 100, 200)
+    assert calls == {"cdf": 0, "multinomial": 3}, calls
 
 
 def test_per_shot_last_category_takes_the_remainder():
