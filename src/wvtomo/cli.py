@@ -320,7 +320,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     strengths = _fixed_strengths(cfg, dim)
 
     # One full experiment repetition on its own stream and its twin.
-    est = simulate_once(outcome_table(rho, strengths, fourier_mub(dim)), shots,
+    est = simulate_once(outcome_table(rho, strengths, fourier_mub(dim), shots),
                         RandomStream(cfg["seed"], RECONSTRUCT_STREAM))
     # The estimates need not have unit trace nor be positive; this one is a state.
     phys = project_to_density(est.hermitized).matrix

@@ -10,7 +10,8 @@ of the outcome counts of every configuration's N shots over
 eigenvalue k), by `RandomStream.multinomial` (its docstring gives its two
 draws); memory is bounded by the count array, not by N.  The draw's sums make
 one `SufficientStats`, two whole (n, j) tables checked when built, which
-`estimate_pw` reads.
+`estimate_pw` reads.  An `OutcomeTable` carries the whole design (laws,
+strengths, bases and N), so the draws and the oracle read N off the table.
 
 One stream contract, kept by `_quadrature_sums` alone: the R rows of an
 experiment's repetitions are drawn in (rep, n) order from the stream the
@@ -20,9 +21,9 @@ and a sweep draws a quadrature again only when its strength moves, at any
 batch count, while the sums it holds fit SUMS_ELEMENTS (reps * d^2 <= 2^15:
 1310 repetitions at d=5, 32 at d=32).  A quadrature above that budget is
 drawn a batch at a time at every step, so that a sweep holds at most the
-budget's sums and one batch.  A table's laws are read-only, and each is drawn from
-as one `PreparedLaw` that the table keeps (`OutcomeTable.prepared`), so a per-shot
-draw's table is built once per law of a table, however many batches draw from it.
+budget's sums and one batch.  A table's laws are built read-only, each as the
+one `PreparedLaw` its draws read, so a per-shot draw's CDF table is built once
+per law, however many batches, steps of a sweep or shot counts draw from it.
 
 `exact_mse_oracle` computes the estimator's mean-square error with no
 sampling at all, by propagating exact per-shot covariances through the
@@ -85,17 +86,17 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class OutcomeTable:
-    """`outcome_table`'s two quadrature laws with the strengths and bases they were built at."""
+    """`outcome_table`'s two quadrature laws with the strengths and bases they were built at,
+    and the shots each of the 2d configurations gets: the whole design of an experiment.
+    The same laws at another shot count are `dataclasses.replace(table, shots=n)`."""
 
-    laws: tuple  # (probs[n, j, k], values[k]) of R, then of I, as `_quadrature_law` returns
+    laws: tuple  # (rows over (j, k), values[k]) of R, then of I, as `_quadrature_law` returns
     strengths: CouplingStrengths
     bases: MeasurementBases
+    shots: int
 
-    @functools.cached_property
-    def prepared(self) -> tuple:
-        """`laws` with each probs as the d rows over (j, k) that every draw from this table
-        reads, one `PreparedLaw` each, tabulated on its first per-shot draw and kept."""
-        return tuple((PreparedLaw(p.reshape(len(p), -1)), values) for p, values in self.laws)
+    def __post_init__(self):
+        check_count(self.shots, "shot count")
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,11 @@ class MseReport:
     oracle_herm: float
 
 
-def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[PreparedLaw, np.ndarray]:
     """prob[n, j, k] = <v_k|M[n, j]|v_k> = |v_0|^2 M00 + |v_1|^2 M11 + 2 Re(conj(v_0) v_1 M01)
-    over the `_pointer_parts` of M at strength g, normalised per n, and the quadrature's
-    eigenvalues lambda_k.  Before the clamp each entry is linear in the features of rho."""
+    over the `_pointer_parts` of M at strength g, normalised per n, as the `PreparedLaw` of
+    its d rows over (j, k) that every draw reads, and the quadrature's eigenvalues lambda_k.
+    Before the clamp each entry is linear in the features of rho."""
     if quadrature not in QUADRATURES:
         raise ValueError(f"quadrature must be 'R' or 'I', got {quadrature!r}")
     obs = pointer_observables(g)
@@ -154,20 +156,21 @@ def _quadrature_law(features: tuple, quadrature: str, g: float) -> tuple[np.ndar
     probs = np.stack([w0[k] * m00 + w1[k] * m11 + (w01[k] * m01).real for k in range(2)], -1)
     probs = _clamp_probs(probs, len(features[0]))
     probs /= probs.sum(axis=(1, 2), keepdims=True)
-    # Read-only: a sweep's cache hands one law to every step's table, which keeps its CDF.
+    # Read-only: a sweep's cache hands one law, and the CDF table it keeps, to every step.
     probs.flags.writeable = evals.flags.writeable = False
-    return probs, evals
+    return PreparedLaw(probs.reshape(len(probs), -1)), evals
 
 
 def outcome_table(
-    rho: DensityMatrix, strengths: CouplingStrengths, bases: MeasurementBases
+    rho: DensityMatrix, strengths: CouplingStrengths, bases: MeasurementBases, shots: int
 ) -> OutcomeTable:
-    """The law of all 2d configurations, from one `_features` pass: for R at g_R and then
-    I at g_I, probs[n, j, k] of post-selection outcome j and eigenvalue values[k] when
-    coupling index n is read in that quadrature.  Each row n of a law sums to 1."""
+    """The law of all 2d configurations, `shots` shots each, from one `_features` pass: for
+    R at g_R and then I at g_I, row n over (j, k) of post-selection outcome j and
+    eigenvalue values[k] when coupling index n is read in that quadrature.  Each row sums
+    to 1."""
     features = _features(rho, bases)
     return OutcomeTable((_quadrature_law(features, "R", strengths.g_r),
-                         _quadrature_law(features, "I", strengths.g_i)), strengths, bases)
+                         _quadrature_law(features, "I", strengths.g_i)), strengths, bases, shots)
 
 
 def outcome_distribution(
@@ -176,8 +179,8 @@ def outcome_distribution(
     """Enumerate prob(j,k) = P_j <v_k|rho_d^{nj}|v_k> and the drawn eigenvalues."""
     _check_index(n, rho.dim)
     a, b, c = _features(rho, bases)
-    probs, values = _quadrature_law((a, b[n:n + 1], c[n:n + 1]), quadrature, g)  # row n only
-    return OutcomeDistribution(n, quadrature, g, probs[0].ravel(), np.tile(values, rho.dim))
+    rows, values = _quadrature_law((a, b[n:n + 1], c[n:n + 1]), quadrature, g)  # row n only
+    return OutcomeDistribution(n, quadrature, g, rows.pvals[0], np.tile(values, rho.dim))
 
 
 def sample_shots(dist: OutcomeDistribution, n_shots: int, rng: RandomStream) -> np.ndarray:
@@ -215,38 +218,33 @@ def assemble_estimate(pw_table: np.ndarray, bases: MeasurementBases) -> Tomograp
     return TomographyEstimate(raw=raw, hermitized=herm)
 
 
-def _quadrature_sums(
-    table: OutcomeTable, q: str, n_shots: int, stream: RandomStream, count: int
-) -> np.ndarray:
+def _quadrature_sums(table: OutcomeTable, q: str, stream: RandomStream, count: int) -> np.ndarray:
     """sums[rep, n, j] of `count` experiments' draws of quadrature q's law in `table` (its
-    prepared d rows over (j, k), and values[k]): one multinomial call over its d rows in
-    (rep, n) order, n_shots each, from `stream` for R and from `stream.twin` for I.  That is
-    the module's stream contract."""
-    rows, values = table.prepared[QUADRATURES.index(q)]
+    d rows over (j, k), and values[k]): one multinomial call over its d rows in (rep, n)
+    order, table.shots each, from `stream` for R and from `stream.twin` for I.  That is the
+    module's stream contract."""
+    rows, values = table.laws[QUADRATURES.index(q)]
     d = len(rows.pvals)
     source = stream if q == "R" else stream.twin
-    c = source.multinomial(n_shots, rows, size=(count, d)).reshape(count, d, d, 2)  # [rep, n, j, k]
-    # The two k slices added in place: what a length-2 sum over k computes, without the
-    # (rep, n, j, k) float temporary or a third float array.
+    c = source.multinomial(table.shots, rows, size=(count, d)).reshape(count, d, d, 2)
+    # The two k slices of c[rep, n, j, k] added in place: what a length-2 sum over k
+    # computes, without the (rep, n, j, k) float temporary or a third float array.
     sums = c[..., 0] * values[0]
     sums += c[..., 1] * values[1]
     return sums
 
 
-def _sample_stats(
-    table: OutcomeTable, n_shots: int, stream: RandomStream, count: int
-) -> SufficientStats:
-    """`count` experiments of `table`, n_shots each, their sums stacked on a leading axis
-    and drawn from `stream` as `_quadrature_sums` says."""
-    check_count(n_shots, "shot count")
-    sums_r, sums_i = (_quadrature_sums(table, q, n_shots, stream, count) for q in QUADRATURES)
-    return SufficientStats(n_shots, sums_r, sums_i)
+def _sample_stats(table: OutcomeTable, stream: RandomStream, count: int) -> SufficientStats:
+    """`count` experiments of `table`, their sums stacked on a leading axis and drawn from
+    `stream` as `_quadrature_sums` says."""
+    sums_r, sums_i = (_quadrature_sums(table, q, stream, count) for q in QUADRATURES)
+    return SufficientStats(table.shots, sums_r, sums_i)
 
 
-def simulate_once(table: OutcomeTable, n_shots: int, stream: RandomStream) -> TomographyEstimate:
-    """One experiment: n_shots of every configuration of `table`, drawn from `stream` as
+def simulate_once(table: OutcomeTable, stream: RandomStream) -> TomographyEstimate:
+    """One experiment: table.shots of every configuration of `table`, drawn from `stream` as
     `_quadrature_sums` says, estimated at its strengths and bases."""
-    stats = _sample_stats(table, n_shots, stream, 1)
+    stats = _sample_stats(table, stream, 1)
     est = assemble_estimate(estimate_pw(stats, table.strengths), table.bases)
     return TomographyEstimate(raw=est.raw[0], hermitized=est.hermitized[0])
 
@@ -277,7 +275,6 @@ def run_sweep(
     drawn a batch at a time.  Either way its rows are drawn as a fresh stream draws them, from
     the step's table, so every step equals a standalone `run_experiment`."""
     check_count(reps, "repetition count")
-    check_count(n_shots, "shot count")
     d = rho.dim
     bases = fourier_mub(d)
     features = _features(rho, bases)
@@ -290,7 +287,8 @@ def run_sweep(
     pairs = [(s.g_r, s.g_i) for s in steps]
     for strengths, now, after in zip(steps, pairs, pairs[1:] + [(None, None)]):
         keeps = [g == g_next for g, g_next in zip(now, after)]  # the next step keeps it
-        table = OutcomeTable(tuple(law(q, g) for q, g in zip(QUADRATURES, now)), strengths, bases)
+        laws = tuple(law(q, g) for q, g in zip(QUADRATURES, now))
+        table = OutcomeTable(laws, strengths, bases, n_shots)
         stream = RandomStream(seed)
         for i, q in enumerate(QUADRATURES):
             room = SUMS_ELEMENTS - sum(h.size for h in held if h is not None)
@@ -298,21 +296,21 @@ def run_sweep(
                 held[i] = np.empty((reps, d, d))  # filled one batch-sized draw at a time
                 for start in range(0, reps, batch):
                     part = held[i][start:start + batch]
-                    part[:] = _quadrature_sums(table, q, n_shots, stream, len(part))
+                    part[:] = _quadrature_sums(table, q, stream, len(part))
 
         errors = np.zeros((2, reps))  # squared raw and hermitized error of each repetition
         for start in range(0, reps, batch):
             out = errors[:, start:start + batch]
-            sums = (_quadrature_sums(table, q, n_shots, stream, out.shape[1])
+            sums = (_quadrature_sums(table, q, stream, out.shape[1])
                     if held[i] is None else held[i][start:start + batch]
                     for i, q in enumerate(QUADRATURES))
-            _batch_errors(table, SufficientStats(n_shots, *sums), rho.matrix, out)
+            _batch_errors(table, SufficientStats(table.shots, *sums), rho.matrix, out)
         held = [h if keep else None for h, keep in zip(held, keeps)]
         mean = errors.mean(axis=1)
         stderr = errors.std(ddof=1, axis=1) / np.sqrt(reps) if reps > 1 else np.zeros(2)
 
         stats_input = theory.TheoryInput(dim=d, strengths=strengths, shots=n_shots, purity=purity)
-        oracle_raw, oracle_herm = _oracle(table, n_shots)
+        oracle_raw, oracle_herm = _oracle(table)
         reports.append(MseReport(
             mse_raw_mean=float(mean[0]), mse_raw_stderr=float(stderr[0]),
             mse_herm_mean=float(mean[1]), mse_herm_stderr=float(stderr[1]),
@@ -335,12 +333,13 @@ def _batch_errors(
     out[:] = hs_distance_sq(est.raw, matrix), hs_distance_sq(est.hermitized, matrix)
 
 
-def _oracle(table: OutcomeTable, n_shots: int):
+def _oracle(table: OutcomeTable):
     """(raw, hermitized) exact MSE of `exact_mse_oracle`, from one variance pass over `table`."""
     s, overlaps = table.strengths, table.bases.overlaps()
     weights = np.abs(overlaps) ** 2
     variances = []  # per-shot E|rho_hat[n,m] - rho[n,m]|^2, one term per quadrature
-    for (p, v), g, sign in zip(table.laws, (s.g_r, s.g_i), (-1.0, 1.0)):
+    for (rows, v), g, sign in zip(table.laws, (s.g_r, s.g_i), (-1.0, 1.0)):
+        p = rows.pvals.reshape(len(rows.pvals), -1, 2)  # [n, j, k]
         mu = sign * (p @ v) / (2.0 * g)
         second = (p @ (v * v)) / (4.0 * g * g)
         spread = reconstruction_map(second, weights)
@@ -349,7 +348,7 @@ def _oracle(table: OutcomeTable, n_shots: int):
     var_elem = var_re + var_im
     # At m=n every coefficient is 1: Re rho_hat[n,n] = sum_j X_j, whose variance is var_re[n,n].
     off = (var_elem.sum() - np.trace(var_elem)) / 2.0  # averaging independent rows halves it
-    return float(var_elem.sum() / n_shots), float((off + np.trace(var_re)) / n_shots)
+    return float(var_elem.sum() / table.shots), float((off + np.trace(var_re)) / table.shots)
 
 
 def exact_mse_oracle(
@@ -364,6 +363,5 @@ def exact_mse_oracle(
     per-shot covariance over j is diag(s) - mu mu^T (one multinomial draw), so
     element (n, m) gets sum_j |c_jm|^2 s_j - |map(mu)[n, m]|^2 from each quadrature.
     """
-    check_count(n_shots, "shot count")
-    raw, herm = _oracle(outcome_table(rho, strengths, fourier_mub(rho.dim)), n_shots)
+    raw, herm = _oracle(outcome_table(rho, strengths, fourier_mub(rho.dim), n_shots))
     return herm if hermitized else raw

@@ -51,7 +51,10 @@ class PurityStats:
 
 
 def check_dimension(d: int) -> None:
-    """The one guard of the system dimension, for every entry that takes d."""
+    """The one guard of the system dimension, for every entry that takes d: an integer (not
+    a bool), at least 2."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise InvalidDimension(f"system dimension must be an integer, got {d!r}")
     if d < 2:
         raise InvalidDimension(f"system dimension must be >= 2, got {d}")
 

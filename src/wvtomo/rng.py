@@ -10,7 +10,8 @@ A stream's `twin` is a second, independent stream on the same key, numpy's
 ``Philox.jumped()``: an experiment draws its R rows from the stream and its I
 rows from the twin, so either quadrature's draws stand alone.
 A `PreparedLaw` is rows of pvals that `multinomial` draws from on any stream, as often as
-it is given, the bits the plain pvals draw; a per-shot draw tabulates it once.
+it is given, the bits the plain pvals draw; a per-shot draw tabulates it once.  Each law of
+an outcome table is built as one, so a law a sweep keeps across steps is tabulated once.
 """
 
 from __future__ import annotations

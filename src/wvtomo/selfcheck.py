@@ -75,7 +75,7 @@ def probes(seed: int):
             st = CouplingStrengths(0.35 + 0.5 * k, 2.2 - 0.4 * k)
             pur = purity_stats(rho)
             inp = theory.TheoryInput(dim=d, strengths=st, shots=25, purity=pur)
-            o_raw, o_herm = _oracle(outcome_table(rho, st, bases), 25)
+            o_raw, o_herm = _oracle(outcome_table(rho, st, bases, 25))
             devs_raw.append(abs(o_raw - theory.mse_raw(inp)))
             devs_herm.append(abs(o_herm - theory.mse_hermitized_exact(rho, st, 25)))
             diag_sq = float(np.sum(rho.matrix.diagonal().real ** 2))

@@ -142,7 +142,7 @@ def test_a_non_state_is_refused_on_the_sampler_path():
                         - 0.5 * np.outer(psi[:, 1], psi[:, 1].conj()))
     strengths = CouplingStrengths(0.05, 1.0)
     for build in (
-        lambda: outcome_table(rho, strengths, bases),
+        lambda: outcome_table(rho, strengths, bases, 10),
         lambda: outcome_distribution(rho, 0, "R", strengths.g_r, bases),
         lambda: exact_mse_oracle(rho, strengths, 10),
         lambda: run_experiment(rho, strengths, 10, 2, SEED),
@@ -208,10 +208,10 @@ def test_sample_shots_memory_does_not_grow_with_shots(sampler):
         dist = replace(outcome_distribution(rho, 1, "R", 1.0, bases), values=np.ones(2 * d))
         draw = lambda stream: sample_shots(dist, n, stream)
     else:
-        table = outcome_table(rho, CouplingStrengths(1.0, 1.0), bases)
-        table = replace(table, laws=tuple((probs, np.ones_like(values))
-                                          for probs, values in table.laws))
-        draw = lambda stream: simulate_once(table, n, stream)
+        table = outcome_table(rho, CouplingStrengths(1.0, 1.0), bases, n)
+        table = replace(table, laws=tuple((rows, np.ones_like(values))
+                                          for rows, values in table.laws))
+        draw = lambda stream: simulate_once(table, stream)
     stream = RandomStream(SEED, 39)
     tracemalloc.start()
     try:
@@ -243,8 +243,11 @@ _COUNTED = {
     "run_experiment": ("shot", lambda rho, s, c: run_experiment(rho, s, c, 20, SEED)),
     "run_sweep-reps": ("repetition", lambda rho, s, c: run_sweep(rho, [s], 10, c, SEED)),
     "run_sweep-shots": ("shot", lambda rho, s, c: run_sweep(rho, [s], c, 20, SEED)),
+    "outcome_table": ("shot", lambda rho, s, c: outcome_table(rho, s, fourier_mub(rho.dim), c)),
+    "OutcomeTable": ("shot", lambda rho, s, c: replace(
+        outcome_table(rho, s, fourier_mub(rho.dim), 10), shots=c)),
     "simulate_once": ("shot", lambda rho, s, c: simulate_once(
-        outcome_table(rho, s, fourier_mub(rho.dim)), c, RandomStream(SEED, 44))),
+        outcome_table(rho, s, fourier_mub(rho.dim), c), RandomStream(SEED, 44))),
     "sample_shots": ("shot", lambda rho, s, c: sample_shots(
         outcome_distribution(rho, 0, "R", s.g_r, fourier_mub(rho.dim)), c,
         RandomStream(SEED, 44))),
@@ -284,14 +287,14 @@ def test_stacked_draw_equals_per_configuration_draws(d):
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 41))
     strengths = optimal_strengths(d)
     bases = fourier_mub(d)
-    table = outcome_table(rho, strengths, bases)
+    table = outcome_table(rho, strengths, bases, 1)
     dists = _config_laws(rho, strengths, bases)
     for k, n_shots in enumerate((1, 100, 1_000_000)):
         stream = RandomStream(SEED, 42 + k)
         stats = stats_of(dists, n_shots, lambda dist: sample_shots(
             dist, n_shots, stream if dist.quadrature == "R" else stream.twin))
         want = assemble_estimate(estimate_pw(stats, strengths), bases)
-        got = simulate_once(table, n_shots, RandomStream(SEED, 42 + k))
+        got = simulate_once(replace(table, shots=n_shots), RandomStream(SEED, 42 + k))
         assert np.array_equal(got.raw, want.raw), f"N={n_shots}"
         assert np.array_equal(got.hermitized, want.hermitized), f"N={n_shots}"
 
@@ -309,10 +312,11 @@ def _check_rows_are_the_per_configuration_laws(d):
     rho = random_mixed(d, 2, RandomStream(SEED, 45))
     strengths = CouplingStrengths(0.8, 2.1)
     bases = fourier_mub(d)
-    table = outcome_table(rho, strengths, bases)
+    table = outcome_table(rho, strengths, bases, 10)
     assert table.strengths is strengths and table.bases is bases
     assert len(table.laws) == 2
-    for (probs, values), (quadrature, g) in zip(table.laws, (("R", 0.8), ("I", 2.1))):
+    for (rows, values), (quadrature, g) in zip(table.laws, (("R", 0.8), ("I", 2.1))):
+        probs = rows.pvals.reshape(d, d, 2)
         assert probs.shape == (d, d, 2) and values.shape == (2,)
         assert np.max(np.abs(probs.sum(axis=(1, 2)) - 1.0)) < 1e-15
         for n in range(d):
@@ -322,14 +326,15 @@ def _check_rows_are_the_per_configuration_laws(d):
 
 
 def test_a_tables_laws_are_read_only_where_they_are_built():
-    # A sweep's law cache hands one law to every step's table, and a table's prepared rows
-    # hold its probs uncopied beside the CDF table a per-shot draw built from them, so a
-    # write into a law after that draw would have the two branches draw different laws.
+    # A sweep's law cache hands one law to every step's table, and a law's rows hold its
+    # probs uncopied beside the CDF table a per-shot draw built from them, so a write into
+    # a law after that draw would have the two branches draw different laws.
     d = 5
     rho = random_mixed(d, 2, RandomStream(SEED, 45))
-    table = outcome_table(rho, optimal_strengths(d), fourier_mub(d))
-    simulate_once(table, 3, RandomStream(SEED, 45))  # N < 2d: the per-shot draw
-    for (probs, values), (rows, _) in zip(table.laws, table.prepared):
+    table = outcome_table(rho, optimal_strengths(d), fourier_mub(d), 3)
+    simulate_once(table, RandomStream(SEED, 45))  # N < 2d: the per-shot draw
+    for rows, values in table.laws:
+        probs = rows.pvals.reshape(d, d, 2)
         assert "cdf" in vars(rows) and np.shares_memory(rows.pvals, probs)
         for law in (probs, values, rows.pvals):
             with pytest.raises(ValueError, match="read-only"):
@@ -372,7 +377,8 @@ def test_quadrature_law_equals_the_einsum_over_pointer_blocks(d):
             for quadrature in ("R", "I"):
                 got = _quadrature_law(features, quadrature, g)
                 want = _quadrature_law_by_einsum(blocks, quadrature, g)
-                assert np.max(np.abs(got[0] - want[0])) < 1e-15, f"d={d}, g={g}, {quadrature}"
+                got_probs = got[0].pvals.reshape(d, d, 2)
+                assert np.max(np.abs(got_probs - want[0])) < 1e-15, f"d={d}, g={g}, {quadrature}"
                 assert np.array_equal(got[1], want[1])
 
 
@@ -395,7 +401,7 @@ def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
         states.append(_singular_pure_state())
     for rho in states:
         for strengths in strength_pairs:
-            laws = outcome_table(rho, strengths, bases).laws
+            laws = outcome_table(rho, strengths, bases, 10).laws
             gs = (strengths.g_r, strengths.g_i)
             pointers, p_post = _postselected_pointers(rho, range(d), gs, bases)
             for q, quadrature in enumerate(QUADRATURES):
@@ -405,14 +411,15 @@ def test_outcome_table_is_the_kronecker_law_outcome_by_outcome(d):
                 read = np.einsum("ik,njil,lk->njk", evecs.conj(), pointers[q], evecs).real
                 want = p_post[q][..., None] * read
                 defined = np.isfinite(want)
-                probs = laws[q][0]
+                probs = laws[q][0].pvals.reshape(d, d, 2)
                 assert np.max(np.abs(probs[defined] - want[defined])) < 1e-14
                 assert np.all(probs[~defined] == 0.0), f"d={d}, {strengths}"
     if d == 3:  # the singular state's outcome (n=0, j=1) vanished, so it is never drawn
         _, p_post = _postselected_pointers(states[-1], [0], [1.0], bases)
         assert p_post[0, 0, 1] <= 1e-12
-        laws = outcome_table(states[-1], CouplingStrengths(1.0, 1.0), bases).laws
-        assert np.array_equal([probs[0, 1] for probs, _ in laws], np.zeros((2, 2)))
+        laws = outcome_table(states[-1], CouplingStrengths(1.0, 1.0), bases, 10).laws
+        assert np.array_equal([rows.pvals.reshape(d, d, 2)[0, 1] for rows, _ in laws],
+                              np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("d", [2, 5, 32])
@@ -421,16 +428,16 @@ def test_eigenvalue_sums_from_the_count_slices_equal_the_summed_product_bitwise(
     # the counts by the eigenvalues and sums over k, on the same draws: each quadrature's
     # stack of d rows, R from the stream and I from its twin
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 47))
-    table = outcome_table(rho, optimal_strengths(d), fourier_mub(d))
+    table = outcome_table(rho, optimal_strengths(d), fourier_mub(d), 1)
     count = max(1, BATCH_ELEMENTS // d**2)
     for k, n_shots in enumerate((1, 100, 1_000_000)):
         stream = RandomStream(SEED, 48 + k)
         want = []
-        for (probs, values), source in zip(table.laws, (stream, stream.twin)):
-            rows = probs.reshape(d, -1)
+        for (law, values), source in zip(table.laws, (stream, stream.twin)):
+            rows = law.pvals
             counts = source.multinomial(n_shots, np.broadcast_to(rows, (count, *rows.shape)))
-            want.append((counts.reshape(count, *probs.shape) * values).sum(axis=-1))
-        stats = _sample_stats(table, n_shots, RandomStream(SEED, 48 + k), count)
+            want.append((counts.reshape(count, d, d, 2) * values).sum(axis=-1))
+        stats = _sample_stats(replace(table, shots=n_shots), RandomStream(SEED, 48 + k), count)
         assert stats.sums_r.shape == (count, d, d)
         assert np.array_equal(stats.sums_r, want[0]), f"N={n_shots}"
         assert np.array_equal(stats.sums_i, want[1]), f"N={n_shots}"
@@ -545,7 +552,7 @@ def test_estimator_gives_the_bits_of_the_plain_expressions(d):
     for count in (1, 2, 7, max(1, BATCH_ELEMENTS // d**2)):
         for g_i in (np.pi / 2, 0.7, 2.9):
             strengths = replace(optimal_strengths(d), g_i=g_i)
-            stats = _sample_stats(outcome_table(rho, strengths, bases), 20,
+            stats = _sample_stats(outcome_table(rho, strengths, bases, 20),
                                   RandomStream(SEED, 52), count)
             s_r, s_i, n = stats.sums_r.copy(), stats.sums_i.copy(), stats.shots
             pw = estimate_pw(stats, strengths)
@@ -592,13 +599,13 @@ def test_batched_run_equals_per_repetition_loop(d):
     # At d=32, N=20 is below the 64 outcomes of a row, so this covers the per-shot draw.
     rho = random_mixed(d, max(1, d // 2), RandomStream(SEED, 46))
     strengths = optimal_strengths(d)
-    table = outcome_table(rho, strengths, fourier_mub(d))
+    table = outcome_table(rho, strengths, fourier_mub(d), 20)
     reps = 2 * max(1, BATCH_ELEMENTS // d**2) + 3
     err_raw = np.zeros(reps)
     err_herm = np.zeros(reps)
     stream = RandomStream(SEED)
     for rep in range(reps):
-        est = simulate_once(table, 20, stream)
+        est = simulate_once(table, stream)
         err_raw[rep] = hs_distance_sq(est.raw, rho.matrix)
         err_herm[rep] = hs_distance_sq(est.hermitized, rho.matrix)
     got = run_experiment(rho, strengths, 20, reps, SEED)
@@ -656,14 +663,14 @@ def test_sweep_equals_one_experiment_per_step(d, axis, below, size):
 
     def one_step(strengths):
         bases = fourier_mub(d)
-        table = outcome_table(rho, strengths, bases)
+        table = outcome_table(rho, strengths, bases, n_shots)
         err_raw, err_herm = np.zeros(reps), np.zeros(reps)
         stream = RandomStream(SEED)
         for start in range(0, reps, batch):
             count = min(batch, reps - start)
             sums = []
-            for (probs, values), source in zip(table.laws, (stream, stream.twin)):
-                rows = np.broadcast_to(probs.reshape(d, -1), (count, d, 2 * d))
+            for (law, values), source in zip(table.laws, (stream, stream.twin)):
+                rows = np.broadcast_to(law.pvals, (count, d, 2 * d))
                 counts = source.multinomial(n_shots, rows).reshape(count, d, d, 2)
                 sums.append((counts * values).sum(axis=-1))
             stats = SufficientStats(n_shots, *sums)
@@ -671,7 +678,7 @@ def test_sweep_equals_one_experiment_per_step(d, axis, below, size):
             err_raw[start:start + batch] = hs_distance_sq(est.raw, rho.matrix)
             err_herm[start:start + batch] = hs_distance_sq(est.hermitized, rho.matrix)
         inp = TheoryInput(dim=d, strengths=strengths, shots=n_shots, purity=purity_stats(rho))
-        oracle_raw, oracle_herm = _oracle(table, n_shots)
+        oracle_raw, oracle_herm = _oracle(table)
         return MseReport(
             mse_raw_mean=float(err_raw.mean()),
             mse_raw_stderr=float(err_raw.std(ddof=1) / np.sqrt(reps)),
@@ -990,10 +997,10 @@ def test_oracle_matches_sampling_off_the_fourier_basis():
     bases = _random_postselection(d, RandomStream(SEED, 2**32 + 3))
     rho = random_mixed(d, d, RandomStream(SEED, 2**32 + 4))
     strengths = optimal_strengths(d)
-    table = outcome_table(rho, strengths, bases)
-    o_raw, o_herm = _oracle(table, n_shots)
+    table = outcome_table(rho, strengths, bases, n_shots)
+    o_raw, o_herm = _oracle(table)
     assert o_raw > 2.0 * exact_mse_oracle(rho, strengths, n_shots)  # the basis matters
-    stats = _sample_stats(table, n_shots, RandomStream(SEED, 2**32 + 5), reps)
+    stats = _sample_stats(table, RandomStream(SEED, 2**32 + 5), reps)
     est = assemble_estimate(estimate_pw(stats, strengths), bases)
     for got, want in ((est.raw, o_raw), (est.hermitized, o_herm)):
         err = hs_distance_sq(got, rho.matrix)
@@ -1011,8 +1018,8 @@ def test_oracle_is_blind_to_the_phase_and_order_of_the_postselection_basis(d):
     shuffle = RandomStream(SEED, 2**32 + 200 + d).uniforms(2 * d).reshape(2, d)
     psi = fourier.psi_basis[:, np.argsort(shuffle[0])] * np.exp(2j * np.pi * shuffle[1])
     moved = replace(fourier, psi_basis=psi)
-    want = _oracle(outcome_table(rho, strengths, fourier), 40)
-    got = _oracle(outcome_table(rho, strengths, moved), 40)
+    want = _oracle(outcome_table(rho, strengths, fourier, 40))
+    got = _oracle(outcome_table(rho, strengths, moved, 40))
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * w, (d, g, w)
 
@@ -1031,9 +1038,9 @@ def test_no_sampled_haar_basis_beats_fourier(d):
     worst = np.inf
     for k in range(6):
         rho = random_mixed(d, 1 + k % d, RandomStream(SEED, 2**32 + 310 + 10 * d + k))
-        want = np.array(_oracle(outcome_table(rho, strengths, fourier), 40))
+        want = np.array(_oracle(outcome_table(rho, strengths, fourier, 40)))
         for bases in haar:
-            got = np.array(_oracle(outcome_table(rho, strengths, bases), 40))
+            got = np.array(_oracle(outcome_table(rho, strengths, bases, 40)))
             worst = min(worst, *(got / want))
     assert worst > (1.0 - 1e-12 if d == 2 else 1.0), (d, worst)
 
@@ -1043,9 +1050,9 @@ def _enumerated_estimates(rho, strengths, n_shots):
     estimate: each of the 4 (q, n) rows of `outcome_table` has C(N+3, 3) count vectors, and
     a point's weight is the product of its rows' multinomial pmfs.  The counts go through
     the library's own SufficientStats, estimate_pw and assemble_estimate."""
-    table = outcome_table(rho, strengths, fourier_mub(2))
+    table = outcome_table(rho, strengths, fourier_mub(2), n_shots)
     # (q, n) rows of (j, k) outcomes: each quadrature's rows in the sampler's draw order
-    rows = np.concatenate([probs.reshape(2, 4) for probs, _ in table.laws])
+    rows = np.concatenate([law.pvals for law, _ in table.laws])
     comps = np.array([c for c in itertools.product(range(n_shots + 1), repeat=4)
                       if sum(c) == n_shots])
     coef = [math.factorial(n_shots) / math.prod(map(math.factorial, c)) for c in comps]
@@ -1100,7 +1107,7 @@ def test_oracle_equals_the_enumerated_mean_at_d2(strengths, n_shots):
     # Rehearsed once: the worst deviation, of the weights' sum or a mean, was 1.1e-15.
     rho, (weights, err_raw, err_herm) = _enumerated_d2(strengths, n_shots)
     assert abs(weights.sum() - 1.0) < 1e-12
-    want = _oracle(outcome_table(rho, strengths, fourier_mub(2)), n_shots)
+    want = _oracle(outcome_table(rho, strengths, fourier_mub(2), n_shots))
     for got, w in zip((weights @ err_raw, weights @ err_herm), want):
         assert abs(got - w) <= 1e-12 * w, (got, w)
 
@@ -1136,8 +1143,8 @@ def test_projected_estimator_matches_its_enumerated_mean_at_d2(n_shots):
     mean = weights @ exact
     sd = math.sqrt(weights @ (exact - mean) ** 2)
     reps = 10**4
-    table = outcome_table(rho, strengths, fourier_mub(2))
-    stats = _sample_stats(table, n_shots, RandomStream(SEED, 2**32 + 12), reps)
+    table = outcome_table(rho, strengths, fourier_mub(2), n_shots)
+    stats = _sample_stats(table, RandomStream(SEED, 2**32 + 12), reps)
     est = assemble_estimate(estimate_pw(stats, strengths), table.bases)
     z = (_projected_errors(est.hermitized, rho).mean() - mean) / (sd / math.sqrt(reps))
     assert abs(z) <= 4.0, z
@@ -1196,8 +1203,8 @@ def test_sampled_errors_follow_the_enumerated_law_at_d2(name, n_shots):
     strengths = D2_STRENGTHS[name]
     rho, (weights, *errors) = _enumerated_d2(strengths, n_shots)
     sampled = np.empty((2, 2 * 10**4))
-    table = outcome_table(rho, strengths, fourier_mub(2))
-    stats = _sample_stats(table, n_shots, RandomStream(SEED, 2**32 + 11), sampled.shape[1])
+    table = outcome_table(rho, strengths, fourier_mub(2), n_shots)
+    stats = _sample_stats(table, RandomStream(SEED, 2**32 + 11), sampled.shape[1])
     _batch_errors(table, stats, rho.matrix, sampled)
     for exact, drawn in zip(errors, sampled):
         p = _chi_square_p(weights, exact, drawn)

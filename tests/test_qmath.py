@@ -348,3 +348,22 @@ DIMENSION_CASES = [(name, d) for name in DIMENSION_ENTRIES for d in (1, 0, -1)
 def test_every_entry_refuses_a_dimension_below_two_in_the_same_words(name, d):
     with pytest.raises(InvalidDimension, match=rf"^system dimension must be >= 2, got {d}$"):
         DIMENSION_ENTRIES[name](d)
+
+
+# The entries handed d itself; validate_density and SufficientStats read it off an array shape.
+TAKEN_DIMENSION = [name for name in DIMENSION_ENTRIES
+                   if name not in ("validate_density", "SufficientStats")]
+
+
+@pytest.mark.parametrize("d", [True, 3.0, 3.5, np.float64(4.0), np.int64(3)],
+                         ids=["True", "3.0", "3.5", "float64-4", "int64-3"])
+@pytest.mark.parametrize("name", TAKEN_DIMENSION)
+def test_every_entry_refuses_a_dimension_that_is_not_an_integer(name, d):
+    # optimal_strengths(3.5) once returned numbers and fourier_mub(3.0) raised a bare
+    # TypeError: a dimension that is not an integer is refused by name; a numpy integer is one.
+    if isinstance(d, np.integer):
+        DIMENSION_ENTRIES[name](d)
+        return
+    message = f"system dimension must be an integer, got {d!r}"
+    with pytest.raises(InvalidDimension, match=f"^{re.escape(message)}$"):
+        DIMENSION_ENTRIES[name](d)

@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wvtomo import RandomStream, optimal_strengths, random_mixed
-from wvtomo.montecarlo import run_sweep
+from wvtomo import RandomStream, fourier_mub, optimal_strengths, random_mixed
+from wvtomo.montecarlo import outcome_table, run_sweep, simulate_once
 from wvtomo.rng import PreparedLaw
 
 SEED = 51113  # statistical bounds rehearsed once at this seed
@@ -181,11 +181,8 @@ def test_a_law_is_refused_when_it_is_prepared_with_the_error_multinomial_raises(
         assert stream.uniforms(3).tobytes() == RandomStream(SEED, 14).uniforms(3).tobytes()
 
 
-def _tables_and_draws_of_a_sweep(monkeypatch, d, n_shots, reps):
-    # The CDF tables built (`PreparedLaw.cdf`) and the multinomial calls of a 2-step sweep of
-    # g_r: step 1 draws R and fills the held I sums, step 2 draws R alone.
-    rho = random_mixed(d, d, RandomStream(SEED, 15))
-    steps = [replace(optimal_strengths(d), g_r=g) for g in (0.6, 2.4)]
+def _tables_and_draws(monkeypatch, run):
+    # The CDF tables built (`PreparedLaw.cdf`) and the multinomial calls while `run` runs.
     calls = {"cdf": 0, "multinomial": 0}
     table, multinomial = PreparedLaw.cdf.func, RandomStream.multinomial
 
@@ -201,8 +198,17 @@ def _tables_and_draws_of_a_sweep(monkeypatch, d, n_shots, reps):
     cdf.__set_name__(PreparedLaw, "cdf")
     monkeypatch.setattr(PreparedLaw, "cdf", cdf)
     monkeypatch.setattr(RandomStream, "multinomial", drawn)
-    run_sweep(rho, steps, n_shots, reps, SEED)
+    run()
+    monkeypatch.undo()
     return calls
+
+
+def _tables_and_draws_of_a_sweep(monkeypatch, d, n_shots, reps, gs=(0.6, 2.4)):
+    # A sweep of g_r over gs: within the held-sums budget the first step draws R and fills
+    # the held I sums and each later step draws R alone; over it each step draws R and I.
+    rho = random_mixed(d, d, RandomStream(SEED, 15))
+    steps = [replace(optimal_strengths(d), g_r=g) for g in gs]
+    return _tables_and_draws(monkeypatch, lambda: run_sweep(rho, steps, n_shots, reps, SEED))
 
 
 def test_a_sweep_step_prepares_each_law_it_draws_once(monkeypatch):
@@ -210,6 +216,16 @@ def test_a_sweep_step_prepares_each_law_it_draws_once(monkeypatch):
     # draws from 3 laws, each tabulated once, where tabulating at every draw would make 12.
     calls = _tables_and_draws_of_a_sweep(monkeypatch, 32, 10, 20)
     assert calls == {"cdf": 3, "multinomial": 12}, calls
+    # 40 repetitions (7 batches) are over the budget, so the I law the three steps keep is
+    # drawn at every step: 42 per-shot draws from 4 laws, the kept one tabulated once.
+    calls = _tables_and_draws_of_a_sweep(monkeypatch, 32, 10, 40, (0.6, 1.5, 2.4))
+    assert calls == {"cdf": 4, "multinomial": 42}, calls
+    # The same laws at another per-shot N draw from the tables the first N built.
+    rho = random_mixed(32, 32, RandomStream(SEED, 15))
+    table = outcome_table(rho, optimal_strengths(32), fourier_mub(32), 10)
+    calls = _tables_and_draws(monkeypatch, lambda: [
+        simulate_once(t, RandomStream(SEED)) for t in (table, replace(table, shots=20))])
+    assert calls == {"cdf": 2, "multinomial": 4}, calls
 
 
 def test_a_sweep_with_as_many_shots_as_categories_builds_no_cdf_table(monkeypatch):
