@@ -4,6 +4,7 @@ Monte Carlo estimator, and closed-form mean-square-error theory."""
 from .errors import (
     IncompleteStats,
     IndexOutOfRange,
+    InvalidBases,
     InvalidDimension,
     InvalidRank,
     NotFinite,

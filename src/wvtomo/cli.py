@@ -1,10 +1,10 @@
-"""Command-line harness: strength sweeps, scheme comparison tables,
-single-shot reconstruction, and an internal consistency selfcheck.
+"""Command-line harness: strength sweeps, scheme comparison tables, single-shot reconstruction,
+and an internal consistency selfcheck.
 
-Output is CSV (12 significant digits, deterministic for a fixed seed),
-plus an optional manifest recording every resolved setting and the drawn
-state.  Exit codes: 0 ok, 1 an output could not be written, 2 bad config,
-3 bad input file, 4 internal consistency failure.
+Output is CSV (12 significant digits, deterministic for a fixed seed), plus an optional manifest
+recording every resolved setting and the drawn state.  Exit codes: 0 ok, 1 an output could not be
+written, 2 bad config (before any work; an option a library guard refuses names its flag), 3 bad
+input file, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import theory
-from .errors import StateFileError, TomographyError
+from .errors import InvalidDimension, InvalidRank, StateFileError, TomographyError
 from .montecarlo import MseReport, outcome_table, run_sweep, simulate_once
 from .protocol import CouplingStrengths, fourier_mub
 from .qmath import (
-    DensityMatrix, hs_distance_sq, project_to_density, purity_stats, random_mixed, random_pure,
-    validate_density,
+    DensityMatrix, check_count, check_dimension, hs_distance_sq, project_to_density, purity_stats,
+    random_mixed, random_pure, validate_density,
 )
 from .rng import RandomStream
 from .selfcheck import probes
@@ -37,8 +37,6 @@ from .statefile import read_state_file, read_text, shown_path, write_state_file
 # docstring); state draws and one-off simulations live far away so they never collide.
 STATE_STREAM = 2**32
 RECONSTRUCT_STREAM = 2**33
-# numpy draws counts and sizes arrays as int64; a larger count cannot run.
-COUNT_MAX = int(np.iinfo(np.int64).max)
 
 # Every option: (type, default, help).  A config file may set any of them;
 # each subcommand takes as flags only the ones it reads (see build_parser).
@@ -198,12 +196,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _positive(cfg: dict, key: str, minimum: int) -> int:
-    val = cfg[key]
-    if not minimum <= val <= COUNT_MAX:
-        bound = f">= {minimum}" if val < minimum else f"<= {COUNT_MAX}"
-        raise ConfigError(f"--{key.replace('_', '-')} must be {bound}, got {val}")
-    return val
+def _guarded(cfg: dict, key: str, guard, *args):
+    """cfg[key], once the library's guard(cfg[key], *args) accepts it; else a config error."""
+    try:
+        guard(cfg[key], *args)
+    except (ValueError, InvalidDimension) as exc:
+        raise ConfigError(f"--{key.replace('_', '-')}: {exc}")
+    return cfg[key]
 
 
 def _allocatable(key: str, *shape: int, dtype=float) -> None:
@@ -225,11 +224,11 @@ def _load_state(cfg: dict, dim: int, stream: RandomStream) -> tuple[DensityMatri
                 f"--state-file holds a d={rho.dim} state but the configured dimension is {dim}"
             )
         return rho, f"file:{cfg['state_file']}"
-    if cfg["mixed_rank"] is not None:
-        rank = _positive(cfg, "mixed_rank", 1)
-        if rank > dim:
-            raise ConfigError(f"--mixed-rank must be <= dim={dim}, got {rank}")
-        return random_mixed(dim, rank, stream), f"mixed-random:rank={rank}"
+    if (rank := cfg["mixed_rank"]) is not None:
+        try:  # random_mixed refuses a rank outside 1..dim before it draws
+            return random_mixed(dim, rank, stream), f"mixed-random:rank={rank}"
+        except InvalidRank as exc:
+            raise ConfigError(f"--mixed-rank: {exc}")
     return random_pure(dim, stream), "pure-random"
 
 
@@ -252,13 +251,14 @@ def _derived(strengths: CouplingStrengths, rho: DensityMatrix, source: str) -> l
 
 
 def cmd_sweep(cfg: dict) -> int:
-    dim = _positive(cfg, "dim", 2)
-    shots = _positive(cfg, "shots", 1)
-    reps = _positive(cfg, "reps", 1)
+    dim = _guarded(cfg, "dim", check_dimension)
+    shots = _guarded(cfg, "shots", check_count, "shot count")
+    reps = _guarded(cfg, "reps", check_count, "repetition count")
     axis = cfg["sweep_axis"]
     if axis not in ("g_r", "g_i"):
         raise ConfigError(f"--sweep-axis must be g_r or g_i, got {axis!r}")
-    steps = _positive(cfg, "sweep_steps", 2)
+    if (steps := cfg["sweep_steps"]) < 2:
+        raise ConfigError(f"--sweep-steps must be >= 2, got {steps}")
     lo, hi = float(cfg["sweep_min"]), float(cfg["sweep_max"])
     if not lo < hi:
         raise ConfigError(f"sweep range [{lo}, {hi}] must satisfy min < max")
@@ -285,8 +285,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_compare(cfg: dict) -> int:
-    d_lo = _positive(cfg, "dim_min", 2)
-    d_hi = _positive(cfg, "dim_max", 2)
+    d_lo, d_hi = (_guarded(cfg, key, check_dimension) for key in ("dim_min", "dim_max"))
     if d_lo > d_hi:
         raise ConfigError(f"--dim-min {d_lo} exceeds --dim-max {d_hi}")
     if cfg["state_file"] is not None and d_lo != d_hi:
@@ -310,7 +309,7 @@ def cmd_compare(cfg: dict) -> int:
 def cmd_reconstruct(cfg: dict) -> int:
     if cfg["state_file"] is None:
         raise ConfigError("reconstruct requires --state-file")
-    shots = _positive(cfg, "shots", 1)
+    shots = _guarded(cfg, "shots", check_count, "shot count")
     # Files only: '-' stands for their default prefix, which the manifest then records.
     out = cfg["out"] = "reconstruction" if cfg["out"] == "-" else cfg["out"]
     raw_path, herm_path, phys_path = (f"{out}_{kind}.state" for kind in ("raw", "herm", "phys"))

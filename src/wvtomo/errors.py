@@ -38,6 +38,11 @@ class InvalidRank(TomographyError):
     """Requested mixed-state rank not in 1..d."""
 
 
+class InvalidBases(TomographyError):
+    """A basis matrix is not unitary, or an overlap <psi_j|a_n> the reconstruction divides by
+    vanishes."""
+
+
 class IndexOutOfRange(TomographyError):
     """Basis index n outside 0..d-1."""
 

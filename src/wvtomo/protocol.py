@@ -18,18 +18,21 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    InvalidBases,
     NotPositive,
     ShapeMismatch,
     StrengthMismatch,
     StrengthOutOfRange,
     UndefinedWeakValue,
 )
-from .qmath import EIGENVALUE_TOL, DensityMatrix, check_dimension
+from .qmath import EIGENVALUE_TOL, DensityMatrix, _check_finite, check_dimension
 
 # Post-selection outcomes with probability at or below this are undefined-but-unused.
 PROB_DEFINED_TOL = 1e-12
 # Guard against evaluating 1/sin(g) or 1/cos(g/2) at a singular point.
 SINGULAR_TOL = 1e-9
+# Largest |B^dag B - I| entry of a basis matrix B taken as unitary.
+UNITARY_TOL = 1e-10
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -39,7 +42,9 @@ DEVICE_ZERO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # pointer |0><0
 
 @dataclass(frozen=True)
 class MeasurementBases:
-    """Coupling basis {|a_n>} and post-selection basis {|psi_j>} as column matrices."""
+    """Coupling basis {|a_n>} and post-selection basis {|psi_j>} as column matrices, each
+    unitary and kept as a read-only copy, with every |<psi_j|a_n>|^2 > PROB_DEFINED_TOL:
+    the reconstruction divides by each overlap."""
 
     dim: int
     a_basis: np.ndarray    # column n is |a_n>
@@ -50,9 +55,22 @@ class MeasurementBases:
             if np.shape(basis) != (self.dim, self.dim):
                 raise ShapeMismatch(f"{name} of shape {np.shape(basis)} is not "
                                     f"{self.dim}x{self.dim}")
+            basis = np.array(basis, dtype=complex)  # its own copy: the caller may write theirs
+            _check_finite(basis, name)
+            dev = np.max(np.abs(basis.conj().T @ basis - np.eye(self.dim)))
+            if dev > UNITARY_TOL:
+                raise InvalidBases(f"{name} is not unitary: max |B^dag B - I| = {dev:.3e} "
+                                   f"exceeds {UNITARY_TOL:.0e}")
+            basis.flags.writeable = False
+            object.__setattr__(self, name, basis)
         # Here, not between a law and a draw: a draw right after a BLAS matmul ran 10x slower.
         overlaps = self.psi_basis.conj().T @ self.a_basis
         overlaps.flags.writeable = False
+        weights = np.abs(overlaps) ** 2
+        if weights.min() <= PROB_DEFINED_TOL:
+            j, n = np.unravel_index(np.argmin(weights), weights.shape)
+            raise InvalidBases(f"|<psi_j|a_n>|^2 = {weights[j, n]:.3e} at (j={j}, n={n}) is "
+                               f"not above {PROB_DEFINED_TOL:.0e}")
         object.__setattr__(self, "_overlaps", overlaps)
 
     def overlaps(self) -> np.ndarray:

@@ -4,6 +4,8 @@ eigensolver used for pointer readout.
 
 Matrices are plain complex ndarrays.  A validated state is wrapped in
 :class:`DensityMatrix` so downstream code can rely on its invariants.
+`check_dimension` and `check_count` are the one guards of a dimension and of a
+shot or repetition count, for the library and the command line alike.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .rng import RandomStream
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
+# numpy draws counts and sizes arrays as int64: a larger count cannot run.
+COUNT_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -60,11 +64,13 @@ def check_dimension(d: int) -> None:
 
 
 def check_count(count: int, what: str) -> None:
-    """The one guard of a shot or repetition count: an integer (not a bool), at least 1."""
+    """The one guard of a shot or repetition count: an integer (not a bool) in 1..COUNT_MAX."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"{what} must be >= 1, got {count}")
+    if count > COUNT_MAX:
+        raise ValueError(f"{what} must be <= {COUNT_MAX}, got {count}")
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:

@@ -697,22 +697,59 @@ def test_manifest_dash_is_stdout(tmp_path, monkeypatch, capsys):
     ("sweep", "shots"), ("sweep", "reps"), ("reconstruct", "shots"),
 ])
 def test_counts_beyond_int64_are_config_errors(tmp_path, capsys, route, command, key):
-    # numpy cannot draw or size arrays with 2**63 or more; the CLI says so
+    # numpy cannot draw or size arrays with 2**63 or more; check_count says so, by its flag
     state = tmp_path / "in.state"
     write_state_file(state, random_mixed(2, 2, RandomStream(SEED, 47)).matrix)
     argv = [command, "--out", str(tmp_path / "o")]
     if command == "reconstruct":
         argv += ["--state-file", str(state)]
+    value = 2**63 if route == "flag" else 99999999999999999999
     if route == "flag":
-        argv += ["--" + key, str(2**63)]
+        argv += ["--" + key, str(value)]
     else:
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({key: 99999999999999999999}))
+        config.write_text(json.dumps({key: value}))
         argv += ["--config", str(config)]
     rc, out, err = _run(capsys, argv)
-    assert rc == 2
-    assert "config error" in err and "Traceback" not in err
-    assert out == ""
+    what = {"shots": "shot", "reps": "repetition"}[key]
+    assert (rc, out, err) == (
+        2, "", f"config error: --{key}: {what} count must be <= {2**63 - 1}, got {value}\n")
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("command, options, message", [
+    ("sweep", {"dim": 1}, "--dim: system dimension must be >= 2, got 1"),
+    ("compare", {"dim_min": 1}, "--dim-min: system dimension must be >= 2, got 1"),
+    ("compare", {"dim_max": 1}, "--dim-max: system dimension must be >= 2, got 1"),
+    ("sweep", {"shots": 0}, "--shots: shot count must be >= 1, got 0"),
+    ("reconstruct", {"shots": 0}, "--shots: shot count must be >= 1, got 0"),
+    ("sweep", {"reps": 0}, "--reps: repetition count must be >= 1, got 0"),
+    ("sweep", {"mixed_rank": 0}, "--mixed-rank: rank must be in 1..5, got 0"),
+    ("sweep", {"dim": 3, "mixed_rank": 4}, "--mixed-rank: rank must be in 1..3, got 4"),
+    ("compare", {"mixed_rank": 3}, "--mixed-rank: rank must be in 1..2, got 3"),
+], ids=["dim", "dim-min", "dim-max", "sweep-shots", "reconstruct-shots", "reps", "rank-0",
+        "rank-above-dim", "rank-above-dim-min"])
+def test_a_value_a_library_guard_refuses_is_a_config_error_naming_its_flag(
+        tmp_path, monkeypatch, capsys, route, command, options, message):
+    # the library's own guard judges each count, dimension and rank before any work; its
+    # message follows the flag, the exit code is 2 and no output file is opened
+    monkeypatch.chdir(tmp_path)
+    inputs = []
+    argv = [command, "--out", "o.csv", "--manifest", "o.manifest"]
+    if command == "reconstruct":
+        write_state_file("in.state", random_mixed(2, 2, RandomStream(SEED, 47)).matrix)
+        inputs.append("in.state")
+        argv += ["--state-file", "in.state"]
+    if route == "flag":
+        for key, value in options.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    else:
+        Path("c.json").write_text(json.dumps(options))
+        inputs.append("c.json")
+        argv += ["--config", "c.json"]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out, err) == (2, "", f"config error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
 @pytest.mark.parametrize("key, value", [

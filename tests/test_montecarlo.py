@@ -241,6 +241,7 @@ def test_counts_below_one_rejected(func, args):
 # Every entry that takes a shot or repetition count, as (what it calls the count, call).
 _COUNTED = {
     "run_experiment": ("shot", lambda rho, s, c: run_experiment(rho, s, c, 20, SEED)),
+    "run_experiment-reps": ("repetition", lambda rho, s, c: run_experiment(rho, s, 10, c, SEED)),
     "run_sweep-reps": ("repetition", lambda rho, s, c: run_sweep(rho, [s], 10, c, SEED)),
     "run_sweep-shots": ("shot", lambda rho, s, c: run_sweep(rho, [s], c, 20, SEED)),
     "outcome_table": ("shot", lambda rho, s, c: outcome_table(rho, s, fourier_mub(rho.dim), c)),
@@ -277,6 +278,17 @@ def test_counts_must_be_integers(entry, count):
     message = f"{what} count must be an integer, got {count!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(rho, optimal_strengths(3), count)
+
+
+@pytest.mark.parametrize("entry", list(_COUNTED))
+def test_counts_beyond_int64_are_refused_by_the_count_guard(entry):
+    # numpy draws counts and sizes arrays as int64: 2**63 shots would end in its OverflowError
+    # and 2**63 repetitions in its "Maximum allowed dimension exceeded", so check_count says so
+    what, call = _COUNTED[entry]
+    rho = random_mixed(3, 3, RandomStream(SEED, 43))
+    message = f"{what} count must be <= {2**63 - 1}, got {2**63}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(rho, optimal_strengths(3), 2**63)
 
 
 @pytest.mark.parametrize("d", [2, 5, 32])

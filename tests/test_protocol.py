@@ -11,8 +11,10 @@ from wvtomo import (
     CouplingStrengths,
     DensityMatrix,
     IndexOutOfRange,
+    InvalidBases,
     InvalidDimension,
     MeasurementBases,
+    NotFinite,
     NotPositive,
     RandomStream,
     ShapeMismatch,
@@ -104,6 +106,59 @@ def test_measurement_bases_refuse_matrices_that_are_not_dim_by_dim(a_basis, psi_
     # or, for a rectangular pair, build overlaps that readers then fail on
     with pytest.raises(ShapeMismatch, match="is not 3x3"):
         MeasurementBases(dim=3, a_basis=a_basis, psi_basis=psi_basis)
+
+
+def _skewed_fourier(d):
+    """The Fourier post-selection basis times an upper-triangular shear: not unitary."""
+    return fourier_mub(d).psi_basis @ (np.eye(d) + 0.3 * np.triu(np.ones((d, d)), 1))
+
+
+@pytest.mark.parametrize("a_basis, psi_basis, message", [
+    (np.eye(3), _skewed_fourier(3),
+     r"^psi_basis is not unitary: max \|B\^dag B - I\| = 3\.900e-01 exceeds 1e-10$"),
+    (np.eye(3), 2.0 * fourier_mub(3).psi_basis,
+     r"^psi_basis is not unitary: max \|B\^dag B - I\| = 3\.000e\+00 exceeds 1e-10$"),
+    (np.eye(3), np.eye(3),
+     r"^\|<psi_j\|a_n>\|\^2 = 0\.000e\+00 at \(j=0, n=1\) is not above 1e-12$"),
+    (2.0 * np.eye(3), fourier_mub(3).psi_basis, r"^a_basis is not unitary"),
+], ids=["skewed-psi", "scaled-fourier", "identity-pair", "scaled-a"])
+def test_measurement_bases_refuse_what_the_reconstruction_cannot_use(a_basis, psi_basis,
+                                                                     message):
+    # Accepted, each would break the estimator or its arbiter: with a skewed basis the sampled
+    # error stays put as N grows (0.065 at N = 10^4 and 10^8 on a d=3 state) while the oracle
+    # falls as 1/N, and with the identity pair every overlap off the diagonal vanishes and
+    # the oracle reads NaN.
+    with pytest.raises(InvalidBases, match=message):
+        MeasurementBases(dim=3, a_basis=a_basis, psi_basis=psi_basis)
+    with pytest.raises(InvalidBases, match=message):  # dataclasses.replace checks again
+        replace(fourier_mub(3), a_basis=a_basis, psi_basis=psi_basis)
+
+
+def test_measurement_bases_test_finiteness_first():
+    # NaN fails every tolerance comparison, so it must not reach the unitarity test
+    psi = fourier_mub(3).psi_basis.copy()
+    psi[1, 2] = np.nan
+    message = r"^psi_basis entry \[1, 2\] = \(nan\+0j\) is not finite$"
+    with pytest.raises(NotFinite, match=message):
+        MeasurementBases(dim=3, a_basis=np.eye(3), psi_basis=psi)
+
+
+def test_fourier_bases_pass_the_bases_guard():
+    for d in range(2, 41):
+        assert replace(fourier_mub(d)).overlaps().shape == (d, d)
+
+
+def test_measurement_bases_hold_read_only_copies():
+    # Swapping two post-selection columns in place must not leave overlaps() stale (which
+    # gave a d=3 estimate an error of 0.44 at N = 10^8), so the bases hold read-only copies.
+    psi = fourier_mub(3).psi_basis.copy()
+    bases = MeasurementBases(dim=3, a_basis=np.eye(3), psi_basis=psi)
+    for matrix in (bases.a_basis, bases.psi_basis, bases.overlaps()):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[:, [0, 1]] = matrix[:, [1, 0]]
+    psi[:, [0, 1]] = psi[:, [1, 0]]
+    assert np.array_equal(bases.psi_basis, fourier_mub(3).psi_basis)
+    assert np.array_equal(bases.overlaps(), fourier_mub(3).overlaps())
 
 
 def test_fourier_mub_rejects_small_dimension():

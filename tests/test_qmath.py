@@ -34,6 +34,7 @@ from wvtomo import (
     scaled_mse_menu,
     validate_density,
 )
+from wvtomo.qmath import check_count
 
 SEED = 97031
 
@@ -144,6 +145,18 @@ def test_random_mixed_rejects_bad_rank():
         random_mixed(3, 0, RandomStream(SEED, 7))
     with pytest.raises(InvalidRank):
         random_mixed(3, 4, RandomStream(SEED, 7))
+
+
+@pytest.mark.parametrize("count, refused", [
+    (2**63 - 1, False), (np.int64(2**63 - 1), False), (2**63, True), (np.uint64(2**64 - 1), True),
+    (10**20, True),
+], ids=["int64-max", "np-int64-max", "2**63", "np-uint64-max", "10**20"])
+def test_the_count_ceiling_is_numpys_int64(count, refused):
+    if not refused:
+        check_count(count, "shot count")
+        return
+    with pytest.raises(ValueError, match=rf"^shot count must be <= {2**63 - 1}, got {count}$"):
+        check_count(count, "shot count")
 
 
 def test_random_generators_reject_dimension_below_two():
