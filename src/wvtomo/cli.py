@@ -3,8 +3,8 @@ and an internal consistency selfcheck.
 
 Output is CSV (12 significant digits, deterministic for a fixed seed), plus an optional manifest
 recording every resolved setting and the drawn state.  Exit codes: 0 ok, 1 an output could not be
-written, 2 bad config (before any work; an option a library guard refuses names its flag), 3 bad
-input file, 4 internal consistency failure.
+written, 2 bad config (before any work; a refused option reads `--<flag>: <reason>`, and a
+conflict names each flag it involves), 3 bad input file, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import theory
-from .errors import InvalidDimension, InvalidRank, StateFileError, TomographyError
+from .errors import StateFileError, TomographyError
 from .montecarlo import MseReport, outcome_table, run_sweep, simulate_once
 from .protocol import CouplingStrengths, fourier_mub
 from .qmath import (
-    DensityMatrix, check_count, check_dimension, hs_distance_sq, project_to_density, purity_stats,
-    random_mixed, random_pure, validate_density,
+    DensityMatrix, check_count, check_dimension, check_rank, hs_distance_sq, project_to_density,
+    purity_stats, random_mixed, random_pure, validate_density,
 )
 from .rng import RandomStream
 from .selfcheck import probes
@@ -189,28 +189,25 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg["config"] = config_path  # not an option: kept so that no output overwrites it
     cfg["command"], cfg["keys"] = args.command, args.keys  # what the manifest lists
     cfg["opened"] = []  # the output files the run has begun to write
-    try:  # the seed's range is RandomStream's rule
-        RandomStream(cfg["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"--{exc}")
+    _guarded(cfg, "seed", RandomStream)
     return cfg
 
 
 def _guarded(cfg: dict, key: str, guard, *args):
-    """cfg[key], once the library's guard(cfg[key], *args) accepts it; else a config error."""
+    """cfg[key], once guard(cfg[key], *args) accepts it; else ConfigError("--<flag>: <reason>")."""
     try:
         guard(cfg[key], *args)
-    except (ValueError, InvalidDimension) as exc:
+    except (ValueError, TomographyError) as exc:
         raise ConfigError(f"--{key.replace('_', '-')}: {exc}")
     return cfg[key]
 
 
-def _allocatable(key: str, *shape: int, dtype=float) -> None:
-    """Fail before any work if numpy cannot allocate the array that count sizes."""
+def _allocatable(count: int, shape: tuple, dtype=float) -> None:
+    """The guard of a count that sizes an array: numpy must be able to allocate the array."""
     try:
         np.empty(shape, dtype)
     except (MemoryError, ValueError):  # beyond the address space, or beyond memory
-        raise ConfigError(f"--{key.replace('_', '-')} {max(shape)} is more than numpy can allocate")
+        raise ValueError(f"{count} is more than numpy can allocate")
 
 
 def _load_state(cfg: dict, dim: int, stream: RandomStream) -> tuple[DensityMatrix, str]:
@@ -224,23 +221,21 @@ def _load_state(cfg: dict, dim: int, stream: RandomStream) -> tuple[DensityMatri
                 f"--state-file holds a d={rho.dim} state but the configured dimension is {dim}"
             )
         return rho, f"file:{cfg['state_file']}"
-    if (rank := cfg["mixed_rank"]) is not None:
-        try:  # random_mixed refuses a rank outside 1..dim before it draws
-            return random_mixed(dim, rank, stream), f"mixed-random:rank={rank}"
-        except InvalidRank as exc:
-            raise ConfigError(f"--mixed-rank: {exc}")
+    if cfg["mixed_rank"] is not None:
+        rank = _guarded(cfg, "mixed_rank", check_rank, dim)
+        return random_mixed(dim, rank, stream), f"mixed-random:rank={rank}"
     return random_pure(dim, stream), "pure-random"
 
 
 def _fixed_strengths(cfg: dict, dim: int) -> CouplingStrengths:
     """The optimal pair, with any strength set by flag or config in its place."""
-    given = {key: float(cfg[key]) for key in ("g_r", "g_i") if cfg[key] is not None}
+    given = [key for key in ("g_r", "g_i") if cfg[key] is not None]
     if cfg["optimal"] and given:
         raise ConfigError("--optimal conflicts with explicit --g-r/--g-i")
-    try:
-        return replace(theory.optimal_strengths(dim), **given)
-    except TomographyError as exc:
-        raise ConfigError(str(exc))
+    fixed = theory.optimal_strengths(dim)
+    for key in given:  # each strength is judged by the pair it sets
+        _guarded(cfg, key, lambda g: replace(fixed, **{key: float(g)}))
+    return replace(fixed, **{key: float(cfg[key]) for key in given})
 
 
 def _derived(strengths: CouplingStrengths, rho: DensityMatrix, source: str) -> list:
@@ -256,21 +251,18 @@ def cmd_sweep(cfg: dict) -> int:
     reps = _guarded(cfg, "reps", check_count, "repetition count")
     axis = cfg["sweep_axis"]
     if axis not in ("g_r", "g_i"):
-        raise ConfigError(f"--sweep-axis must be g_r or g_i, got {axis!r}")
+        raise ConfigError(f"--sweep-axis: must be g_r or g_i, got {axis!r}")
     if (steps := cfg["sweep_steps"]) < 2:
-        raise ConfigError(f"--sweep-steps must be >= 2, got {steps}")
+        raise ConfigError(f"--sweep-steps: must be >= 2, got {steps}")
     lo, hi = float(cfg["sweep_min"]), float(cfg["sweep_max"])
     if not lo < hi:
-        raise ConfigError(f"sweep range [{lo}, {hi}] must satisfy min < max")
+        raise ConfigError(f"--sweep-min {lo} is not below --sweep-max {hi}")
     fixed = _fixed_strengths(cfg, dim)
-    try:  # on (0, pi) |sin g| and cos(g/2) have no interior minimum: the ends suffice
-        for end in (lo, hi):
-            replace(fixed, **{axis: end})
-    except TomographyError as exc:
-        raise ConfigError(f"sweep range [{lo}, {hi}]: {exc}")
-    _allocatable("dim", dim, dim, dtype=complex)
-    _allocatable("sweep_steps", steps)
-    _allocatable("reps", 2, reps)
+    for key in ("sweep_min", "sweep_max"):  # |sin g|, cos(g/2) have no interior minimum on (0, pi)
+        _guarded(cfg, key, lambda g: replace(fixed, **{axis: float(g)}))
+    _guarded(cfg, "dim", _allocatable, (dim, dim), complex)
+    _guarded(cfg, "sweep_steps", _allocatable, (steps,))
+    _guarded(cfg, "reps", _allocatable, (2, reps))
     _check_writable(cfg, cfg["out"])
 
     rho, source = _load_state(cfg, dim, RandomStream(cfg["seed"], STATE_STREAM))
@@ -290,7 +282,7 @@ def cmd_compare(cfg: dict) -> int:
         raise ConfigError(f"--dim-min {d_lo} exceeds --dim-max {d_hi}")
     if cfg["state_file"] is not None and d_lo != d_hi:
         raise ConfigError("--state-file fixes one dimension; use --dim-min == --dim-max with it")
-    _allocatable("dim_max", d_hi, d_hi, dtype=complex)
+    _guarded(cfg, "dim_max", _allocatable, (d_hi, d_hi), complex)
     _check_writable(cfg, cfg["out"])
 
     rows = []

@@ -68,7 +68,7 @@ BATCH_ELEMENTS = 6 * 2**10
 SUMS_ELEMENTS = 2**15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Joint law of (j, k): post-selection outcome j and pointer eigenvalue
     lambda_k of the chosen quadrature observable.
@@ -84,7 +84,7 @@ class OutcomeDistribution:
     values: np.ndarray  # length 2d, the eigenvalue drawn at each support point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeTable:
     """`outcome_table`'s two quadrature laws with the strengths and bases they were built at,
     and the shots each of the 2d configurations gets: the whole design of an experiment.
@@ -99,7 +99,7 @@ class OutcomeTable:
         check_count(self.shots, "shot count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SufficientStats:
     """Per-(n, quadrature, j) sums of observed pointer eigenvalues, `shots` shots a
     configuration: sums_r[..., n, j] and sums_i[..., n, j], two (..., d, d) tables of one
@@ -122,7 +122,7 @@ class SufficientStats:
                                   "configs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyEstimate:
     raw: np.ndarray
     hermitized: np.ndarray

@@ -40,7 +40,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 DEVICE_ZERO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # pointer |0><0|
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBases:
     """Coupling basis {|a_n>} and post-selection basis {|psi_j>} as column matrices, each
     unitary and kept as a read-only copy, with every |<psi_j|a_n>|^2 > PROB_DEFINED_TOL:
@@ -92,7 +92,7 @@ class CouplingStrengths:
             check_strength(g, name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointerObservables:
     """The two pointer quadrature observables built at strength g."""
 
@@ -101,7 +101,7 @@ class PointerObservables:
     g: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalDeviceEnsemble:
     """Post-selected pointer states for one coupling index n.
 
@@ -115,7 +115,7 @@ class ConditionalDeviceEnsemble:
     device_states: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakValueTable:
     """Weak values W[n][j] with their post-selection probabilities P[n][j].
 

@@ -4,8 +4,8 @@ eigensolver used for pointer readout.
 
 Matrices are plain complex ndarrays.  A validated state is wrapped in
 :class:`DensityMatrix` so downstream code can rely on its invariants.
-`check_dimension` and `check_count` are the one guards of a dimension and of a
-shot or repetition count, for the library and the command line alike.
+`check_dimension`, `check_count` and `check_rank` are the one guards of a dimension, a shot
+or repetition count and a mixed-state rank, for the library and the command line alike.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ EIGENVALUE_TOL = 1e-10
 COUNT_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated d x d quantum state.  Construct via :func:`validate_density`."""
 
@@ -71,6 +71,14 @@ def check_count(count: int, what: str) -> None:
         raise ValueError(f"{what} must be >= 1, got {count}")
     if count > COUNT_MAX:
         raise ValueError(f"{what} must be <= {COUNT_MAX}, got {count}")
+
+
+def check_rank(rank: int, d: int) -> None:
+    """The one guard of a mixed-state rank: an integer (not a bool) in 1..d."""
+    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
+        raise InvalidRank(f"rank must be an integer, got {rank!r}")
+    if not 1 <= rank <= d:
+        raise InvalidRank(f"rank must be in 1..{d}, got {rank}")
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:
@@ -144,8 +152,7 @@ def random_pure(d: int, rng: RandomStream) -> DensityMatrix:
 def random_mixed(d: int, rank: int, rng: RandomStream) -> DensityMatrix:
     """Random rank-`rank` mixed state G G^dag / tr(G G^dag), G complex Ginibre d x rank."""
     check_dimension(d)
-    if not 1 <= rank <= d:
-        raise InvalidRank(f"rank must be in 1..{d}, got {rank}")
+    check_rank(rank, d)
     z = rng.normals(2 * d * rank)
     g = (z[: d * rank] + 1j * z[d * rank :]).reshape(d, rank)
     m = g @ g.conj().T

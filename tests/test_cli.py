@@ -332,7 +332,7 @@ def test_a_seed_outside_64_bits_is_a_config_error(tmp_path, monkeypatch, capsys,
     before = sorted(tmp_path.iterdir())
     rc, out, err = _run(capsys, argv)
     assert rc == 2 and out == ""
-    assert "config error: --seed must be in [0, 2**64)" in err
+    assert err == f"config error: --seed: seed must be in [0, 2**64), got {seed}\n"
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -354,12 +354,15 @@ def test_the_largest_seed_is_accepted(capsys, argv):
     ("[]", ["--config", "{cfg}"], 2, "config error: config file {cfg} must hold a JSON object"),
     ('{"dim": null}', ["--config", "{cfg}"], 2,
      "config error: config file {cfg}: 'dim' has the wrong type: None"),
-    (None, ["--sweep-axis", "g_x"], 2, "config error: --sweep-axis must be g_r or g_i, got 'g_x'"),
+    (None, ["--sweep-axis", "g_x"], 2, "config error: --sweep-axis: must be g_r or g_i, got 'g_x'"),
+    (None, ["--sweep-steps", "1"], 2, "config error: --sweep-steps: must be >= 2, got 1"),
+    (None, ["--sweep-min", "2", "--sweep-max", "1"], 2,
+     "config error: --sweep-min 2.0 is not below --sweep-max 1.0"),
     # json.loads raises a plain ValueError for an integer past Python's 4,300-digit limit
     ('{"dim": ' + "1" * 5000 + "}", ["--config", "{cfg}"], 3,
      "input error: config file {cfg} is not valid JSON: Exceeds the limit (4300 digits)"),
 ], ids=["config-missing", "config-not-json", "config-too-deep", "config-array",
-        "config-null-dim", "axis", "config-too-many-digits"])
+        "config-null-dim", "axis", "steps", "range-order", "config-too-many-digits"])
 def test_config_and_axis_errors_exit_without_a_traceback(tmp_path, capsys, text, argv, code,
                                                          message):
     cfg = tmp_path / "cfg.json"
@@ -727,12 +730,21 @@ def test_counts_beyond_int64_are_config_errors(tmp_path, capsys, route, command,
     ("sweep", {"mixed_rank": 0}, "--mixed-rank: rank must be in 1..5, got 0"),
     ("sweep", {"dim": 3, "mixed_rank": 4}, "--mixed-rank: rank must be in 1..3, got 4"),
     ("compare", {"mixed_rank": 3}, "--mixed-rank: rank must be in 1..2, got 3"),
+    ("sweep", {"seed": -1}, "--seed: seed must be in [0, 2**64), got -1"),
+    ("sweep", {"seed": 2**64}, f"--seed: seed must be in [0, 2**64), got {2**64}"),
+    ("reconstruct", {"g_r": 0}, "--g-r: g_r = 0.0 outside the open interval (0, pi)"),
+    ("sweep", {"g_i": 0}, "--g-i: g_i = 0.0 outside the open interval (0, pi)"),
+    ("sweep", {"sweep_min": 0}, "--sweep-min: g_r = 0.0 outside the open interval (0, pi)"),
+    ("sweep", {"sweep_max": 3.2}, "--sweep-max: g_r = 3.2 outside the open interval (0, pi)"),
+    ("sweep", {"reps": 2**62}, f"--reps: {2**62} is more than numpy can allocate"),
 ], ids=["dim", "dim-min", "dim-max", "sweep-shots", "reconstruct-shots", "reps", "rank-0",
-        "rank-above-dim", "rank-above-dim-min"])
+        "rank-above-dim", "rank-above-dim-min", "seed-minus-one", "seed-two-to-64", "g-r", "g-i",
+        "sweep-min", "sweep-max", "reps-unallocatable"])
 def test_a_value_a_library_guard_refuses_is_a_config_error_naming_its_flag(
         tmp_path, monkeypatch, capsys, route, command, options, message):
-    # the library's own guard judges each count, dimension and rank before any work; its
-    # message follows the flag, the exit code is 2 and no output file is opened
+    # the library's own guard judges each seed, count, dimension, rank and strength, and
+    # _allocatable each array size, before any work; the guard's message follows the flag,
+    # the exit code is 2 and no output file is opened
     monkeypatch.chdir(tmp_path)
     inputs = []
     argv = [command, "--out", "o.csv", "--manifest", "o.manifest"]
@@ -845,7 +857,7 @@ def test_a_bad_sweep_strength_exits_before_the_state_file_is_read(tmp_path, caps
     state.write_text("2\n0.5,0 0.5,0\n")
     rc, out, err = _run(capsys, ["sweep", "--dim", "2", "--state-file", str(state), "--g-i", "0"])
     assert rc == 2 and out == ""
-    assert err.startswith("config error: g_i ") and err.count("\n") == 1
+    assert err == "config error: --g-i: g_i = 0.0 outside the open interval (0, pi)\n"
 
 
 def test_a_bad_fixed_strength_exits_before_a_state_is_drawn(monkeypatch, capsys):
@@ -856,7 +868,7 @@ def test_a_bad_fixed_strength_exits_before_a_state_is_drawn(monkeypatch, capsys)
     argv = ["sweep", "--sweep-axis", "g_i", "--g-r", "0", "--reps", "2", "--sweep-steps", "2"]
     rc, out, err = _run(capsys, argv)
     assert rc == 2 and out == ""
-    assert err.startswith("config error: g_r ") and err.count("\n") == 1
+    assert err == "config error: --g-r: g_r = 0.0 outside the open interval (0, pi)\n"
 
 
 # ---------------------------------------------------------------- selfcheck / parser

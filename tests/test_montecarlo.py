@@ -45,6 +45,7 @@ from wvtomo import (
     run_experiment,
     sample_shots,
     validate_density,
+    weak_values_exact,
 )
 from wvtomo.montecarlo import (
     BATCH_ELEMENTS, QUADRATURES, SUMS_ELEMENTS, MseReport, _batch_errors, _oracle,
@@ -589,6 +590,32 @@ def test_estimator_gives_the_bits_of_the_plain_expressions(d):
                 want_sq = np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
                 assert np.array_equal(hs_distance_sq(a, rho.matrix), want_sq), f"count={count}"
                 assert np.array_equal(a, a_in) and np.array_equal(rho.matrix, matrix)
+
+
+# Each frozen record that holds an array, built from one state; two calls give equal contents.
+ARRAY_RECORDS = {
+    "OutcomeDistribution": lambda rho: outcome_distribution(rho, 0, "R", 1.0, fourier_mub(3)),
+    "OutcomeTable": lambda rho: outcome_table(rho, optimal_strengths(3), fourier_mub(3), 10),
+    "SufficientStats": lambda rho: SufficientStats(10, np.ones((3, 3)), np.ones((3, 3))),
+    "TomographyEstimate": lambda rho: simulate_once(
+        outcome_table(rho, optimal_strengths(3), fourier_mub(3), 10), RandomStream(SEED, 71)),
+    "MeasurementBases": lambda rho: fourier_mub(3),
+    "PointerObservables": lambda rho: pointer_observables(1.0),
+    "ConditionalDeviceEnsemble": lambda rho: couple_and_postselect(rho, 0, 1.0, fourier_mub(3)),
+    "WeakValueTable": lambda rho: weak_values_exact(rho, fourier_mub(3), 1.0),
+    "DensityMatrix": lambda rho: validate_density(rho.matrix),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_a_record_holding_arrays_compares_and_hashes_by_identity(name):
+    # the dataclass == compared the arrays and raised "truth value ... is ambiguous", and
+    # hash raised "unhashable type"; PreparedLaw has always compared by identity
+    rho = random_mixed(3, 2, RandomStream(SEED, 70))
+    x, y = ARRAY_RECORDS[name](rho), ARRAY_RECORDS[name](rho)
+    assert type(x).__name__ == name
+    assert x == x and x != y
+    assert hash(x) == hash(x) and len({x, y}) == 2
 
 
 # ---------------------------------------------------------------- experiment driver

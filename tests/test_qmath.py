@@ -34,7 +34,7 @@ from wvtomo import (
     scaled_mse_menu,
     validate_density,
 )
-from wvtomo.qmath import check_count
+from wvtomo.qmath import check_count, check_rank
 
 SEED = 97031
 
@@ -380,3 +380,19 @@ def test_every_entry_refuses_a_dimension_that_is_not_an_integer(name, d):
     message = f"system dimension must be an integer, got {d!r}"
     with pytest.raises(InvalidDimension, match=f"^{re.escape(message)}$"):
         DIMENSION_ENTRIES[name](d)
+
+
+@pytest.mark.parametrize("entry", ["check_rank", "random_mixed"])
+@pytest.mark.parametrize("rank, message", [
+    (2.5, "rank must be an integer, got 2.5"), (True, "rank must be an integer, got True"),
+    (0, "rank must be in 1..3, got 0"), (4, "rank must be in 1..3, got 4"), (np.int64(2), None),
+], ids=["2.5", "True", "0", "d+1", "int64-2"])
+def test_the_rank_guard_takes_an_integer_in_one_to_d(entry, rank, message):
+    # random_mixed(3, 2.5, s) and random_mixed(3, True, s) once ended in numpy TypeErrors
+    run = {"check_rank": lambda: check_rank(rank, 3),
+           "random_mixed": lambda: random_mixed(3, rank, RandomStream(SEED, 9))}[entry]
+    if message is None:
+        run()
+        return
+    with pytest.raises(InvalidRank, match=f"^{re.escape(message)}$"):
+        run()
